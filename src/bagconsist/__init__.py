@@ -1,9 +1,11 @@
 """Consistency of bag (multiset) databases.
 
 Decides pairwise and global consistency, builds small witnesses over
-acyclic schemas via an exact max-flow core, classifies schema hypergraphs,
-generates counterexample and hardness-reduction instances, and cross-checks
-everything against a brute-force integer-feasibility oracle.
+acyclic schemas by chaining northwest-corner two-bag witnesses, classifies
+schema hypergraphs, and generates counterexample and hardness-reduction
+instances. Two independent references back the tests: an exact max-flow
+characterisation of two-bag consistency (``KERNEL`` names its Dinic kernel,
+always ``"python"``) and a brute-force integer-feasibility oracle.
 """
 from .bags import (
     Bag,

@@ -1,8 +1,7 @@
 """Pure-Python Dinic max-flow kernel.
 
 Capacities and flows are Python ints, so arbitrary-precision multiplicities
-pass through untouched. The compiled twin in ``_fastflow`` implements the
-same entry point with typed graph bookkeeping.
+pass through untouched.
 """
 from __future__ import annotations
 

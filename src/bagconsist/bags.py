@@ -176,16 +176,23 @@ class Bag:
     def from_json_dict(cls, data: dict) -> "Bag":
         if not isinstance(data, dict) or "schema" not in data or "tuples" not in data:
             raise BagFormatError("bag JSON needs 'schema' and 'tuples'")
+        if not _is_name_list(data["schema"]):
+            raise BagFormatError("bag schema must be a list of attribute names")
+        if not isinstance(data["tuples"], list):
+            raise BagFormatError("bag 'tuples' must be a list")
         try:
             schema = make_schema(data["schema"])
         except SchemaMismatchError as exc:
             raise BagFormatError(str(exc)) from exc
+        keys = set(schema)
         seen: dict[Row, int] = {}
         for item in data["tuples"]:
-            values = item.get("values")
-            if not isinstance(values, dict) or set(values) != set(schema):
+            values = item.get("values") if isinstance(item, dict) else None
+            if not isinstance(values, dict) or values.keys() != keys:
                 raise BagFormatError(
                     "tuple %r does not match schema %r" % (item, schema))
+            if None in values.values():
+                raise BagFormatError("null value in tuple %r" % (item,))
             row = tuple(str(values[a]) for a in schema)
             if row in seen:
                 raise BagFormatError("duplicate tuple %r" % (row,))
@@ -199,6 +206,11 @@ class Bag:
                     "multiplicity must be positive, got %r for %r" % (mult, row))
             seen[row] = mult
         return cls(schema, seen)
+
+
+def _is_name_list(data) -> bool:
+    """True iff parsed JSON is a list of strings (attribute names)."""
+    return isinstance(data, list) and all(isinstance(a, str) for a in data)
 
 
 def project_row(schema: tuple[str, ...], row: Row, attrs: Iterable[str]) -> Row:

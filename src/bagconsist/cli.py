@@ -102,10 +102,10 @@ def cmd_classify(args) -> int:
     tree = h.join_tree()
     if tree is not None:
         print("acyclic")
-        order = h.running_intersection_order()
         _emit({
             "join_tree": tree.to_json_dict(),
-            "running_intersection_order": [list(step) for step in order],
+            "running_intersection_order": [
+                list(step) for step in tree.running_intersection_order()],
         })
         return EXIT_OK
     print("cyclic")

@@ -1,10 +1,13 @@
 """Consistency deciders and constructors for bag databases.
 
-Two-bag consistency runs through the flow network; collections over acyclic
-schemas chain minimal two-bag witnesses along a running-intersection order;
-cyclic schemas fall back to the brute-force oracle. Also houses the mod-d
-counterexample generator, safe-deletion lifting, and the hardness-reduction
-instance transformations.
+Two bags are consistent iff their marginals on the shared attributes agree;
+a minimal two-bag witness is filled in by the northwest-corner rule, one
+shared-key group at a time. Collections over acyclic schemas chain minimal
+two-bag witnesses along a running-intersection order; cyclic schemas fall
+back to the brute-force oracle. The max-flow characterisation survives only
+as ``two_bag_witness``, an independent reference for the tests. Also houses
+the mod-d counterexample generator, safe-deletion lifting, and the
+hardness-reduction instance transformations.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .bags import Bag, make_schema
+# keep all four names, used or not: perfbench/tracer.py patches them here
 from .flow import build_network, is_saturated, max_flow, suppress_middle_arc
 from .hypergraph import (
     Hypergraph,
@@ -73,6 +77,8 @@ class BagDatabase:
     def from_json_dict(cls, data: dict) -> "BagDatabase":
         if not isinstance(data, dict) or "hypergraph" not in data or "bags" not in data:
             raise DatabaseError("database JSON needs 'hypergraph' and 'bags'")
+        if not isinstance(data["bags"], list):
+            raise DatabaseError("database 'bags' must be a list")
         return cls(Hypergraph.from_json_dict(data["hypergraph"]),
                    tuple(Bag.from_json_dict(b) for b in data["bags"]))
 
@@ -117,31 +123,59 @@ def two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
 
 
 def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
-    """A witness with inclusion-minimal support, by one canonical pass of
-    middle-arc suppression."""
-    net = build_network(r, s)
-    target = net.total_source_capacity()
-    if target != net.total_sink_capacity():
+    """A witness with inclusion-minimal support, or None.
+
+    Rows of both bags are grouped by their value on the shared attributes.
+    Every left row of a group joins every right row of it, so each group is
+    a balanced transportation problem, filled here by the northwest-corner
+    rule in canonical row order. Each group's support is then a staircase
+    tree, which makes the witness a vertex of the transportation polytope:
+    no witness has a strictly smaller support, and it has at most
+    |supp r| + |supp s| - 1 rows.
+    """
+    if not pairwise_consistent(r, s):
         return None
-    if max_flow(net).value != target:
-        return None
-    current = net
-    for _, _, jrow in net.middles:
-        trial = suppress_middle_arc(current, jrow)
-        if max_flow(trial).value == target:
-            current = trial
-    flow = max_flow(current)
-    assert is_saturated(current, flow)
-    return _witness_from_flow(current, flow, r, s)
+    shared = [a for a in r.schema if a in s.schema]
+    r_key = [r.schema.index(a) for a in shared]
+    s_key = [s.schema.index(a) for a in shared]
+    join_schema = make_schema(set(r.schema) | set(s.schema))
+    # positions of the join attributes in a left row followed by a right row
+    both = r.schema + s.schema
+    pick = [both.index(a) for a in join_schema]
+    groups: dict = {}
+    for row in r.rows():
+        key = tuple(row[i] for i in r_key)
+        groups.setdefault(key, ([], []))[0].append([row, r.entries[row]])
+    for row in s.rows():
+        key = tuple(row[i] for i in s_key)
+        groups[key][1].append([row, s.entries[row]])
+    entries = {}
+    for left, right in groups.values():
+        i = j = 0
+        while i < len(left) and j < len(right):
+            lcell, rcell = left[i], right[j]
+            mult = min(lcell[1], rcell[1])
+            joined = lcell[0] + rcell[0]
+            entries[tuple(joined[k] for k in pick)] = mult
+            lcell[1] -= mult
+            rcell[1] -= mult
+            if not lcell[1]:
+                i += 1
+            if not rcell[1]:
+                j += 1
+    return _checked_witness(Bag(join_schema, entries), r, s)
 
 
 def _witness_from_flow(net, flow, r: Bag, s: Bag) -> Bag:
     entries = {jrow: f for (_, _, jrow), f in zip(net.middles, flow.middle_flows)
                if f}
-    witness = Bag(net.join_schema, entries)
+    return _checked_witness(Bag(net.join_schema, entries), r, s)
+
+
+def _checked_witness(witness: Bag, r: Bag, s: Bag) -> Bag:
     # re-verify before handing out
     if witness.marginal(r.schema) != r or witness.marginal(s.schema) != s:
-        raise AssertionError("flow produced an invalid witness")
+        raise AssertionError("constructed an invalid two-bag witness")
     return witness
 
 
@@ -164,6 +198,12 @@ def acyclic_global_witness(db: BagDatabase) -> Optional[Bag]:
             "schema is cyclic; use the oracle path instead")
     if inconsistent_pairs(db):
         return None
+    return _chain_witness(db, order)
+
+
+def _chain_witness(db: BagDatabase, order) -> Bag:
+    """Chain minimal two-bag witnesses along a running-intersection order
+    of a pairwise-consistent database."""
     if not db.bags:
         return Bag((), {})
     witness = db.bags[order[0][0]]
@@ -179,17 +219,19 @@ def acyclic_global_witness(db: BagDatabase) -> Optional[Bag]:
 
 def global_consistent(db: BagDatabase, mode: str = "auto",
                       budget: Optional[OracleBudget] = None) -> ConsistencyReport:
+    """Check every pair and classify the schema once. An inconsistent pair
+    answers no; an acyclic schema answers yes with a chained witness; a
+    cyclic one goes to the oracle."""
     if mode not in ("auto", "oracle"):
         raise ValueError("mode must be 'auto' or 'oracle'")
     bad_pairs = tuple(inconsistent_pairs(db))
     pairwise_ok = not bad_pairs
-    if db.hypergraph.is_acyclic():
-        if not pairwise_ok:
-            return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_NO)
-        witness = acyclic_global_witness(db)
-        return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_YES, witness)
+    order = db.hypergraph.running_intersection_order()
     if not pairwise_ok:
         return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_NO)
+    if order is not None:
+        return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_YES,
+                                 _chain_witness(db, order))
     join_bound = 1
     for bag in db.bags:
         join_bound *= max(len(bag), 1)
@@ -399,13 +441,19 @@ def encode_3dct(r_table, c_table, f_table) -> BagDatabase:
     """Three n x n margin tables as a triangle database: globally consistent
     iff the contingency-table instance is feasible."""
     tables = {"R": r_table, "C": c_table, "F": f_table}
-    n = len(r_table)
+    n = len(r_table) if isinstance(r_table, (list, tuple)) else -1
     for name, tab in tables.items():
-        if len(tab) != n or any(len(row) != n for row in tab):
-            raise ValueError("table %s is not %d x %d" % (name, n, n))
+        if (not isinstance(tab, (list, tuple)) or len(tab) != n
+                or any(not isinstance(row, (list, tuple)) or len(row) != n
+                       for row in tab)):
+            raise ValueError("table %s is not an n x n grid" % name)
         for row in tab:
             for v in row:
-                if int(v) < 0:
+                try:
+                    negative = int(v) < 0
+                except TypeError:
+                    raise ValueError("table %s has a non-numeric entry" % name)
+                if negative:
                     raise ValueError("table %s has a negative entry" % name)
     tri = Hypergraph(["X", "Y", "Z"], [["X", "Z"], ["Y", "Z"], ["X", "Y"]])
 

@@ -1,9 +1,12 @@
 """The two-bag consistency network and its exact max-flow solver.
 
 The network has one layer of nodes per support tuple of each bag; a middle
-arc per join tuple carries the witness multiplicity. The Dinic kernel is
-compiled (Cython) when available, with a pure-Python fallback selected at
-import time.
+arc per join tuple carries the witness multiplicity. Two bags are
+consistent iff the network admits a saturated integral flow. Production
+code decides this from marginals and builds witnesses by the
+northwest-corner rule (``consistency``); this module is the independent
+reference checker the tests hold them to. The Dinic kernel is pure Python
+with exact integer capacities.
 """
 from __future__ import annotations
 
@@ -12,10 +15,7 @@ from typing import Optional
 
 from .bags import Bag, Row, project_row
 
-try:  # compiled kernel, optional
-    from ._fastflow import dinic, IMPLEMENTATION as KERNEL
-except ImportError:  # pragma: no cover - depends on build environment
-    from ._pyflow import dinic, IMPLEMENTATION as KERNEL
+from ._pyflow import dinic, IMPLEMENTATION as KERNEL
 
 
 class FlowError(ValueError):

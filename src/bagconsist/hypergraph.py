@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .bags import _is_name_list
+
 Edge = frozenset
 
 
@@ -21,7 +23,8 @@ class Hypergraph:
     """A vertex set plus an ordered list of hyperedges.
 
     The edge list need not be reduced: covered and duplicate edges are
-    allowed (bags in a database are aligned with edges by position).
+    allowed (bags in a database are aligned with edges by position). Every
+    vertex must lie in some edge.
     """
 
     __slots__ = ("vertices", "edges")
@@ -35,6 +38,9 @@ class Hypergraph:
                 raise HypergraphError("hyperedges must be non-empty")
             if not e <= vset:
                 raise HypergraphError("edge %r not within vertex set" % (sorted(e),))
+        bare = vset.difference(*es)
+        if bare:
+            raise HypergraphError("vertices %r lie in no edge" % (sorted(bare),))
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", es)
 
@@ -91,13 +97,7 @@ class Hypergraph:
         return _graph_is_chordal(self.primal_graph())
 
     def is_conformal(self) -> bool:
-        """Gilmore's criterion on the reduced edge set, plus coverage of
-        every vertex (a bare vertex is a clique contained in no edge)."""
-        covered = set()
-        for e in self.edges:
-            covered |= e
-        if covered != set(self.vertices):
-            return False
+        """Gilmore's criterion on the reduced edge set."""
         edges = self.reduce().edges
         n = len(edges)
         for i in range(n):
@@ -142,36 +142,9 @@ class Hypergraph:
         return JoinTree(nodes=edges, links=tuple(links))
 
     def running_intersection_order(self) -> Optional[list[tuple[int, Optional[int]]]]:
-        """An edge listing with the running intersection property, as
-        (edge_index, witness_position) pairs; None when cyclic.
-
-        The witness position points at the earlier listing slot whose edge
-        contains the overlap with everything before.
-        """
+        """The join tree's running-intersection order; None when cyclic."""
         tree = self.join_tree()
-        if tree is None:
-            return None
-        if not tree.nodes:
-            return []
-        children: dict[int, list[int]] = {i: [] for i in range(len(tree.nodes))}
-        adj = {i: [] for i in range(len(tree.nodes))}
-        for a, b in tree.links:
-            adj[a].append(b)
-            adj[b].append(a)
-        root = min(range(len(tree.nodes)),
-                   key=lambda i: (tuple(sorted(tree.nodes[i])), i))
-        order: list[tuple[int, Optional[int]]] = [(root, None)]
-        placed = {root: 0}
-        frontier = [root]
-        while frontier:
-            cur = frontier.pop(0)
-            kids = sorted((j for j in adj[cur] if j not in placed),
-                          key=lambda j: (tuple(sorted(tree.nodes[j])), j))
-            for j in kids:
-                placed[j] = len(order)
-                order.append((j, placed[cur]))
-                frontier.append(j)
-        return order
+        return None if tree is None else tree.running_intersection_order()
 
     # -- serialization -----------------------------------------------------
 
@@ -183,7 +156,13 @@ class Hypergraph:
     def from_json_dict(cls, data: dict) -> "Hypergraph":
         if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
             raise HypergraphError("hypergraph JSON needs 'vertices' and 'edges'")
-        return cls(data["vertices"], data["edges"])
+        edges = data["edges"]
+        if not (_is_name_list(data["vertices"]) and isinstance(edges, list)
+                and all(_is_name_list(e) for e in edges)):
+            raise HypergraphError(
+                "hypergraph JSON needs a list of vertex names and a list of "
+                "edges, each a list of vertex names")
+        return cls(data["vertices"], edges)
 
 
 @dataclass(frozen=True)
@@ -211,6 +190,35 @@ class JoinTree:
             if not _connected(sub, holders):
                 return False
         return True
+
+    def running_intersection_order(self) -> list[tuple[int, Optional[int]]]:
+        """An edge listing with the running intersection property, as
+        (edge_index, witness_position) pairs, by breadth-first search from
+        the canonically smallest edge.
+
+        The witness position points at the earlier listing slot whose edge
+        contains the overlap with everything before.
+        """
+        if not self.nodes:
+            return []
+        adj: dict[int, list[int]] = {i: [] for i in range(len(self.nodes))}
+        for a, b in self.links:
+            adj[a].append(b)
+            adj[b].append(a)
+        root = min(range(len(self.nodes)),
+                   key=lambda i: (tuple(sorted(self.nodes[i])), i))
+        order: list[tuple[int, Optional[int]]] = [(root, None)]
+        placed = {root: 0}
+        frontier = [root]
+        while frontier:
+            cur = frontier.pop(0)
+            kids = sorted((j for j in adj[cur] if j not in placed),
+                          key=lambda j: (tuple(sorted(self.nodes[j])), j))
+            for j in kids:
+                placed[j] = len(order)
+                order.append((j, placed[cur]))
+                frontier.append(j)
+        return order
 
     def to_json_dict(self) -> dict:
         return {"nodes": [sorted(e) for e in self.nodes],

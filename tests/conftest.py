@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from bagconsist import Bag, BagDatabase, Hypergraph
+from bagconsist import Bag, BagDatabase, Hypergraph, build_network, max_flow, suppress_middle_arc
 
 
 def random_hypergraph(rng: random.Random, max_vertices: int = 8,
@@ -102,6 +102,23 @@ def witness_family(n: int):
 def pair_database(r: Bag, s: Bag) -> BagDatabase:
     vertices = sorted(set(r.schema) | set(s.schema))
     return BagDatabase(Hypergraph(vertices, [r.schema, s.schema]), (r, s))
+
+
+def assert_flow_minimal(r: Bag, s: Bag, w: Bag) -> None:
+    """Certify with the max-flow reference that ``w`` has inclusion-minimal
+    support among the witnesses of (r, s): the network restricted to the
+    middle arcs of supp(w) still saturates, and losing any one of them
+    drops the flow."""
+    net = build_network(r, s)
+    target = net.total_source_capacity()
+    support = set(w.entries)
+    for _, _, jrow in net.middles:
+        if jrow not in support:
+            net = suppress_middle_arc(net, jrow)
+    assert {jrow for _, _, jrow in net.middles} == support
+    assert max_flow(net).value == target
+    for jrow in support:
+        assert max_flow(suppress_middle_arc(net, jrow)).value < target
 
 
 # -- acceptance summary ----------------------------------------------------

@@ -29,7 +29,13 @@ from bagconsist import (
 )
 from bagconsist.hypergraph import clique_complement_hypergraph, cycle_hypergraph, path_hypergraph
 
-from conftest import pair_database, random_acyclic_database, random_hypergraph, witness_family
+from conftest import (
+    assert_flow_minimal,
+    pair_database,
+    random_acyclic_database,
+    random_hypergraph,
+    witness_family,
+)
 
 CRITERIA = {
     1: "two-bag paper example: 2 witnesses, minimal support 2",
@@ -212,6 +218,7 @@ def test_criterion_09_witness_bound_suite():
         if len(db.bags) == 2:
             r, s = db.bags
             assert len(w) <= len(r) + len(s)
+            assert_flow_minimal(r, s, w)
 
 
 def test_criterion_10_flow_vs_oracle_agreement():
@@ -227,6 +234,7 @@ def test_criterion_10_flow_vs_oracle_agreement():
             s = r  # force plenty of consistent same-schema cases
         db = pair_database(r, s)
         via_flow = two_bag_witness(r, s) is not None
+        assert (minimal_two_bag_witness(r, s) is not None) == via_flow
         oracle_result = solve_feasibility(db)
         assert oracle_result is not EXHAUSTED
         via_oracle = oracle_result is not None

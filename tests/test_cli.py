@@ -173,3 +173,54 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["classify", "--schema", str(bad)]) == 2
     assert run(["bogus-verb"]) == 2
     capsys.readouterr()
+
+
+_VALID_DB = {
+    "hypergraph": {"vertices": ["A", "B", "C"],
+                   "edges": [["A", "B"], ["B", "C"]]},
+    "bags": [
+        {"schema": ["A", "B"],
+         "tuples": [{"values": {"A": "1", "B": "2"}, "mult": "1"}]},
+        {"schema": ["B", "C"],
+         "tuples": [{"values": {"B": "2", "C": "1"}, "mult": "1"}]},
+    ],
+}
+
+
+def _malformed(path, value):
+    data = json.loads(json.dumps(_VALID_DB))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("verb", ["global", "pairwise", "witness"])
+@pytest.mark.parametrize("data", [
+    _malformed(("bags", 0, "tuples"), [["1", "2"]]),
+    _malformed(("hypergraph", "edges"), 5),
+    _malformed(("bags", 0, "tuples"), 7),
+    _malformed(("bags", 0, "tuples", 0, "values", "A"), None),
+], ids=["tuples-as-lists", "edges-5", "tuples-7", "null-value"])
+def test_malformed_database_exits_2(tmp_path, capsys, verb, data):
+    f = _write(tmp_path / "db.json", data)
+    argv = [verb, "--db", f]
+    if verb == "witness":
+        argv += ["-o", str(tmp_path / "w.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tables", [
+    {"R": 5, "C": [[1]], "F": [[1]]},
+    {"R": [[1]], "C": [None], "F": [[1]]},
+    {"R": [[1]], "C": [[1]], "F": [[None]]},
+])
+def test_malformed_tables_exit_2(tmp_path, capsys, tables):
+    f = _write(tmp_path / "tables.json", tables)
+    assert run(["encode-3dct", "--tables", f,
+                "-o", str(tmp_path / "db.json")]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -21,6 +21,13 @@ def test_constructor_validates():
         Hypergraph(["A"], [[]])
     with pytest.raises(HypergraphError):
         Hypergraph(["A"], [["B"]])
+    # a vertex in no edge made is_acyclic() and is_conformal() disagree,
+    # and find_bad_witness crash
+    with pytest.raises(HypergraphError):
+        Hypergraph(["A", "B", "C"], [["A", "B"]])
+    with pytest.raises(HypergraphError):
+        Hypergraph(["A"], [])
+    assert Hypergraph([], []).is_acyclic()
     h = Hypergraph(["B", "A"], [["A", "B"], ["A", "B"]])
     assert h.vertices == ("A", "B")
     assert len(h.edges) == 2  # duplicates allowed
