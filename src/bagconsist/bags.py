@@ -59,6 +59,17 @@ class Bag:
                 acc[row] = acc.get(row, 0) + mult
         object.__setattr__(self, "entries", acc)
 
+    @classmethod
+    def _trusted(cls, schema: tuple[str, ...], entries: dict[Row, int]) -> "Bag":
+        """Store a schema from ``make_schema`` and entries whose rows are
+        string tuples of its width with positive multiplicities, as they
+        are: for results of operations on bags, which are valid by
+        construction."""
+        bag = object.__new__(cls)
+        object.__setattr__(bag, "schema", schema)
+        object.__setattr__(bag, "entries", entries)
+        return bag
+
     def __setattr__(self, name, value):
         raise AttributeError("Bag is immutable")
 
@@ -109,7 +120,7 @@ class Bag:
         for row, mult in self.entries.items():
             key = tuple(row[i] for i in idx)
             out[key] = out.get(key, 0) + mult
-        return Bag(z, out)
+        return Bag._trusted(z, out)
 
     def join(self, other: "Bag") -> "Bag":
         """Bag join: support is the join of the supports, multiplicities
@@ -135,7 +146,7 @@ class Bag:
                     merged[upos[a]] = v
                 t = tuple(merged)
                 out[t] = out.get(t, 0) + mult * omult
-        return Bag(union, out)
+        return Bag._trusted(union, out)
 
     def support(self) -> "Bag":
         """Same support, all multiplicities clamped to 1 (a relation)."""
@@ -191,9 +202,8 @@ class Bag:
             if not isinstance(values, dict) or values.keys() != keys:
                 raise BagFormatError(
                     "tuple %r does not match schema %r" % (item, schema))
-            if None in values.values():
-                raise BagFormatError("null value in tuple %r" % (item,))
-            row = tuple(str(values[a]) for a in schema)
+            row = tuple(v if v.__class__ is str else _json_cell(v, item)
+                        for v in map(values.__getitem__, schema))
             if row in seen:
                 raise BagFormatError("duplicate tuple %r" % (row,))
             mult_s = item.get("mult")
@@ -205,7 +215,16 @@ class Bag:
                 raise BagFormatError(
                     "multiplicity must be positive, got %r for %r" % (mult, row))
             seen[row] = mult
-        return cls(schema, seen)
+        return cls._trusted(schema, seen)
+
+
+def _json_cell(value, item) -> str:
+    """A non-string JSON cell value as a string: numbers are accepted,
+    null, booleans, lists and objects are not."""
+    if value.__class__ is int or value.__class__ is float:
+        return str(value)
+    raise BagFormatError("cell value %r in tuple %r is not a string or a "
+                         "number" % (value, item))
 
 
 def _is_name_list(data) -> bool:

@@ -125,16 +125,15 @@ def two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
 def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
     """A witness with inclusion-minimal support, or None.
 
-    Rows of both bags are grouped by their value on the shared attributes.
-    Every left row of a group joins every right row of it, so each group is
-    a balanced transportation problem, filled here by the northwest-corner
-    rule in canonical row order. Each group's support is then a staircase
-    tree, which makes the witness a vertex of the transportation polytope:
-    no witness has a strictly smaller support, and it has at most
-    |supp r| + |supp s| - 1 rows.
+    Rows of both bags are grouped by their value on the shared attributes;
+    the bags are consistent iff both sides of every group carry the same
+    total multiplicity. Every left row of a group joins every right row of
+    it, so each group is a balanced transportation problem, filled here by
+    the northwest-corner rule in canonical row order. Each group's support
+    is then a staircase tree, which makes the witness a vertex of the
+    transportation polytope: no witness has a strictly smaller support, and
+    it has at most |supp r| + |supp s| - 1 rows.
     """
-    if not pairwise_consistent(r, s):
-        return None
     shared = [a for a in r.schema if a in s.schema]
     r_key = [r.schema.index(a) for a in shared]
     s_key = [s.schema.index(a) for a in shared]
@@ -147,8 +146,10 @@ def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
         key = tuple(row[i] for i in r_key)
         groups.setdefault(key, ([], []))[0].append([row, r.entries[row]])
     for row in s.rows():
-        key = tuple(row[i] for i in s_key)
-        groups[key][1].append([row, s.entries[row]])
+        group = groups.get(tuple(row[i] for i in s_key))
+        if group is None:
+            return None
+        group[1].append([row, s.entries[row]])
     entries = {}
     for left, right in groups.values():
         i = j = 0
@@ -163,7 +164,11 @@ def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
                 i += 1
             if not rcell[1]:
                 j += 1
-    return _checked_witness(Bag(join_schema, entries), r, s)
+        # each step empties a cell, so both sides run out together iff
+        # they carry equal mass
+        if i < len(left) or j < len(right):
+            return None
+    return _checked_witness(Bag._trusted(join_schema, entries), r, s)
 
 
 def _witness_from_flow(net, flow, r: Bag, s: Bag) -> Bag:
@@ -182,9 +187,24 @@ def _checked_witness(witness: Bag, r: Bag, s: Bag) -> Bag:
 # -- collections -----------------------------------------------------------
 
 def inconsistent_pairs(db: BagDatabase) -> list:
+    """Every pair (i, j), i < j, of bags whose marginals on their shared
+    attributes differ. Each bag's marginal on each distinct shared set is
+    computed once per call."""
+    bags = db.bags
+    schemas = [frozenset(bag.schema) for bag in bags]
+    marginals: dict = {}
+
+    def marginal(i, shared):
+        key = (i, shared)
+        out = marginals.get(key)
+        if out is None:
+            out = marginals[key] = bags[i].marginal(shared)
+        return out
+
     out = []
-    for i, j in itertools.combinations(range(len(db.bags)), 2):
-        if not pairwise_consistent(db.bags[i], db.bags[j]):
+    for i, j in itertools.combinations(range(len(bags)), 2):
+        shared = schemas[i] & schemas[j]
+        if marginal(i, shared) != marginal(j, shared):
             out.append((i, j))
     return out
 
@@ -252,9 +272,8 @@ def k_wise_consistent(db: BagDatabase, k: int,
     m = len(db.bags)
     if not 1 <= k <= m:
         raise ValueError("k must be between 1 and the number of bags")
-    for i, j in itertools.combinations(range(m), 2):
-        if not pairwise_consistent(db.bags[i], db.bags[j]):
-            return False
+    if inconsistent_pairs(db):
+        return False
     for size in range(3, k + 1):
         for subset in itertools.combinations(range(m), size):
             sub = _sub_database(db, subset)
@@ -449,11 +468,11 @@ def encode_3dct(r_table, c_table, f_table) -> BagDatabase:
             raise ValueError("table %s is not an n x n grid" % name)
         for row in tab:
             for v in row:
-                try:
-                    negative = int(v) < 0
-                except TypeError:
-                    raise ValueError("table %s has a non-numeric entry" % name)
-                if negative:
+                # bool is an int subclass; its class is not int
+                if v.__class__ is not int:
+                    raise ValueError("table %s has a non-integer entry %r"
+                                     % (name, v))
+                if v < 0:
                     raise ValueError("table %s has a negative entry" % name)
     tri = Hypergraph(["X", "Y", "Z"], [["X", "Z"], ["Y", "Z"], ["X", "Y"]])
 
@@ -461,8 +480,8 @@ def encode_3dct(r_table, c_table, f_table) -> BagDatabase:
         entries = {}
         for i in range(n):
             for j in range(n):
-                if int(tab[i][j]):
-                    entries[(str(i + 1), str(j + 1))] = int(tab[i][j])
+                if tab[i][j]:
+                    entries[(str(i + 1), str(j + 1))] = tab[i][j]
         return Bag(schema, entries)
 
     return BagDatabase(tri, (

@@ -1,13 +1,15 @@
 """Schema hypergraphs and their structural classification.
 
 Covers chordality (maximum-cardinality search), conformality (Gilmore's
-triple criterion), acyclicity via ear/GYO reduction, join trees, running
-intersection orderings, and extraction of minimal non-chordal / non-conformal
-witness sets together with the safe-deletion sequences that expose them.
+triple criterion), acyclicity and join trees by maximum cardinality search
+over the hyperedges, running intersection orderings, and extraction of
+minimal non-chordal / non-conformal witness sets together with the
+safe-deletion sequences that expose them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 from .bags import _is_name_list
@@ -110,35 +112,56 @@ class Hypergraph:
         return True
 
     def is_acyclic(self) -> bool:
-        """GYO reducibility: the ear reduction empties the edge set."""
+        """Alpha-acyclicity: the hypergraph has a join tree."""
         return self.join_tree() is not None
 
     def join_tree(self) -> Optional["JoinTree"]:
-        """A join tree built from the ear (GYO) reduction trace, or None
-        when the hypergraph is cyclic."""
+        """A join tree by maximum cardinality search over the edges
+        (Tarjan and Yannakakis, SIAM J. Comput. 13(3), 1984), or None when
+        the hypergraph is cyclic.
+
+        The search repeatedly picks the unchosen edge with the most marked
+        vertices (ties to the smallest index) and marks its vertices. An
+        edge's already-marked vertices S must lie in the latest chosen edge
+        that first marked a vertex of S; the edge is linked to that one, and
+        the hypergraph is cyclic iff the containment fails for some edge.
+        An edge with empty S is linked to the first chosen edge.
+        """
         edges = self.edges
-        alive = list(range(len(edges)))
+        holders: dict[str, list[int]] = {}
+        for i, e in enumerate(edges):
+            for v in e:
+                holders.setdefault(v, []).append(i)
+        marked = [0] * len(edges)
+        chosen = [False] * len(edges)
+        first: dict[str, int] = {}  # vertex -> choice step that marked it
+        picks: list[int] = []
         links: list[tuple[int, int]] = []
-        while len(alive) > 1:
-            ear = None
-            for pos, i in enumerate(alive):
-                # vertices of edge i shared with some other alive edge
-                sep = set()
-                for j in alive:
-                    if j != i:
-                        sep |= edges[i] & edges[j]
-                for j in sorted((j for j in alive if j != i),
-                                key=lambda j: (tuple(sorted(edges[j])), j)):
-                    if sep <= edges[j]:
-                        ear = (pos, i, j)
-                        break
-                if ear:
-                    break
-            if ear is None:
-                return None
-            pos, i, j = ear
-            links.append((i, j))
-            del alive[pos]
+        # min-heap on (-marked count, index); stale entries are skipped
+        heap = [(0, i) for i in range(len(edges))]
+        while heap:
+            neg, i = heappop(heap)
+            if chosen[i] or -neg != marked[i]:
+                continue
+            chosen[i] = True
+            e = edges[i]
+            sep = [v for v in e if v in first]
+            if sep:
+                parent = picks[max(first[v] for v in sep)]
+                if not edges[parent].issuperset(sep):
+                    return None
+                links.append((i, parent))
+            elif picks:
+                links.append((i, picks[0]))
+            step = len(picks)
+            picks.append(i)
+            for v in e:
+                if v not in first:
+                    first[v] = step
+                    for j in holders[v]:
+                        if not chosen[j]:
+                            marked[j] += 1
+                            heappush(heap, (-marked[j], j))
         return JoinTree(nodes=edges, links=tuple(links))
 
     def running_intersection_order(self) -> Optional[list[tuple[int, Optional[int]]]]:
@@ -385,16 +408,19 @@ class BadWitness:
 
 
 def find_bad_witness(h: Hypergraph) -> Optional[BadWitness]:
-    """None iff the hypergraph is chordal and conformal; otherwise a
-    minimal obstruction, preferring the non-chordal (cycle) shape."""
+    """None iff the hypergraph is acyclic (chordal and conformal);
+    otherwise a minimal obstruction, preferring the non-chordal (cycle)
+    shape."""
+    if h.join_tree() is not None:
+        return None
     if not h.is_chordal():
         w = _minimize(h, lambda g: not g.is_chordal())
         shape = SHAPE_CYCLE
-    elif not h.is_conformal():
-        w = _minimize(h, lambda g: not g.is_conformal())
-        shape = SHAPE_CLIQUE_COMPLEMENT
     else:
-        return None
+        # induced sub-hypergraphs of a chordal one stay chordal, so for them
+        # cyclic means non-conformal, and the linear search decides it
+        w = _minimize(h, lambda g: g.join_tree() is None)
+        shape = SHAPE_CLIQUE_COMPLEMENT
     ops = _normalizing_ops(h, w)
     reduced = replay_ops(h, ops).reduce()
     if not _matches_shape(reduced, w, shape):
@@ -404,17 +430,13 @@ def find_bad_witness(h: Hypergraph) -> Optional[BadWitness]:
 
 
 def _minimize(h: Hypergraph, bad) -> set:
-    """Greedily delete vertices (canonical order, restart on success) while
-    the induced hypergraph stays bad."""
+    """Delete vertices in canonical order while the induced hypergraph
+    stays bad. Badness carries over to every superset of vertices, so a
+    vertex kept once can never be deleted later and one pass suffices."""
     w = set(h.vertices)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(w):
-            if bad(h.induced(w - {v})):
-                w.remove(v)
-                changed = True
-                break
+    for v in h.vertices:
+        if bad(h.induced(w - {v})):
+            w.remove(v)
     return w
 
 

@@ -63,6 +63,42 @@ def random_acyclic_database(rng: random.Random, max_edges: int = 5,
     return BagDatabase(h, bags)
 
 
+def random_acyclic_schema(rng: random.Random, num_edges: int) -> list:
+    """A shuffled acyclic edge list of exactly ``num_edges`` edges. Each
+    edge is grown from part of an earlier one plus fresh vertices, so some
+    order of the edges has the running intersection property. Half the
+    hosts are recent edges, which stretches the schema; a rare empty
+    overlap starts a new component, and no fresh vertex leaves a covered
+    or duplicate edge."""
+    edges = [["V0", "V1"]]
+    fresh = 2
+    while len(edges) < num_edges:
+        host = rng.choice(edges[-4:] if rng.random() < 0.5 else edges)
+        low = 0 if rng.random() < 0.1 else 1
+        edge = rng.sample(host, rng.randint(low, len(host)))
+        for _ in range(rng.randint(0 if edge else 1, 2)):
+            edge.append("V%d" % fresh)
+            fresh += 1
+        edges.append(edge)
+    rng.shuffle(edges)
+    return edges
+
+
+def database_of(edges: list, global_bag: Bag) -> BagDatabase:
+    """The database of ``global_bag``'s marginals on the edges."""
+    vertices = sorted({v for e in edges for v in e})
+    bags = tuple(global_bag.marginal(e) for e in edges)
+    return BagDatabase(Hypergraph(vertices, edges), bags)
+
+
+def random_global_bag(rng: random.Random, schema, rows: int,
+                      max_mult: int = 8) -> Bag:
+    """A bag of up to ``rows`` random 0/1/2 rows over ``schema``."""
+    schema = sorted(schema)
+    return Bag(schema, {tuple(str(rng.randint(0, 2)) for _ in schema):
+                        rng.randint(1, max_mult) for _ in range(rows)})
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xBA6C0)

@@ -202,7 +202,11 @@ def _malformed(path, value):
     _malformed(("hypergraph", "edges"), 5),
     _malformed(("bags", 0, "tuples"), 7),
     _malformed(("bags", 0, "tuples", 0, "values", "A"), None),
-], ids=["tuples-as-lists", "edges-5", "tuples-7", "null-value"])
+    _malformed(("bags", 0, "tuples", 0, "values", "A"), True),
+    _malformed(("bags", 0, "tuples", 0, "values", "A"), [1]),
+    _malformed(("bags", 0, "tuples", 0, "values", "A"), {"v": 1}),
+], ids=["tuples-as-lists", "edges-5", "tuples-7", "null-value",
+        "bool-value", "list-value", "object-value"])
 def test_malformed_database_exits_2(tmp_path, capsys, verb, data):
     f = _write(tmp_path / "db.json", data)
     argv = [verb, "--db", f]
@@ -218,6 +222,8 @@ def test_malformed_database_exits_2(tmp_path, capsys, verb, data):
     {"R": 5, "C": [[1]], "F": [[1]]},
     {"R": [[1]], "C": [None], "F": [[1]]},
     {"R": [[1]], "C": [[1]], "F": [[None]]},
+    {"R": [[2.5]], "C": [[1]], "F": [[1]]},
+    {"R": [[1]], "C": [[True]], "F": [[1]]},
 ])
 def test_malformed_tables_exit_2(tmp_path, capsys, tables):
     f = _write(tmp_path / "tables.json", tables)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -26,7 +27,15 @@ from bagconsist import (
 )
 from bagconsist.hypergraph import clique_complement_hypergraph, cycle_hypergraph, path_hypergraph
 
-from conftest import pair_database, random_acyclic_database, witness_family
+from conftest import (
+    database_of,
+    pair_database,
+    random_acyclic_database,
+    random_acyclic_schema,
+    random_global_bag,
+    random_hypergraph,
+    witness_family,
+)
 
 
 def test_database_validation():
@@ -122,6 +131,75 @@ def test_global_consistent_acyclic(rng):
         assert report.pairwise_ok
         assert report.global_status == "yes"
         assert check_witness(report.witness, db)
+
+
+def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
+    rng = random.Random(0x40)
+    edges = random_acyclic_schema(rng, 40)
+    db = database_of(edges, random_global_bag(
+        rng, {v for e in edges for v in e}, 12))
+    trees = []
+    join_tree = Hypergraph.join_tree
+
+    def counting_join_tree(self):
+        trees.append(self)
+        return join_tree(self)
+
+    index = {id(bag): i for i, bag in enumerate(db.bags)}
+    computed = []
+    marginal = Bag.marginal
+
+    def recording_marginal(self, attrs):
+        if id(self) in index:
+            computed.append((index[id(self)], frozenset(attrs)))
+        return marginal(self, attrs)
+
+    monkeypatch.setattr(Hypergraph, "join_tree", counting_join_tree)
+    monkeypatch.setattr(Bag, "marginal", recording_marginal)
+    report = global_consistent(db)
+    monkeypatch.undo()
+    assert report.global_status == "yes"
+    assert check_witness(report.witness, db)
+    assert len(trees) == 1
+    assert computed and len(computed) == len(set(computed))
+
+
+def _move_one_unit(rng, bag):
+    """The bag with one unit of mass moved to a random row: same total
+    mass, other marginals."""
+    entries = dict(bag.entries)
+    if not entries:
+        return bag
+    row = rng.choice(sorted(entries))
+    entries[row] -= 1
+    to = tuple(str(rng.randint(0, 2)) for _ in bag.schema)
+    entries[to] = entries.get(to, 0) + 1
+    return Bag(bag.schema, entries)
+
+
+def test_inconsistent_pairs_matches_naive_loop():
+    rng = random.Random(0x9A1)
+    seen = {True: 0, False: 0}
+    for _ in range(80):
+        h = random_hypergraph(rng)
+        db = database_of([sorted(e) for e in h.edges], random_global_bag(
+            rng, h.vertices, rng.randint(0, 6)))
+        bags = list(db.bags)
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randrange(len(bags))
+            bags[k] = _move_one_unit(rng, bags[k])
+        db = BagDatabase(db.hypergraph, tuple(bags))
+        naive = []
+        for i, j in itertools.combinations(range(len(bags)), 2):
+            ok = pairwise_consistent(bags[i], bags[j])
+            seen[ok] += 1
+            if not ok:
+                naive.append((i, j))
+            # the witness builder decides consistency by its own grouping
+            assert (minimal_two_bag_witness(bags[i], bags[j]) is None) == (not ok)
+        assert inconsistent_pairs(db) == naive
+        assert k_wise_consistent(db, min(2, len(bags))) == (not naive)
+    assert seen[True] > 100 and seen[False] > 100
 
 
 def test_global_consistent_triangle(triangle_relations):
@@ -297,3 +375,6 @@ def test_encode_3dct():
         encode_3dct([[1, 2]], [[1]], [[1]])
     with pytest.raises(ValueError):
         encode_3dct([[-1]], [[1]], [[1]])
+    for entry in (2.5, 2.0, True, "3"):
+        with pytest.raises(ValueError):
+            encode_3dct([[entry]], [[1]], [[1]])

@@ -13,7 +13,50 @@ from bagconsist.hypergraph import (
     path_hypergraph,
 )
 
-from conftest import random_hypergraph
+from conftest import random_acyclic_schema, random_hypergraph
+
+
+def _hypergraph(edges):
+    return Hypergraph({v for e in edges for v in e}, edges)
+
+
+def _cyclic_variants(rng, edges):
+    """The edges plus one edge joining two attributes at primal distance
+    three or more (a chordless cycle), and the edges plus a fresh attribute
+    T tied to two attributes of one edge (a triangle no edge covers)."""
+    adj = {}
+    for e in edges:
+        for a in e:
+            adj.setdefault(a, set()).update(e)
+    chord = None
+    for a in rng.sample(sorted(adj), len(adj)):
+        dist, frontier = {a: 0}, [a]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in sorted(adj[u] - set(dist)):
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+            frontier = nxt
+        far = sorted(b for b, d in dist.items() if d >= 3)
+        if far:
+            chord = edges + [[a, rng.choice(far)]]
+            break
+    assert chord is not None
+    x, y = rng.sample(rng.choice([e for e in edges if len(e) >= 2]), 2)
+    return chord, edges + [[x, "T"], [y, "T"]]
+
+
+def _assert_running_intersection(h, order):
+    assert sorted(i for i, _ in order) == list(range(len(h.edges)))
+    prior = set()
+    for pos, (idx, wit) in enumerate(order):
+        if pos == 0:
+            assert wit is None
+        else:
+            assert wit is not None and wit < pos
+            assert h.edges[idx] & prior <= h.edges[order[wit][0]]
+        prior |= h.edges[idx]
 
 
 def test_constructor_validates():
@@ -105,6 +148,61 @@ def test_running_intersection_order_property():
                 assert wit is not None and wit < pos
                 assert overlap <= h.edges[order[wit][0]]
             placed.append(idx)
+
+
+def test_join_tree_on_shuffled_wide_schemas():
+    rng = random.Random(0x3C5)
+    for _ in range(6):
+        edges = random_acyclic_schema(rng, rng.randint(30, 60))
+        h = _hypergraph(edges)
+        tree = h.join_tree()
+        assert tree is not None and tree.is_valid()
+        assert h.is_chordal() and h.is_conformal()
+        _assert_running_intersection(h, h.running_intersection_order())
+        chord, triangle = (_hypergraph(e) for e in _cyclic_variants(rng, edges))
+        assert not chord.is_chordal()
+        assert triangle.is_chordal() and not triangle.is_conformal()
+        for g in (chord, triangle):
+            assert g.join_tree() is None
+            assert g.running_intersection_order() is None
+
+
+def _restart_minimize(h, bad):
+    w = set(h.vertices)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(w):
+            if bad(h.induced(w - {v})):
+                w.remove(v)
+                changed = True
+                break
+    return w
+
+
+def test_find_bad_witness_matches_restart_reference():
+    """The one-pass minimization over the linear acyclicity test finds the
+    W that restarting after each deletion over Gilmore's test finds."""
+    rng = random.Random(0xBAD)
+    schemas = [random_hypergraph(rng) for _ in range(300)]
+    for _ in range(3):
+        schemas.extend(_hypergraph(e) for e in _cyclic_variants(
+            rng, random_acyclic_schema(rng, 20)))
+    checked = 0
+    for h in schemas:
+        bad = find_bad_witness(h)
+        if not h.is_chordal():
+            w = _restart_minimize(h, lambda g: not g.is_chordal())
+            shape = SHAPE_CYCLE
+        elif not h.is_conformal():
+            w = _restart_minimize(h, lambda g: not g.is_conformal())
+            shape = SHAPE_CLIQUE_COMPLEMENT
+        else:
+            assert bad is None
+            continue
+        assert (bad.w, bad.shape) == (w, shape)
+        checked += 1
+    assert checked > 30
 
 
 def test_safe_deletion_ops():
