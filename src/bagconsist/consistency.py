@@ -134,13 +134,15 @@ def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
     transportation polytope: no witness has a strictly smaller support, and
     it has at most |supp r| + |supp s| - 1 rows.
     """
-    shared = [a for a in r.schema if a in s.schema]
-    r_key = [r.schema.index(a) for a in shared]
-    s_key = [s.schema.index(a) for a in shared]
-    join_schema = make_schema(set(r.schema) | set(s.schema))
+    r_pos = {a: k for k, a in enumerate(r.schema)}
+    s_pos = {a: k for k, a in enumerate(s.schema)}
+    shared = [a for a in r.schema if a in s_pos]
+    r_key = [r_pos[a] for a in shared]
+    s_key = [s_pos[a] for a in shared]
+    join_schema = make_schema(r_pos.keys() | s_pos.keys())
     # positions of the join attributes in a left row followed by a right row
-    both = r.schema + s.schema
-    pick = [both.index(a) for a in join_schema]
+    width = len(r.schema)
+    pick = [r_pos[a] if a in r_pos else width + s_pos[a] for a in join_schema]
     groups: dict = {}
     for row in r.rows():
         key = tuple(row[i] for i in r_key)
@@ -231,9 +233,13 @@ def _chain_witness(db: BagDatabase, order) -> Bag:
         witness = minimal_two_bag_witness(witness, db.bags[idx])
         if witness is None:  # cannot happen for pairwise-consistent input
             raise AssertionError("chaining failed on a consistent collection")
-    for bag in db.bags:
-        if witness.marginal(bag.schema) != bag:
-            raise AssertionError("chained witness fails a marginal check")
+    return _checked_global_witness(witness, db)
+
+
+def _checked_global_witness(witness: Bag, db: BagDatabase) -> Bag:
+    # re-verify every yes witness before handing it out
+    if not check_witness(witness, db):
+        raise AssertionError("constructed an invalid global witness")
     return witness
 
 
@@ -262,7 +268,8 @@ def global_consistent(db: BagDatabase, mode: str = "auto",
                                      oracle_exhausted=True)
         if result is None:
             return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_NO)
-        return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_YES, result)
+        return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_YES,
+                                 _checked_global_witness(result, db))
     return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_UNKNOWN)
 
 

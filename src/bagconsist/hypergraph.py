@@ -1,10 +1,11 @@
 """Schema hypergraphs and their structural classification.
 
-Covers chordality (maximum-cardinality search), conformality (Gilmore's
-triple criterion), acyclicity and join trees by maximum cardinality search
-over the hyperedges, running intersection orderings, and extraction of
-minimal non-chordal / non-conformal witness sets together with the
-safe-deletion sequences that expose them.
+Covers chordality (maximum-cardinality search over the vertices),
+conformality (Gilmore's triple criterion), acyclicity and join trees by
+maximum cardinality search over the hyperedges, running intersection
+orderings taken from that search's pick order, and extraction of minimal
+non-chordal / non-conformal witness sets together with the safe-deletion
+sequences that expose them. Both searches pick from a lazy heap.
 """
 from __future__ import annotations
 
@@ -75,23 +76,14 @@ class Hypergraph:
     def reduce(self) -> "Hypergraph":
         """Drop edges strictly contained in another edge; collapse
         duplicates to one copy."""
-        kept: list[Edge] = []
-        for e in self.edges:
-            if any(e < f for f in self.edges) or e in kept:
-                continue
-            kept.append(e)
-        return Hypergraph(self.vertices, kept)
+        return Hypergraph(self.vertices, dict.fromkeys(
+            e for e in self.edges if not any(e < f for f in self.edges)))
 
     def induced(self, w: Iterable[str]) -> "Hypergraph":
         w = {str(v) for v in w}
         if not w <= set(self.vertices):
             raise HypergraphError("W is not a subset of the vertex set")
-        kept: list[Edge] = []
-        for e in self.edges:
-            cut = e & w
-            if cut and cut not in kept:
-                kept.append(cut)
-        return Hypergraph(w, kept)
+        return Hypergraph(w, filter(None, dict.fromkeys(e & w for e in self.edges)))
 
     # -- classification ----------------------------------------------------
 
@@ -125,7 +117,8 @@ class Hypergraph:
         edge's already-marked vertices S must lie in the latest chosen edge
         that first marked a vertex of S; the edge is linked to that one, and
         the hypergraph is cyclic iff the containment fails for some edge.
-        An edge with empty S is linked to the first chosen edge.
+        An edge with empty S is linked to the first chosen edge. Links come
+        in search order, so they list a running-intersection order.
         """
         edges = self.edges
         holders: dict[str, list[int]] = {}
@@ -191,7 +184,9 @@ class Hypergraph:
 @dataclass(frozen=True)
 class JoinTree:
     """Tree on hyperedge positions; every vertex's occurrences induce a
-    connected subtree."""
+    connected subtree. Links are (child, parent) pairs in search order
+    from the root, edge 0: each child's overlap with the root and all
+    earlier children lies in its parent."""
     nodes: tuple[Edge, ...]
     links: tuple[tuple[int, int], ...]
 
@@ -216,31 +211,19 @@ class JoinTree:
 
     def running_intersection_order(self) -> list[tuple[int, Optional[int]]]:
         """An edge listing with the running intersection property, as
-        (edge_index, witness_position) pairs, by breadth-first search from
-        the canonically smallest edge.
+        (edge_index, witness_position) pairs: the root, edge 0, then the
+        children in link order.
 
         The witness position points at the earlier listing slot whose edge
-        contains the overlap with everything before.
+        contains the overlap with everything before (the parent's slot).
         """
         if not self.nodes:
             return []
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.nodes))}
-        for a, b in self.links:
-            adj[a].append(b)
-            adj[b].append(a)
-        root = min(range(len(self.nodes)),
-                   key=lambda i: (tuple(sorted(self.nodes[i])), i))
-        order: list[tuple[int, Optional[int]]] = [(root, None)]
-        placed = {root: 0}
-        frontier = [root]
-        while frontier:
-            cur = frontier.pop(0)
-            kids = sorted((j for j in adj[cur] if j not in placed),
-                          key=lambda j: (tuple(sorted(self.nodes[j])), j))
-            for j in kids:
-                placed[j] = len(order)
-                order.append((j, placed[cur]))
-                frontier.append(j)
+        order: list[tuple[int, Optional[int]]] = [(0, None)]
+        placed = {0: 0}
+        for child, parent in self.links:
+            placed[child] = len(order)
+            order.append((child, placed[parent]))
         return order
 
     def to_json_dict(self) -> dict:
@@ -248,7 +231,7 @@ class JoinTree:
                 "links": [list(l) for l in self.links]}
 
 
-def _connected(adj: dict[int, set[int]], nodes: set[int]) -> bool:
+def _connected(adj: dict, nodes: set) -> bool:
     if not nodes:
         return True
     seen = set()
@@ -263,25 +246,28 @@ def _connected(adj: dict[int, set[int]], nodes: set[int]) -> bool:
 
 
 def _graph_is_chordal(adj: dict[str, set[str]]) -> bool:
-    """Maximum-cardinality search followed by perfect-elimination
-    verification."""
-    order: list[str] = []
-    weight = {v: 0 for v in adj}
-    remaining = set(adj)
-    while remaining:
-        v = min(remaining, key=lambda u: (-weight[u], u))
-        order.append(v)
-        remaining.remove(v)
-        for w in adj[v] & remaining:
-            weight[w] += 1
-    order.reverse()  # elimination order
-    pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        later = {w for w in adj[v] if pos[w] > i}
-        if later:
-            u = min(later, key=lambda w: pos[w])
-            if not (later - {u}) <= adj[u]:
+    """Maximum-cardinality search (ties to the smallest name), checked on
+    the fly: the reverse visit order is a perfect elimination order iff
+    each vertex's earlier-visited neighbours all lie next to the latest
+    of them."""
+    step: dict[str, int] = {}  # vertex -> visit step
+    weight = dict.fromkeys(adj, 0)
+    # min-heap on (-weight, name); stale entries are skipped
+    heap = sorted((0, v) for v in adj)
+    while heap:
+        neg, v = heappop(heap)
+        if v in step or -neg != weight[v]:
+            continue
+        earlier = [w for w in adj[v] if w in step]
+        if earlier:
+            u = max(earlier, key=step.__getitem__)
+            if not adj[u].issuperset(w for w in earlier if w != u):
                 return False
+        step[v] = len(step)
+        for w in adj[v]:
+            if w not in step:
+                weight[w] += 1
+                heappush(heap, (-weight[w], w))
     return True
 
 
@@ -487,19 +473,7 @@ def _matches_shape(reduced: Hypergraph, w: set, shape: str) -> bool:
         a, b = sorted(e)
         adj[a].add(b)
         adj[b].add(a)
-    return _connected_str(adj, w)
-
-
-def _connected_str(adj: dict[str, set[str]], nodes: set) -> bool:
-    seen: set = set()
-    stack = [next(iter(sorted(nodes)))]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(adj[u] - seen)
-    return seen == nodes
+    return _connected(adj, w)
 
 
 # -- named generators ------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .bags import Bag, SchemaMismatchError, project_row
+from .bags import Bag, SchemaMismatchError
 
 
 class _Exhausted:
@@ -56,12 +56,9 @@ class _System:
     incident: list                  # per constraint row: count of incident join rows
 
 
-def _build_system(db, budget: OracleBudget) -> Union[_System, _Exhausted, None]:
-    """Join the supports and set up the marginal-equation rows.
-
-    Returns None when a bag's constraint provably cannot be met because the
-    join support is empty while demands are positive.
-    """
+def _build_system(db, budget: OracleBudget) -> Union[_System, _Exhausted]:
+    """Join the supports and set up the marginal-equation rows, or
+    EXHAUSTED when the join outgrows the budget."""
     union_schema = tuple(sorted({a for bag in db.bags for a in bag.schema}))
     joined = None
     for bag in db.bags:
@@ -69,14 +66,7 @@ def _build_system(db, budget: OracleBudget) -> Union[_System, _Exhausted, None]:
         joined = rel if joined is None else joined.join(rel)
         if joined is not None and len(joined) > budget.max_join_support:
             return EXHAUSTED
-    if joined is None:  # no bags at all
-        join_rows = []
-    else:
-        # pad up to the union schema if some attribute never occurs (cannot
-        # happen for databases, where edges tile the schema)
-        join_rows = [project_row(joined.schema, r, joined.schema)
-                     for r in joined.rows()]
-        union_schema = joined.schema
+    join_rows = [] if joined is None else joined.rows()
 
     demands = []
     row_index: dict[tuple[int, tuple], int] = {}
@@ -85,14 +75,16 @@ def _build_system(db, budget: OracleBudget) -> Union[_System, _Exhausted, None]:
             row_index[(i, r)] = len(demands)
             demands.append(bag.entries[r])
 
+    # each bag's attribute positions in a join row (over the union schema)
+    at = {a: k for k, a in enumerate(union_schema)}
+    cols = [[at[a] for a in bag.schema] for bag in db.bags]
     row_tuples = []
     incident = [0] * len(demands)
     for jrow in join_rows:
-        hit = []
-        for i, bag in enumerate(db.bags):
-            key = (i, project_row(union_schema, jrow, bag.schema))
-            hit.append(row_index[key])
-            incident[row_index[key]] += 1
+        hit = [row_index[(i, tuple(jrow[k] for k in col))]
+               for i, col in enumerate(cols)]
+        for r in hit:
+            incident[r] += 1
         row_tuples.append(hit)
     return _System(union_schema, join_rows, demands, row_tuples, incident)
 

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bagconsist import Bag, BagDatabase, Hypergraph
 from bagconsist.cli import run
@@ -230,3 +235,88 @@ def test_malformed_tables_exit_2(tmp_path, capsys, tables):
     assert run(["encode-3dct", "--tables", f,
                 "-o", str(tmp_path / "db.json")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# -- mutation fuzz ---------------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 3)
+    | st.text("AB01 ", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("AB", max_size=2), inner, max_size=3),
+    max_leaves=4)
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutated_text(data, valid):
+    """The valid document's JSON text after one mutation: a value replaced,
+    removed or doubled somewhere in the tree, or the text cut or edited."""
+    doc = json.loads(json.dumps(valid))
+    kind = data.draw(st.sampled_from(["replace", "remove", "double", "text"]))
+    if kind == "text":
+        text = json.dumps(doc)
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(["cut", "drop", "insert"]))
+        if edit == "cut":
+            return text[:at]
+        if edit == "drop":
+            return text[:at] + text[at + 1:]
+        return text[:at] + data.draw(st.sampled_from('{}[],:"0A')) + text[at:]
+    path = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if kind == "replace":
+        parent[key] = data.draw(_JSON_VALUES)
+    elif kind == "remove":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    else:
+        parent[key + "x"] = parent[key]
+    return json.dumps(doc)
+
+
+_FUZZ_INPUTS = {
+    "classify-cyclic": (["classify", "--schema"],
+                        cycle_hypergraph(4).to_json_dict()),
+    "classify-acyclic": (["classify", "--schema"],
+                         path_hypergraph(4).to_json_dict()),
+    "global": (["global", "--budget-nodes", "10000", "--db"], _VALID_DB),
+    "pairwise": (["pairwise", "--db"], _VALID_DB),
+    "witness": (["witness", "-o", os.devnull, "--db"], _VALID_DB),
+    "enumerate": (["enumerate", "--budget-nodes", "10000", "--db"], _VALID_DB),
+    "encode-3dct": (["encode-3dct", "-o", os.devnull, "--tables"],
+                    {"R": [[1, 0], [0, 1]], "C": [[1, 0], [0, 1]],
+                     "F": [[1, 0], [0, 1]]}),
+}
+
+
+@pytest.mark.parametrize("argv,valid", list(_FUZZ_INPUTS.values()),
+                         ids=list(_FUZZ_INPUTS))
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_input_keeps_exit_codes(tmp_path_factory, argv, valid, data):
+    """Every mutated file ends in a documented exit code without a
+    traceback, and exit 2 always comes with an error message."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(_mutated_text(data, valid))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv + [str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue()

@@ -25,6 +25,7 @@ from bagconsist import (
     tseitin_counterexample,
     two_bag_witness,
 )
+from bagconsist import consistency
 from bagconsist.hypergraph import clique_complement_hypergraph, cycle_hypergraph, path_hypergraph
 
 from conftest import (
@@ -229,6 +230,18 @@ def test_global_consistent_auto_cutoff():
     # forcing the oracle decides it
     forced = global_consistent(db, mode="oracle")
     assert forced.global_status == "yes"
+
+
+def test_global_consistent_rechecks_oracle_witness(monkeypatch):
+    """A yes from the oracle goes out only after the exact witness check."""
+    h = Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]])
+    full = Bag(("A", "B", "C"), {("0", "0", "0"): 2, ("1", "0", "1"): 1})
+    db = BagDatabase(h, tuple(full.marginal(sorted(e)) for e in h.edges))
+    assert global_consistent(db).witness == full
+    wrong = Bag(("A", "B", "C"), {("0", "0", "0"): 3})
+    monkeypatch.setattr(consistency, "solve_feasibility", lambda db, budget: wrong)
+    with pytest.raises(AssertionError):
+        global_consistent(db)
 
 
 def test_global_consistent_bad_mode(triangle_relations):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -116,6 +117,45 @@ def test_equivalence_on_random_hypergraphs():
         assert acyclic == (h.is_chordal() and h.is_conformal())
         assert acyclic == (h.join_tree() is not None)
         assert acyclic == (h.running_intersection_order() is not None)
+
+
+def _has_chordless_cycle(adj):
+    """Brute force: some set of four or more vertices induces a cycle, that
+    is, a connected subgraph in which every vertex has two neighbours."""
+    for size in range(4, len(adj) + 1):
+        for sub in itertools.combinations(sorted(adj), size):
+            inside = {v: adj[v] & set(sub) for v in sub}
+            if any(len(n) != 2 for n in inside.values()):
+                continue
+            seen, stack = set(), [sub[0]]
+            while stack:
+                v = stack.pop()
+                if v not in seen:
+                    seen.add(v)
+                    stack.extend(inside[v])
+            if len(seen) == size:
+                return True
+    return False
+
+
+def test_is_chordal_against_brute_force():
+    rng = random.Random(0xC4D)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        vs = ["V%d" % i for i in range(rng.randint(3, 7))]
+        p = rng.uniform(0.2, 0.7)
+        pairs = [[a, b] for a, b in itertools.combinations(vs, 2)
+                 if rng.random() < p]
+        adj = {v: set() for v in vs}
+        for a, b in pairs:
+            adj[a].add(b)
+            adj[b].add(a)
+        # a singleton edge keeps each vertex in some edge
+        h = Hypergraph(vs, pairs + [[v] for v in vs])
+        chordal = h.is_chordal()
+        assert chordal == (not _has_chordless_cycle(adj))
+        seen[chordal] += 1
+    assert seen[True] > 50 and seen[False] > 50
 
 
 def test_join_tree_validity():
