@@ -10,13 +10,11 @@ import argparse
 import json
 import sys
 
-from .bags import Bag
 from .consistency import (
     BagDatabase,
     CyclicHypergraphError,
     DatabaseError,
     GLOBAL_NO,
-    GLOBAL_UNKNOWN,
     GLOBAL_YES,
     acyclic_global_witness,
     clique_hardness_lift,

@@ -12,8 +12,8 @@ hardness-reduction instance transformations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .bags import Bag, make_schema
 # keep all four names, used or not: perfbench/tracer.py patches them here
@@ -119,7 +119,9 @@ def two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
     flow = max_flow(net)
     if not is_saturated(net, flow):
         return None
-    return _witness_from_flow(net, flow, r, s)
+    entries = {jrow: f for (_, _, jrow), f in zip(net.middles, flow.middle_flows)
+               if f}
+    return _checked_witness(Bag(net.join_schema, entries), r, s)
 
 
 def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
@@ -171,12 +173,6 @@ def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
         if i < len(left) or j < len(right):
             return None
     return _checked_witness(Bag._trusted(join_schema, entries), r, s)
-
-
-def _witness_from_flow(net, flow, r: Bag, s: Bag) -> Bag:
-    entries = {jrow: f for (_, _, jrow), f in zip(net.middles, flow.middle_flows)
-               if f}
-    return _checked_witness(Bag(net.join_schema, entries), r, s)
 
 
 def _checked_witness(witness: Bag, r: Bag, s: Bag) -> Bag:

@@ -5,17 +5,17 @@ arc per join tuple carries the witness multiplicity. Two bags are
 consistent iff the network admits a saturated integral flow. Production
 code decides this from marginals and builds witnesses by the
 northwest-corner rule (``consistency``); this module is the independent
-reference checker the tests hold them to. The Dinic kernel is pure Python
-with exact integer capacities.
+reference checker the tests hold them to. The network, its Dinic max-flow
+kernel and the flow checks all live here; capacities and flows are Python
+ints, so arbitrary-precision multiplicities pass through exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from .bags import Bag, Row, project_row
 
-from ._pyflow import dinic, IMPLEMENTATION as KERNEL
+KERNEL = "python"
 
 
 class FlowError(ValueError):
@@ -58,16 +58,6 @@ class FlowNetwork:
                 for li, ri, _ in self.middles]
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "left": [list(r) for r in self.left],
-            "right": [list(r) for r in self.right],
-            "left_caps": [str(c) for c in self.left_caps],
-            "right_caps": [str(c) for c in self.right_caps],
-            "middle_cap": str(self.middle_cap),
-            "middles": [[li, ri, list(row)] for li, ri, row in self.middles],
-        }
-
 
 @dataclass(frozen=True)
 class Flow:
@@ -101,6 +91,74 @@ def build_network(r: Bag, s: Bag) -> FlowNetwork:
         middles=tuple(middles),
         middle_cap=min(sum(r.entries.values()), sum(s.entries.values())),
     )
+
+
+_INF = float("inf")
+
+
+def dinic(num_nodes, arcs, source, sink):
+    """Exact integral max flow.
+
+    ``arcs`` is a list of (tail, head, capacity). Returns (value, flows)
+    with ``flows[i]`` the flow pushed through ``arcs[i]``.
+    """
+    head = []
+    cap = []
+    adj = [[] for _ in range(num_nodes)]
+    for u, v, c in arcs:
+        adj[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        adj[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+
+    total = 0
+    level = [0] * num_nodes
+    it = [0] * num_nodes
+
+    def bfs():
+        for i in range(num_nodes):
+            level[i] = -1
+        level[source] = 0
+        queue = [source]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for a in adj[u]:
+                v = head[a]
+                if cap[a] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level[sink] >= 0
+
+    def dfs(u, pushed):
+        if u == sink:
+            return pushed
+        while it[u] < len(adj[u]):
+            a = adj[u][it[u]]
+            v = head[a]
+            if cap[a] > 0 and level[v] == level[u] + 1:
+                got = dfs(v, min(pushed, cap[a]))
+                if got > 0:
+                    cap[a] -= got
+                    cap[a ^ 1] += got
+                    return got
+            it[u] += 1
+        return 0
+
+    while bfs():
+        for i in range(num_nodes):
+            it[i] = 0
+        while True:
+            pushed = dfs(source, _INF)
+            if pushed == 0:
+                break
+            total += pushed
+
+    flows = [cap[2 * i + 1] for i in range(len(arcs))]
+    return total, flows
 
 
 def max_flow(net: FlowNetwork) -> Flow:
@@ -157,14 +215,4 @@ def suppress_middle_arc(net: FlowNetwork, join_row: Row) -> FlowNetwork:
     kept = tuple(m for m in net.middles if m[2] != join_row)
     if len(kept) == len(net.middles):
         raise FlowError("no middle arc for join tuple %r" % (join_row,))
-    return FlowNetwork(
-        left_schema=net.left_schema,
-        right_schema=net.right_schema,
-        join_schema=net.join_schema,
-        left=net.left,
-        right=net.right,
-        left_caps=net.left_caps,
-        right_caps=net.right_caps,
-        middles=kept,
-        middle_cap=net.middle_cap,
-    )
+    return replace(net, middles=kept)

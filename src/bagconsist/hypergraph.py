@@ -400,12 +400,15 @@ def find_bad_witness(h: Hypergraph) -> Optional[BadWitness]:
     if h.join_tree() is not None:
         return None
     if not h.is_chordal():
-        w = _minimize(h, lambda g: not g.is_chordal())
+        # the primal graph of H[W] is H's primal graph induced on W
+        adj = h.primal_graph()
+        w = _minimize(h, lambda w: not _graph_is_chordal(
+            {u: adj[u] & w for u in w}))
         shape = SHAPE_CYCLE
     else:
         # induced sub-hypergraphs of a chordal one stay chordal, so for them
         # cyclic means non-conformal, and the linear search decides it
-        w = _minimize(h, lambda g: g.join_tree() is None)
+        w = _minimize(h, lambda w: h.induced(w).join_tree() is None)
         shape = SHAPE_CLIQUE_COMPLEMENT
     ops = _normalizing_ops(h, w)
     reduced = replay_ops(h, ops).reduce()
@@ -416,12 +419,13 @@ def find_bad_witness(h: Hypergraph) -> Optional[BadWitness]:
 
 
 def _minimize(h: Hypergraph, bad) -> set:
-    """Delete vertices in canonical order while the induced hypergraph
-    stays bad. Badness carries over to every superset of vertices, so a
-    vertex kept once can never be deleted later and one pass suffices."""
+    """Delete vertices in canonical order while the hypergraph induced by
+    the remaining vertex set stays bad (``bad`` takes that set). Badness
+    carries over to every superset of vertices, so a vertex kept once can
+    never be deleted later and one pass suffices."""
     w = set(h.vertices)
     for v in h.vertices:
-        if bad(h.induced(w - {v})):
+        if bad(w - {v}):
             w.remove(v)
     return w
 

@@ -1,9 +1,12 @@
 """Ground-truth integer-feasibility solver for witness systems.
 
 Solves the marginal-equation system over the join of the supports by
-exhaustive depth-first search with slack propagation. Exponential in the
-worst case by design: this module exists to certify small instances and to
-cross-check every other decision path.
+exhaustive depth-first search with slack propagation: join rows in
+canonical order, values tried from high to low, one backtrack path. Each
+loop iteration is one search node, so ``OracleBudget.max_nodes`` stops the
+search at the same node on every run, unless ``max_seconds`` (checked every
+1,024 nodes) trips first. Exponential in the worst case by design: this module exists to
+certify small instances and to cross-check every other decision path.
 """
 from __future__ import annotations
 
@@ -64,7 +67,7 @@ def _build_system(db, budget: OracleBudget) -> Union[_System, _Exhausted]:
     for bag in db.bags:
         rel = bag.support()
         joined = rel if joined is None else joined.join(rel)
-        if joined is not None and len(joined) > budget.max_join_support:
+        if len(joined) > budget.max_join_support:
             return EXHAUSTED
     join_rows = [] if joined is None else joined.rows()
 
@@ -90,26 +93,27 @@ def _build_system(db, budget: OracleBudget) -> Union[_System, _Exhausted]:
 
 
 def _search(db, budget: OracleBudget, want_all: bool):
-    """Complete DFS over join-row multiplicities. Yields a status string
-    plus the solutions found."""
+    """Complete DFS over join-row multiplicities: the solutions found (the
+    first one only, unless ``want_all``), or EXHAUSTED."""
     sys_ = _build_system(db, budget)
     if sys_ is EXHAUSTED:
-        return "exhausted", []
+        return EXHAUSTED
     demands = sys_.demands
     if not sys_.join_rows:
         if all(d == 0 for d in demands):
-            return "done", [Bag(sys_.union_schema, {})]
-        return "done", []
+            return [Bag(sys_.union_schema, {})]
+        return []
     if any(d > 0 and c == 0 for d, c in zip(demands, sys_.incident)):
-        return "done", []
+        return []
     # every join row contributes exactly once to each bag's equation system,
     # so all bag totals must equal the witness total mass
     totals = {sum(bag.entries.values()) for bag in db.bags}
     if len(totals) > 1:
-        return "done", []
+        return []
 
     cap = max(demands, default=0)
     n = len(sys_.join_rows)
+    row_tuples = sys_.row_tuples
     rem = list(demands)
     # per constraint row: how many join rows at position >= p still touch it
     pending = list(sys_.incident)
@@ -118,90 +122,72 @@ def _search(db, budget: OracleBudget, want_all: bool):
     nodes = 0
     deadline = time.monotonic() + budget.max_seconds
 
-    def record():
-        entries = {row: m for row, m in zip(sys_.join_rows, assignment) if m}
-        solutions.append(Bag(sys_.union_schema, entries))
+    # iterative DFS, descending value order: the next value to try at each
+    # depth, and the lowest value the slack still allows there
+    value_stack: list[int] = []
+    lb_stack: list[int] = []
 
-    # iterative DFS with explicit value stack, descending value order
-    p = 0
-    value_stack: list[int] = []  # next value to try at each depth
-
-    def bounds(p):
-        rows = sys_.row_tuples[p]
+    def push(p):
         ub = cap
         lb = 0
-        for r in rows:
+        for r in row_tuples[p]:
             if rem[r] < ub:
                 ub = rem[r]
             floor = rem[r] - (pending[r] - 1) * cap
             if floor > lb:
                 lb = floor
-        return lb, ub
+        value_stack.append(ub)
+        lb_stack.append(lb)
 
-    lb, ub = bounds(0)
-    value_stack.append(ub)
-    lb_stack = [lb]
-    status = "done"
+    push(0)
     while value_stack:
         nodes += 1
         if nodes > budget.max_nodes or (nodes % 1024 == 0
                                         and time.monotonic() > deadline):
-            status = "exhausted"
-            solutions = []
-            break
+            return EXHAUSTED
         p = len(value_stack) - 1
         val = value_stack[p]
         if val < lb_stack[p]:
-            # exhausted values at this depth: backtrack
+            # no value left at this depth: take back the parent's
             value_stack.pop()
             lb_stack.pop()
-            if value_stack:
-                q = len(value_stack) - 1
-                old = assignment[q]
-                for r in sys_.row_tuples[q]:
-                    rem[r] += old
-                    pending[r] += 1
-                assignment[q] = 0
-                value_stack[q] -= 1
-            continue
-        # place val at position p
-        assignment[p] = val
-        ok = True
-        for r in sys_.row_tuples[p]:
-            rem[r] -= val
-            pending[r] -= 1
-            if rem[r] < 0:
-                ok = False
-        if not ok or any(rem[r] > pending[r] * cap for r in sys_.row_tuples[p]):
-            for r in sys_.row_tuples[p]:
-                rem[r] += val
-                pending[r] += 1
-            assignment[p] = 0
-            value_stack[p] -= 1
-            continue
-        if p + 1 == n:
-            if all(x == 0 for x in rem):
-                record()
-                if not want_all:
-                    break
-            for r in sys_.row_tuples[p]:
-                rem[r] += val
-                pending[r] += 1
-            assignment[p] = 0
-            value_stack[p] -= 1
-            continue
-        lb, ub = bounds(p + 1)
-        value_stack.append(ub)
-        lb_stack.append(lb)
-    return status, solutions
+            if not p:
+                break
+            p -= 1
+            val = assignment[p]
+        else:
+            rows = row_tuples[p]
+            assignment[p] = val
+            ok = True
+            for r in rows:
+                rem[r] -= val
+                pending[r] -= 1
+                if rem[r] < 0:
+                    ok = False
+            if ok and all(rem[r] <= pending[r] * cap for r in rows):
+                if p + 1 < n:
+                    push(p + 1)
+                    continue
+                if all(x == 0 for x in rem):
+                    solutions.append(Bag(sys_.union_schema, {
+                        row: m for row, m in zip(sys_.join_rows, assignment)
+                        if m}))
+                    if not want_all:
+                        break
+        # take back val at depth p and step to the next lower value
+        for r in row_tuples[p]:
+            rem[r] += val
+            pending[r] += 1
+        assignment[p] = 0
+        value_stack[p] -= 1
+    return solutions
 
 
 def solve_feasibility(db, budget: Optional[OracleBudget] = None
                       ) -> Union[Bag, None, _Exhausted]:
     """A witness bag, None when provably infeasible, or EXHAUSTED."""
-    budget = budget or OracleBudget()
-    status, sols = _search(db, budget, want_all=False)
-    if status == "exhausted":
+    sols = _search(db, budget or OracleBudget(), want_all=False)
+    if sols is EXHAUSTED:
         return EXHAUSTED
     return sols[0] if sols else None
 
@@ -209,11 +195,7 @@ def solve_feasibility(db, budget: Optional[OracleBudget] = None
 def enumerate_witnesses(db, budget: Optional[OracleBudget] = None
                         ) -> Union[list, _Exhausted]:
     """All distinct witnesses, by complete enumeration of the search tree."""
-    budget = budget or OracleBudget()
-    status, sols = _search(db, budget, want_all=True)
-    if status == "exhausted":
-        return EXHAUSTED
-    return sols
+    return _search(db, budget or OracleBudget(), want_all=True)
 
 
 @dataclass(frozen=True)

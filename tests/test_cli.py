@@ -301,18 +301,31 @@ _FUZZ_INPUTS = {
     "encode-3dct": (["encode-3dct", "-o", os.devnull, "--tables"],
                     {"R": [[1, 0], [0, 1]], "C": [[1, 0], [0, 1]],
                      "F": [[1, 0], [0, 1]]}),
+    "harden": (["harden", "--to", "cycle", "-o", os.devnull, "--db"],
+               tseitin_counterexample(cycle_hypergraph(3)).to_json_dict()),
+    # the target schema stays valid; only the database is mutated
+    "lift": (["lift", "--schema", "C4_SCHEMA", "-o", os.devnull, "--db"],
+             tseitin_counterexample(cycle_hypergraph(4)).to_json_dict()),
 }
+
+
+@pytest.fixture(scope="module")
+def c4_schema(tmp_path_factory):
+    return _write(tmp_path_factory.mktemp("schema") / "c4.json",
+                  cycle_hypergraph(4).to_json_dict())
 
 
 @pytest.mark.parametrize("argv,valid", list(_FUZZ_INPUTS.values()),
                          ids=list(_FUZZ_INPUTS))
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
-def test_mutated_input_keeps_exit_codes(tmp_path_factory, argv, valid, data):
+def test_mutated_input_keeps_exit_codes(tmp_path_factory, c4_schema, argv,
+                                        valid, data):
     """Every mutated file ends in a documented exit code without a
     traceback, and exit 2 always comes with an error message."""
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(_mutated_text(data, valid))
+    argv = [c4_schema if a == "C4_SCHEMA" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv + [str(path)])

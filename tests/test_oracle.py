@@ -9,6 +9,7 @@ from bagconsist import (
     Hypergraph,
     OracleBudget,
     check_witness,
+    encode_3dct,
     enumerate_witnesses,
     solve_feasibility,
     verify_bounds,
@@ -83,6 +84,46 @@ def test_budget_exhaustion_returns_sentinel():
     db = pair_database(r, s)
     assert solve_feasibility(db, OracleBudget(max_nodes=3)) is EXHAUSTED
     assert enumerate_witnesses(db, OracleBudget(max_nodes=3)) is EXHAUSTED
+
+
+def _feasible_3dct(n, seed, density):
+    """The margins of a seeded random 0-1 table over X, Y, Z: a feasible
+    3DCT instance."""
+    rng = random.Random(seed)
+    t = [[[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+         for _ in range(n)]
+    ix = range(n)
+    return encode_3dct([[sum(t[x][y][z] for y in ix) for z in ix] for x in ix],
+                       [[sum(t[x][y][z] for x in ix) for z in ix] for y in ix],
+                       [[sum(t[x][y][z] for z in ix) for y in ix] for x in ix])
+
+
+# (database, nodes to the first witness or proof of none, nodes to
+# enumerate every witness); a change to the search's node accounting,
+# pruning or value order moves these counts
+_NODE_COUNTS = {
+    "paper-pair": (lambda: pair_database(
+        Bag(("A", "B"), {("1", "2"): 1, ("2", "2"): 1}),
+        Bag(("B", "C"), {("2", "1"): 1, ("2", "2"): 1})), 4, 15),
+    "witness-family-4": (lambda: pair_database(*witness_family(4)), 12, 145),
+    "3dct-n3": (lambda: _feasible_3dct(3, 3, 0.5), 34, 143),
+    "3dct-n4": (lambda: _feasible_3dct(4, 4, 0.25), 47, 161),
+    # pairwise consistent (one unit of F moved around a 2x2 cycle), infeasible
+    "3dct-infeasible": (lambda: encode_3dct(
+        [[2, 1, 2], [0, 3, 0], [1, 1, 1]],
+        [[0, 2, 1], [1, 2, 1], [2, 1, 1]],
+        [[2, 2, 1], [0, 1, 2], [1, 1, 1]]), 25, 25),
+}
+
+
+@pytest.mark.parametrize("make,first,every", list(_NODE_COUNTS.values()),
+                         ids=list(_NODE_COUNTS))
+def test_node_counts_pinned(make, first, every):
+    db = make()
+    for search, nodes in ((solve_feasibility, first),
+                          (enumerate_witnesses, every)):
+        assert search(db, OracleBudget(max_nodes=nodes)) is not EXHAUSTED
+        assert search(db, OracleBudget(max_nodes=nodes - 1)) is EXHAUSTED
 
 
 def test_verify_bounds_paper_example(paper_pair):
