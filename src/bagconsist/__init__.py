@@ -50,7 +50,6 @@ from .hypergraph import (
     HypergraphError,
     JoinTree,
     SafeDeletionOp,
-    apply_safe_deletion,
     clique_complement_hypergraph,
     cycle_hypergraph,
     find_bad_witness,
@@ -81,8 +80,8 @@ __all__ = [
     "KERNEL", "Flow", "FlowError", "FlowNetwork", "build_network",
     "is_saturated", "max_flow", "suppress_middle_arc",
     "BadWitness", "Hypergraph", "HypergraphError", "JoinTree",
-    "SafeDeletionOp", "apply_safe_deletion", "clique_complement_hypergraph",
-    "cycle_hypergraph", "find_bad_witness", "path_hypergraph", "replay_ops",
+    "SafeDeletionOp", "clique_complement_hypergraph", "cycle_hypergraph",
+    "find_bad_witness", "path_hypergraph", "replay_ops",
     "EXHAUSTED", "BoundsReport", "OracleBudget", "check_witness",
     "enumerate_witnesses", "solve_feasibility", "verify_bounds",
     "__version__",

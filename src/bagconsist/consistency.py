@@ -2,12 +2,13 @@
 
 Two bags are consistent iff their marginals on the shared attributes agree;
 a minimal two-bag witness is filled in by the northwest-corner rule, one
-shared-key group at a time. Collections over acyclic schemas chain minimal
-two-bag witnesses along a running-intersection order; cyclic schemas fall
-back to the brute-force oracle. The max-flow characterisation survives only
-as ``two_bag_witness``, an independent reference for the tests. Also houses
-the mod-d counterexample generator, safe-deletion lifting, and the
-hardness-reduction instance transformations.
+shared-key group at a time. Collections over acyclic schemas glue their bags
+the same way, in one pass along a running-intersection order, and check the
+finished witness exactly once; cyclic schemas fall back to the brute-force
+oracle. The max-flow characterisation survives only as ``two_bag_witness``,
+an independent reference for the tests. Also houses the mod-d
+counterexample generator, safe-deletion lifting, and the hardness-reduction
+instance transformations.
 """
 from __future__ import annotations
 
@@ -66,9 +67,6 @@ class BagDatabase:
                     "bag schema %r does not match edge %r"
                     % (bag.schema, sorted(edge)))
 
-    def union_schema(self) -> tuple:
-        return tuple(sorted({a for bag in self.bags for a in bag.schema}))
-
     def to_json_dict(self) -> dict:
         return {"hypergraph": self.hypergraph.to_json_dict(),
                 "bags": [bag.to_json_dict() for bag in self.bags]}
@@ -125,54 +123,69 @@ def two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
 
 
 def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
-    """A witness with inclusion-minimal support, or None.
-
-    Rows of both bags are grouped by their value on the shared attributes;
-    the bags are consistent iff both sides of every group carry the same
-    total multiplicity. Every left row of a group joins every right row of
-    it, so each group is a balanced transportation problem, filled here by
-    the northwest-corner rule in canonical row order. Each group's support
-    is then a staircase tree, which makes the witness a vertex of the
-    transportation polytope: no witness has a strictly smaller support, and
-    it has at most |supp r| + |supp s| - 1 rows.
+    """A witness with inclusion-minimal support, or None: the two-bag case
+    of :func:`_northwest_glue`. Each shared-key group is a balanced
+    transportation problem, and its northwest-corner support is a staircase
+    tree, which makes the witness a vertex of the transportation polytope:
+    no witness has a strictly smaller support, and it has at most
+    |supp r| + |supp s| - 1 rows.
     """
-    r_pos = {a: k for k, a in enumerate(r.schema)}
-    s_pos = {a: k for k, a in enumerate(s.schema)}
-    shared = [a for a in r.schema if a in s_pos]
-    r_key = [r_pos[a] for a in shared]
-    s_key = [s_pos[a] for a in shared]
-    join_schema = make_schema(r_pos.keys() | s_pos.keys())
-    # positions of the join attributes in a left row followed by a right row
-    width = len(r.schema)
-    pick = [r_pos[a] if a in r_pos else width + s_pos[a] for a in join_schema]
-    groups: dict = {}
-    for row in r.rows():
-        key = tuple(row[i] for i in r_key)
-        groups.setdefault(key, ([], []))[0].append([row, r.entries[row]])
-    for row in s.rows():
-        group = groups.get(tuple(row[i] for i in s_key))
-        if group is None:
-            return None
-        group[1].append([row, s.entries[row]])
-    entries = {}
-    for left, right in groups.values():
-        i = j = 0
-        while i < len(left) and j < len(right):
-            lcell, rcell = left[i], right[j]
-            mult = min(lcell[1], rcell[1])
-            joined = lcell[0] + rcell[0]
-            entries[tuple(joined[k] for k in pick)] = mult
-            lcell[1] -= mult
-            rcell[1] -= mult
-            if not lcell[1]:
-                i += 1
-            if not rcell[1]:
-                j += 1
-        # each step empties a cell, so both sides run out together iff
-        # they carry equal mass
-        if i < len(left) or j < len(right):
-            return None
-    return _checked_witness(Bag._trusted(join_schema, entries), r, s)
+    witness = _northwest_glue((r, s))
+    return None if witness is None else _checked_witness(witness, r, s)
+
+
+def _northwest_glue(bags) -> Optional[Bag]:
+    """Glue the bags, in order, onto one growing list of (row, mult) pairs,
+    or None when a bag and the rows so far disagree on a shared marginal.
+
+    Each step groups both sides by their value on the shared attributes,
+    fills every group by the northwest-corner rule (every left row of a
+    group joins every right row of it; each bag's rows come in canonical
+    order, the rows so far in the order they were made) and appends the
+    bag's new attributes to each row. Rows are permuted into schema order
+    once, at the end. Along a running-intersection order each step is a
+    minimal two-bag witness, so the result has at most
+    sum |supp B_i| - (m - 1) rows.
+    """
+    first = bags[0]
+    at = {a: k for k, a in enumerate(first.schema)}
+    cells = sorted(first.entries.items())
+    for bag in bags[1:]:
+        key = [at[a] for a in bag.schema if a in at]
+        bag_key = [k for k, a in enumerate(bag.schema) if a in at]
+        new = [k for k, a in enumerate(bag.schema) if a not in at]
+        groups: dict = {}
+        for row, mult in cells:
+            groups.setdefault(tuple(row[k] for k in key),
+                              ([], []))[0].append([row, mult])
+        for row, mult in sorted(bag.entries.items()):
+            group = groups.get(tuple(row[k] for k in bag_key))
+            if group is None:
+                return None
+            group[1].append([tuple(row[k] for k in new), mult])
+        cells = []
+        for left, right in groups.values():
+            i = j = 0
+            while i < len(left) and j < len(right):
+                lcell, rcell = left[i], right[j]
+                mult = min(lcell[1], rcell[1])
+                cells.append((lcell[0] + rcell[0], mult))
+                lcell[1] -= mult
+                rcell[1] -= mult
+                if not lcell[1]:
+                    i += 1
+                if not rcell[1]:
+                    j += 1
+            # each step empties a cell, so both sides run out together iff
+            # they carry equal mass
+            if i < len(left) or j < len(right):
+                return None
+        for k in new:
+            at[bag.schema[k]] = len(at)
+    schema = make_schema(at)
+    pick = [at[a] for a in schema]
+    return Bag._trusted(schema, {tuple(row[k] for k in pick): mult
+                                 for row, mult in cells})
 
 
 def _checked_witness(witness: Bag, r: Bag, s: Bag) -> Bag:
@@ -208,8 +221,8 @@ def inconsistent_pairs(db: BagDatabase) -> list:
 
 
 def acyclic_global_witness(db: BagDatabase) -> Optional[Bag]:
-    """Witness by running-intersection chaining of minimal two-bag
-    witnesses; None iff some pair is inconsistent."""
+    """Witness by northwest-corner gluing along a running-intersection
+    order; None iff some pair is inconsistent."""
     order = db.hypergraph.running_intersection_order()
     if order is None:
         raise CyclicHypergraphError(
@@ -220,15 +233,13 @@ def acyclic_global_witness(db: BagDatabase) -> Optional[Bag]:
 
 
 def _chain_witness(db: BagDatabase, order) -> Bag:
-    """Chain minimal two-bag witnesses along a running-intersection order
-    of a pairwise-consistent database."""
+    """Glue the bags of a pairwise-consistent database along a
+    running-intersection order into one witness, checked exactly once."""
     if not db.bags:
         return Bag((), {})
-    witness = db.bags[order[0][0]]
-    for idx, _ in order[1:]:
-        witness = minimal_two_bag_witness(witness, db.bags[idx])
-        if witness is None:  # cannot happen for pairwise-consistent input
-            raise AssertionError("chaining failed on a consistent collection")
+    witness = _northwest_glue([db.bags[idx] for idx, _ in order])
+    if witness is None:  # cannot happen for pairwise-consistent input
+        raise AssertionError("chaining failed on a consistent collection")
     return _checked_global_witness(witness, db)
 
 

@@ -308,31 +308,13 @@ class SafeDeletionOp:
                 "cover": sorted(self.cover)}
 
 
-def apply_safe_deletion(h: Hypergraph, op: SafeDeletionOp) -> Hypergraph:
-    """Apply one safe-deletion operation, with set semantics: vertex
-    deletion is the induced sub-hypergraph on the remaining vertices."""
-    if op.kind == VERTEX_DELETION:
-        if op.vertex not in h.vertices:
-            raise HypergraphError("vertex %r not present" % (op.vertex,))
-        return h.induced(set(h.vertices) - {op.vertex})
-    positions = [i for i, e in enumerate(h.edges) if e == op.edge]
-    if not positions:
-        raise HypergraphError("edge %r not present" % (sorted(op.edge),))
-    covers = [i for i, e in enumerate(h.edges)
-              if op.edge <= e and (e != op.edge or i != positions[0])]
-    if not covers:
-        raise HypergraphError("edge %r has no cover" % (sorted(op.edge),))
-    kept = [e for i, e in enumerate(h.edges) if i != positions[0]]
-    return Hypergraph(h.vertices, kept)
-
-
 def replay_ops(h: Hypergraph, ops: Iterable[SafeDeletionOp]) -> Hypergraph:
     """Replay a safe-deletion sequence with multiset edge tracking.
 
-    Unlike :func:`apply_safe_deletion`, a vertex deletion here shrinks each
-    edge in place without deduplicating, so the trailing covered-edge
-    deletions of a witness sequence stay applicable and the sequence is
-    invertible (which database lifting relies on).
+    A vertex deletion shrinks each edge in place without deduplicating, so
+    the trailing covered-edge deletions of a witness sequence stay
+    applicable and the sequence is invertible (which database lifting
+    relies on).
     """
     states = _tracked_replay(list(h.vertices), list(h.edges), ops)
     vertices, edges, _ = states[-1]

@@ -2,11 +2,13 @@
 
 Solves the marginal-equation system over the join of the supports by
 exhaustive depth-first search with slack propagation: join rows in
-canonical order, values tried from high to low, one backtrack path. Each
-loop iteration is one search node, so ``OracleBudget.max_nodes`` stops the
-search at the same node on every run, unless ``max_seconds`` (checked every
-1,024 nodes) trips first. Exponential in the worst case by design: this module exists to
-certify small instances and to cross-check every other decision path.
+canonical order, values tried from high to low within the bounds the
+remaining demands allow (so no placement is tested afterwards), one
+backtrack path. Each loop iteration is one search node, so
+``OracleBudget.max_nodes`` stops the search at the same node on every run,
+unless ``max_seconds`` (checked every 1,024 nodes) trips first. Exponential
+in the worst case by design: this module exists to certify small instances
+and to cross-check every other decision path.
 """
 from __future__ import annotations
 
@@ -156,24 +158,21 @@ def _search(db, budget: OracleBudget, want_all: bool):
             p -= 1
             val = assignment[p]
         else:
-            rows = row_tuples[p]
+            # lb <= val <= ub keeps every touched row at
+            # 0 <= rem[r] <= pending[r] * cap, so the placement needs no test
             assignment[p] = val
-            ok = True
-            for r in rows:
+            for r in row_tuples[p]:
                 rem[r] -= val
                 pending[r] -= 1
-                if rem[r] < 0:
-                    ok = False
-            if ok and all(rem[r] <= pending[r] * cap for r in rows):
-                if p + 1 < n:
-                    push(p + 1)
-                    continue
-                if all(x == 0 for x in rem):
-                    solutions.append(Bag(sys_.union_schema, {
-                        row: m for row, m in zip(sys_.join_rows, assignment)
-                        if m}))
-                    if not want_all:
-                        break
+            if p + 1 < n:
+                push(p + 1)
+                continue
+            if all(x == 0 for x in rem):
+                solutions.append(Bag(sys_.union_schema, {
+                    row: m for row, m in zip(sys_.join_rows, assignment)
+                    if m}))
+                if not want_all:
+                    break
         # take back val at depth p and step to the next lower value
         for r in row_tuples[p]:
             rem[r] += val

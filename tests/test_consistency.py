@@ -148,11 +148,14 @@ def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
 
     index = {id(bag): i for i, bag in enumerate(db.bags)}
     computed = []
+    derived = []
     marginal = Bag.marginal
 
     def recording_marginal(self, attrs):
         if id(self) in index:
             computed.append((index[id(self)], frozenset(attrs)))
+        else:
+            derived.append(frozenset(attrs))
         return marginal(self, attrs)
 
     monkeypatch.setattr(Hypergraph, "join_tree", counting_join_tree)
@@ -163,6 +166,41 @@ def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
     assert check_witness(report.witness, db)
     assert len(trees) == 1
     assert computed and len(computed) == len(set(computed))
+    # the chain builds no intermediate bags: the only marginals of a
+    # non-input bag are the final exact check's, one per input bag
+    assert len(derived) == len(db.bags)
+
+
+def test_chained_witness_within_bound():
+    """Chained witnesses pass the exact check and keep at most
+    sum |supp B_i| - (m - 1) rows, on wide shuffled schemas and on small
+    random ones."""
+    rng = random.Random(0xC4A1)
+    dbs = []
+    for num_edges in (30, 45, 60, 75, 90):
+        edges = random_acyclic_schema(rng, num_edges)
+        dbs.append(database_of(edges, random_global_bag(
+            rng, {v for e in edges for v in e}, 10)))
+    dbs += [random_acyclic_database(rng) for _ in range(200)]
+    for db in dbs:
+        # consistent bags are all empty or all non-empty
+        bound = max(0, sum(len(bag) for bag in db.bags) - (len(db.bags) - 1))
+        for w in (acyclic_global_witness(db), global_consistent(db).witness):
+            assert check_witness(w, db)
+            assert len(w) <= bound
+
+
+def test_chained_witness_rechecked(monkeypatch):
+    """A chained yes goes out only after the exact witness check."""
+    db = pair_database(Bag(("A", "B"), {("0", "0"): 1, ("1", "0"): 1}),
+                       Bag(("B", "C"), {("0", "0"): 1, ("0", "1"): 1}))
+    assert check_witness(acyclic_global_witness(db), db)
+    wrong = Bag(("A", "B", "C"), {("0", "0", "0"): 2})
+    monkeypatch.setattr(consistency, "_northwest_glue", lambda bags: wrong)
+    with pytest.raises(AssertionError):
+        acyclic_global_witness(db)
+    with pytest.raises(AssertionError):
+        global_consistent(db)
 
 
 def _move_one_unit(rng, bag):

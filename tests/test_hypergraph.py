@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bagconsist import Hypergraph, HypergraphError, SafeDeletionOp, apply_safe_deletion, find_bad_witness, replay_ops
+from bagconsist import Hypergraph, HypergraphError, SafeDeletionOp, find_bad_witness, replay_ops
 from bagconsist.hypergraph import (
     COVERED_EDGE_DELETION,
     SHAPE_CLIQUE_COMPLEMENT,
@@ -247,12 +247,12 @@ def test_find_bad_witness_matches_restart_reference():
 
 def test_safe_deletion_ops():
     h = cycle_hypergraph(3)
-    h2 = apply_safe_deletion(h, SafeDeletionOp(VERTEX_DELETION, vertex="A3"))
+    h2 = replay_ops(h, [SafeDeletionOp(VERTEX_DELETION, vertex="A3")])
     assert h2.vertices == ("A1", "A2")
     e = frozenset(["A1", "A2"])
-    h3 = apply_safe_deletion(
-        h2, SafeDeletionOp(COVERED_EDGE_DELETION, edge=frozenset(["A1"]),
-                           cover=e))
+    h3 = replay_ops(
+        h2, [SafeDeletionOp(COVERED_EDGE_DELETION, edge=frozenset(["A1"]),
+                            cover=e)])
     assert h3 is not None
     with pytest.raises(HypergraphError):
         SafeDeletionOp(COVERED_EDGE_DELETION, edge=frozenset(["A1", "A3"]),
