@@ -3,15 +3,33 @@
 Bags map tuples over a fixed schema to positive integer multiplicities.
 All arithmetic is exact (Python ints); the only floating-point quantities
 are the log-based size norms, which are reporting-only.
+
+Every per-row key (a marginal's group, a join's bucket and merged row, a
+parsed JSON row) comes from one C-level getter built by :func:`_row_key`,
+not from a per-row generator; the marginal on the empty sub-schema is the
+total mass, summed without a pass over the rows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Union
 
 # A row is a tuple of string values aligned with the bag's sorted schema.
 Row = tuple
+
+
+def _row_key(positions) -> Callable:
+    """A callable that maps a row (a tuple, or a dict of named cells) to
+    the tuple of its cells at ``positions``: ``operator.itemgetter`` for two
+    or more positions, a one-element wrapper for one, ``()`` for none."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda row: (row[p],)
+    return lambda row: ()
 
 
 class SchemaMismatchError(ValueError):
@@ -116,37 +134,41 @@ class Bag:
         multiplicities summed."""
         z = make_schema(attrs)
         idx = self._positions(z)
+        entries = self.entries
+        if not idx:
+            return Bag._trusted(z, {(): sum(entries.values())} if entries else {})
         out: dict[Row, int] = {}
-        for row, mult in self.entries.items():
-            key = tuple(row[i] for i in idx)
+        for key, mult in zip(map(_row_key(idx), entries), entries.values()):
             out[key] = out.get(key, 0) + mult
         return Bag._trusted(z, out)
 
     def join(self, other: "Bag") -> "Bag":
         """Bag join: support is the join of the supports, multiplicities
         multiply."""
+        union, rows = self._join_rows(other)
+        return Bag._trusted(union, dict(rows))
+
+    def _join_rows(self, other: "Bag"):
+        """The join's schema and a lazy iterator over its (row, mult)
+        pairs. Each row comes once: it determines the two rows it joins."""
         shared = tuple(sorted(set(self.schema) & set(other.schema)))
         union = make_schema(set(self.schema) | set(other.schema))
-        my_shared = self._positions(shared)
-        their_shared = other._positions(shared)
         # hash join on the shared attributes
+        their_key = _row_key(other._positions(shared))
         buckets: dict[Row, list[tuple[Row, int]]] = {}
         for row, mult in other.entries.items():
-            key = tuple(row[i] for i in their_shared)
-            buckets.setdefault(key, []).append((row, mult))
-        upos = {a: i for i, a in enumerate(union)}
-        out: dict[Row, int] = {}
-        for row, mult in self.entries.items():
-            key = tuple(row[i] for i in my_shared)
-            for orow, omult in buckets.get(key, ()):
-                merged = [None] * len(union)
-                for a, v in zip(self.schema, row):
-                    merged[upos[a]] = v
-                for a, v in zip(other.schema, orow):
-                    merged[upos[a]] = v
-                t = tuple(merged)
-                out[t] = out.get(t, 0) + mult * omult
-        return Bag._trusted(union, out)
+            buckets.setdefault(their_key(row), []).append((row, mult))
+        my_key = _row_key(self._positions(shared))
+        # a joined row is picked, in schema order, from the concatenation
+        width = len(self.schema)
+        merge = _row_key([self.schema.index(a) if a in self.schema
+                          else width + other.schema.index(a) for a in union])
+
+        def rows():
+            for row, mult in self.entries.items():
+                for orow, omult in buckets.get(my_key(row), ()):
+                    yield merge(row + orow), mult * omult
+        return union, rows()
 
     def support(self) -> "Bag":
         """Same support, all multiplicities clamped to 1 (a relation)."""
@@ -195,27 +217,67 @@ class Bag:
             schema = make_schema(data["schema"])
         except SchemaMismatchError as exc:
             raise BagFormatError(str(exc)) from exc
-        keys = set(schema)
+        tuples = data["tuples"]
+        cells = _json_row_parser(schema)
         seen: dict[Row, int] = {}
-        for item in data["tuples"]:
-            values = item.get("values") if isinstance(item, dict) else None
-            if not isinstance(values, dict) or values.keys() != keys:
-                raise BagFormatError(
-                    "tuple %r does not match schema %r" % (item, schema))
-            row = tuple(v if v.__class__ is str else _json_cell(v, item)
-                        for v in map(values.__getitem__, schema))
-            if row in seen:
-                raise BagFormatError("duplicate tuple %r" % (row,))
-            mult_s = item.get("mult")
-            try:
-                mult = int(str(mult_s))
-            except (TypeError, ValueError):
-                raise BagFormatError("bad multiplicity %r" % (mult_s,))
-            if mult <= 0:
-                raise BagFormatError(
-                    "multiplicity must be positive, got %r for %r" % (mult, row))
-            seen[row] = mult
+        try:
+            for item in tuples:
+                row = cells(item)
+                mult_s = item.get("mult")
+                try:
+                    mult = int(str(mult_s))
+                except (TypeError, ValueError):
+                    raise BagFormatError("bad multiplicity %r" % (mult_s,))
+                if mult <= 0:
+                    raise BagFormatError(
+                        "multiplicity must be positive, got %r for %r"
+                        % (mult, row))
+                seen[row] = mult
+        except BagFormatError:
+            # a duplicate up to the bad tuple is the first error
+            _raise_first_duplicate(tuples, cells, item)
+            raise
+        if len(seen) != len(tuples):
+            _raise_first_duplicate(tuples, cells)
         return cls._trusted(schema, seen)
+
+
+def _json_row_parser(schema: tuple[str, ...]) -> Callable:
+    """The parser of one JSON tuple's row: its cells in schema order, each
+    a string. Numbers are accepted as their text; null, booleans, lists and
+    objects are not."""
+    keys = set(schema)
+    get = _row_key(schema)
+
+    def cells(item) -> Row:
+        values = item.get("values") if isinstance(item, dict) else None
+        if not isinstance(values, dict) or values.keys() != keys:
+            raise BagFormatError(
+                "tuple %r does not match schema %r" % (item, schema))
+        row = get(values)
+        try:
+            "".join(row)  # every cell is a string: one C-level check
+            return row
+        except TypeError:
+            return tuple(v if v.__class__ is str else _json_cell(v, item)
+                         for v in row)
+    return cells
+
+
+def _raise_first_duplicate(tuples: list, cells: Callable, last=None) -> None:
+    """Raise for the first row that repeats an earlier one, looking no
+    further than the tuple ``last`` (whose row may not parse)."""
+    rows = set()
+    for item in tuples:
+        try:
+            row = cells(item)
+        except BagFormatError:
+            return
+        if row in rows:
+            raise BagFormatError("duplicate tuple %r" % (row,))
+        if item is last:
+            return
+        rows.add(row)
 
 
 def _json_cell(value, item) -> str:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bags import Bag, make_schema
+from .bags import Bag, _row_key, make_schema
 # keep all four names, used or not: perfbench/tracer.py patches them here
 from .flow import build_network, is_saturated, max_flow, suppress_middle_arc
 from .hypergraph import (
@@ -151,18 +151,18 @@ def _northwest_glue(bags) -> Optional[Bag]:
     at = {a: k for k, a in enumerate(first.schema)}
     cells = sorted(first.entries.items())
     for bag in bags[1:]:
-        key = [at[a] for a in bag.schema if a in at]
-        bag_key = [k for k, a in enumerate(bag.schema) if a in at]
+        key = _row_key([at[a] for a in bag.schema if a in at])
+        bag_key = _row_key([k for k, a in enumerate(bag.schema) if a in at])
         new = [k for k, a in enumerate(bag.schema) if a not in at]
+        new_cells = _row_key(new)
         groups: dict = {}
         for row, mult in cells:
-            groups.setdefault(tuple(row[k] for k in key),
-                              ([], []))[0].append([row, mult])
+            groups.setdefault(key(row), ([], []))[0].append([row, mult])
         for row, mult in sorted(bag.entries.items()):
-            group = groups.get(tuple(row[k] for k in bag_key))
+            group = groups.get(bag_key(row))
             if group is None:
                 return None
-            group[1].append([tuple(row[k] for k in new), mult])
+            group[1].append([new_cells(row), mult])
         cells = []
         for left, right in groups.values():
             i = j = 0
@@ -183,9 +183,8 @@ def _northwest_glue(bags) -> Optional[Bag]:
         for k in new:
             at[bag.schema[k]] = len(at)
     schema = make_schema(at)
-    pick = [at[a] for a in schema]
-    return Bag._trusted(schema, {tuple(row[k] for k in pick): mult
-                                 for row, mult in cells})
+    pick = _row_key([at[a] for a in schema])
+    return Bag._trusted(schema, {pick(row): mult for row, mult in cells})
 
 
 def _checked_witness(witness: Bag, r: Bag, s: Bag) -> Bag:
@@ -259,9 +258,9 @@ def global_consistent(db: BagDatabase, mode: str = "auto",
         raise ValueError("mode must be 'auto' or 'oracle'")
     bad_pairs = tuple(inconsistent_pairs(db))
     pairwise_ok = not bad_pairs
-    order = db.hypergraph.running_intersection_order()
     if not pairwise_ok:
         return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_NO)
+    order = db.hypergraph.running_intersection_order()
     if order is not None:
         return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_YES,
                                  _chain_witness(db, order))
@@ -407,8 +406,8 @@ def _rename_attribute(bag: Bag, old: str, new: str) -> Bag:
     mapping = {a: (new if a == old else a) for a in bag.schema}
     schema = make_schema(mapping.values())
     src = {mapping[a]: i for i, a in enumerate(bag.schema)}
-    entries = {tuple(row[src[a]] for a in schema): m
-               for row, m in bag.entries.items()}
+    pick = _row_key([src[a] for a in schema])
+    entries = {pick(row): m for row, m in bag.entries.items()}
     return Bag(schema, entries)
 
 

@@ -6,18 +6,21 @@ canonical order, values tried from high to low within the bounds the
 remaining demands allow (so no placement is tested afterwards), one
 backtrack path. Each loop iteration is one search node, so
 ``OracleBudget.max_nodes`` stops the search at the same node on every run,
-unless ``max_seconds`` (checked every 1,024 nodes) trips first. Exponential
-in the worst case by design: this module exists to certify small instances
-and to cross-check every other decision path.
+unless ``max_seconds`` (checked every 1,024 nodes) trips first. The clock
+starts before the join, which stops at ``max_join_support`` + 1 rows and
+checks the clock every 1,024 rows. Exponential in the worst case by design:
+this module exists to certify small instances and to cross-check every
+other decision path.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .bags import Bag, SchemaMismatchError
+from .bags import Bag, SchemaMismatchError, _row_key
 
 
 class _Exhausted:
@@ -61,16 +64,35 @@ class _System:
     incident: list                  # per constraint row: count of incident join rows
 
 
-def _build_system(db, budget: OracleBudget) -> Union[_System, _Exhausted]:
+def _support_join(db, budget: OracleBudget, deadline: float):
+    """The join of the supports, one bag at a time, or EXHAUSTED as soon
+    as a step's join passes ``max_join_support`` rows or the deadline
+    passes: no step builds more than that many rows plus one."""
+    joined = None
+    for bag in db.bags:
+        rel = Bag._trusted(bag.schema, dict.fromkeys(bag.entries, 1))
+        if joined is not None:
+            schema, rows = joined._join_rows(rel)
+            entries: dict = {}
+            for row, mult in itertools.islice(rows, budget.max_join_support + 1):
+                entries[row] = mult
+                if not len(entries) % 1024 and time.monotonic() > deadline:
+                    return EXHAUSTED
+            rel = Bag._trusted(schema, entries)
+        if len(rel) > budget.max_join_support:
+            return EXHAUSTED
+        joined = rel
+    return joined
+
+
+def _build_system(db, budget: OracleBudget,
+                  deadline: float) -> Union[_System, _Exhausted]:
     """Join the supports and set up the marginal-equation rows, or
     EXHAUSTED when the join outgrows the budget."""
     union_schema = tuple(sorted({a for bag in db.bags for a in bag.schema}))
-    joined = None
-    for bag in db.bags:
-        rel = bag.support()
-        joined = rel if joined is None else joined.join(rel)
-        if len(joined) > budget.max_join_support:
-            return EXHAUSTED
+    joined = _support_join(db, budget, deadline)
+    if joined is EXHAUSTED:
+        return EXHAUSTED
     join_rows = [] if joined is None else joined.rows()
 
     demands = []
@@ -82,12 +104,11 @@ def _build_system(db, budget: OracleBudget) -> Union[_System, _Exhausted]:
 
     # each bag's attribute positions in a join row (over the union schema)
     at = {a: k for k, a in enumerate(union_schema)}
-    cols = [[at[a] for a in bag.schema] for bag in db.bags]
+    cols = [_row_key([at[a] for a in bag.schema]) for bag in db.bags]
     row_tuples = []
     incident = [0] * len(demands)
     for jrow in join_rows:
-        hit = [row_index[(i, tuple(jrow[k] for k in col))]
-               for i, col in enumerate(cols)]
+        hit = [row_index[(i, col(jrow))] for i, col in enumerate(cols)]
         for r in hit:
             incident[r] += 1
         row_tuples.append(hit)
@@ -97,7 +118,8 @@ def _build_system(db, budget: OracleBudget) -> Union[_System, _Exhausted]:
 def _search(db, budget: OracleBudget, want_all: bool):
     """Complete DFS over join-row multiplicities: the solutions found (the
     first one only, unless ``want_all``), or EXHAUSTED."""
-    sys_ = _build_system(db, budget)
+    deadline = time.monotonic() + budget.max_seconds
+    sys_ = _build_system(db, budget, deadline)
     if sys_ is EXHAUSTED:
         return EXHAUSTED
     demands = sys_.demands
@@ -122,7 +144,6 @@ def _search(db, budget: OracleBudget, want_all: bool):
     assignment = [0] * n
     solutions: list[Bag] = []
     nodes = 0
-    deadline = time.monotonic() + budget.max_seconds
 
     # iterative DFS, descending value order: the next value to try at each
     # depth, and the lowest value the slack still allows there

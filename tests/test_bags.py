@@ -1,8 +1,11 @@
+import itertools
 import math
+import random
 
 import pytest
 
 from bagconsist import Bag, BagFormatError, SchemaMismatchError, make_schema, project_row
+from bagconsist.bags import _json_cell
 
 
 def test_make_schema_sorts_and_rejects_duplicates():
@@ -118,3 +121,142 @@ def test_json_rejects_malformed():
 
 def test_project_row():
     assert project_row(("A", "B", "C"), ("1", "2", "3"), ["C", "A"]) == ("1", "3")
+
+
+def _random_bag(rng, schema, rows):
+    return Bag(schema, {tuple(str(rng.randrange(3)) for _ in schema):
+                        rng.choice([1, 2, 7, 2 ** 127 + 1])
+                        for _ in range(rows)})
+
+
+def test_marginal_matches_naive_sum():
+    """Every sub-schema of widths 0, 1, 2 and 4, on seeded random bags
+    and on the empty bag, against a dict-sum over the rows."""
+    rng = random.Random(0x6B)
+    schema = ("A", "B", "C", "D")
+    bags = [Bag(schema, {})] + [_random_bag(rng, schema, rng.randrange(1, 40))
+                                for _ in range(20)]
+    for bag in bags:
+        for width in (0, 1, 2, 4):
+            for sub in itertools.combinations(schema, width):
+                expected: dict = {}
+                for row, mult in bag.entries.items():
+                    key = tuple(row[schema.index(a)] for a in sub)
+                    expected[key] = expected.get(key, 0) + mult
+                out = bag.marginal(sub)
+                assert out.schema == sub and out.entries == expected
+    assert Bag((), {}).marginal([]).entries == {}
+    assert Bag(("A",), {}).marginal([]).entries == {}
+    assert bags[1].marginal([]).entries == {(): sum(bags[1].entries.values())}
+
+
+def test_join_matches_nested_loop():
+    """Shared sets of widths 0, 1, 2 and 4, against a nested loop over
+    both bags' rows."""
+    rng = random.Random(0x6C)
+    cases = [(("A",), ("B",)), (("A", "B"), ("B", "C")),
+             (("A", "B", "C"), ("B", "C", "D")),
+             (("A", "B", "C", "D"), ("A", "B", "C", "D")),
+             ((), ("A", "B")), (("A", "B"), ())]
+    for left, right in cases:
+        union = make_schema(set(left) | set(right))
+        for _ in range(10):
+            r = _random_bag(rng, left, rng.randrange(0, 12))
+            s = _random_bag(rng, right, rng.randrange(0, 12))
+            expected: dict = {}
+            for rrow, rm in r.entries.items():
+                for srow, sm in s.entries.items():
+                    cells = dict(zip(left, rrow))
+                    if all(cells.get(a, v) == v for a, v in zip(right, srow)):
+                        cells.update(zip(right, srow))
+                        row = tuple(cells[a] for a in union)
+                        expected[row] = expected.get(row, 0) + rm * sm
+            out = r.join(s)
+            assert out.schema == union and out.entries == expected
+
+
+def _reference_from_json_dict(data):
+    """The parser's tuple loop before row keys came from one getter: one
+    generator per row, and a duplicate caught where it occurs."""
+    if not isinstance(data, dict) or "schema" not in data or "tuples" not in data:
+        raise BagFormatError("bag JSON needs 'schema' and 'tuples'")
+    if not (isinstance(data["schema"], list)
+            and all(isinstance(a, str) for a in data["schema"])):
+        raise BagFormatError("bag schema must be a list of attribute names")
+    if not isinstance(data["tuples"], list):
+        raise BagFormatError("bag 'tuples' must be a list")
+    try:
+        schema = make_schema(data["schema"])
+    except SchemaMismatchError as exc:
+        raise BagFormatError(str(exc)) from exc
+    keys = set(schema)
+    seen = {}
+    for item in data["tuples"]:
+        values = item.get("values") if isinstance(item, dict) else None
+        if not isinstance(values, dict) or values.keys() != keys:
+            raise BagFormatError(
+                "tuple %r does not match schema %r" % (item, schema))
+        row = tuple(v if v.__class__ is str else _json_cell(v, item)
+                    for v in map(values.__getitem__, schema))
+        if row in seen:
+            raise BagFormatError("duplicate tuple %r" % (row,))
+        mult_s = item.get("mult")
+        try:
+            mult = int(str(mult_s))
+        except (TypeError, ValueError):
+            raise BagFormatError("bad multiplicity %r" % (mult_s,))
+        if mult <= 0:
+            raise BagFormatError(
+                "multiplicity must be positive, got %r for %r" % (mult, row))
+        seen[row] = mult
+    return Bag(schema, seen)
+
+
+_CELLS = ["0", "1", "x", 0, 1, 2.5, True, None, [1], {"a": 1}]
+_MULTS = ["1", "3", str(2 ** 127 + 5), "0", "-1", "2.5", None, 4]
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except BagFormatError as exc:
+        return ("error", str(exc))
+
+
+def test_parser_matches_reference():
+    """Same Bag or same BagFormatError as the per-row generator loop, on
+    seeded inputs mixing string, number, bool, null, list and object cells,
+    missing and extra keys, bad multiplicities and duplicate rows."""
+    rng = random.Random(0x6D)
+    errors = set()
+    for trial in range(3000):
+        width = rng.choice([0, 1, 2, 4])
+        schema = ["A", "B", "C", "D"][:width]
+        rng.shuffle(schema)
+        tuples = []
+        for _ in range(rng.randrange(0, 6)):
+            values = {a: rng.choice(_CELLS[:3]) for a in schema}
+            bad = rng.random()
+            if bad < 0.1 and schema:
+                values[rng.choice(schema)] = rng.choice(_CELLS)
+            elif bad < 0.13 and schema:
+                del values[rng.choice(schema)]
+            elif bad < 0.16:
+                values["E"] = "1"
+            mult = rng.choice(_MULTS[:3]) if rng.random() < 0.9 \
+                else rng.choice(_MULTS)
+            tuples.append({"values": values, "mult": mult})
+        if tuples and rng.random() < 0.3:
+            tuples.insert(rng.randrange(len(tuples) + 1),
+                          dict(rng.choice(tuples)))
+        data = {"schema": schema, "tuples": tuples}
+        expected = _outcome(_reference_from_json_dict, data)
+        assert _outcome(Bag.from_json_dict, data) == expected, data
+        if isinstance(expected, tuple):
+            errors.add(expected[1].split()[0])
+    # every kind of error came up
+    assert errors == {"duplicate", "tuple", "cell", "bad", "multiplicity"}
+    # a duplicate still names its row
+    row = {"values": {"A": "1", "B": 2}, "mult": "1"}
+    with pytest.raises(BagFormatError, match=r"duplicate tuple \('1', '2'\)"):
+        Bag.from_json_dict({"schema": ["A", "B"], "tuples": [row, row]})

@@ -169,6 +169,17 @@ def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
     # the chain builds no intermediate bags: the only marginals of a
     # non-input bag are the final exact check's, one per input bag
     assert len(derived) == len(db.bags)
+    # an inconsistent pair answers no before the schema is classified
+    first = db.bags[0]
+    row = min(first.entries)
+    bumped = Bag(first.schema, {**first.entries, row: first.entries[row] + 1})
+    perturbed = BagDatabase(db.hypergraph, (bumped,) + db.bags[1:])
+    trees.clear()
+    monkeypatch.setattr(Hypergraph, "join_tree", counting_join_tree)
+    report = global_consistent(perturbed)
+    monkeypatch.undo()
+    assert report.global_status == "no" and report.inconsistent_pairs
+    assert trees == []
 
 
 def test_chained_witness_within_bound():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -84,6 +85,34 @@ def test_budget_exhaustion_returns_sentinel():
     db = pair_database(r, s)
     assert solve_feasibility(db, OracleBudget(max_nodes=3)) is EXHAUSTED
     assert enumerate_witnesses(db, OracleBudget(max_nodes=3)) is EXHAUSTED
+
+
+def _wide_join_triangle(n):
+    """XZ and YZ with one Z value, XY diagonal: the supports' first join
+    step has n^2 rows, the full join n."""
+    xs = [str(i) for i in range(n)]
+    return BagDatabase(
+        Hypergraph(["X", "Y", "Z"], [["X", "Z"], ["Y", "Z"], ["X", "Y"]]),
+        (Bag(("X", "Z"), {(x, "0"): 1 for x in xs}),
+         Bag(("Y", "Z"), {(x, "0"): 1 for x in xs}),
+         Bag(("X", "Y"), {(x, x): 1 for x in xs})))
+
+
+@pytest.mark.parametrize("budget", [
+    OracleBudget(max_join_support=10 ** 5, max_seconds=1),
+    OracleBudget(max_join_support=10 ** 7, max_seconds=0.05),
+], ids=["join-support", "seconds"])
+def test_join_budget_stops_the_join(budget):
+    """Both budgets stop the join while it is built: neither the 1.44M-row
+    first step nor its memory is paid in full."""
+    db = _wide_join_triangle(1200)
+    tracemalloc.start()
+    try:
+        assert solve_feasibility(db, budget) is EXHAUSTED
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2 ** 20
 
 
 def _feasible_3dct(n, seed, density):
