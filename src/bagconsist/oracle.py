@@ -4,13 +4,16 @@ Solves the marginal-equation system over the join of the supports by
 exhaustive depth-first search with slack propagation: join rows in
 canonical order, values tried from high to low within the bounds the
 remaining demands allow (so no placement is tested afterwards), one
-backtrack path. Each loop iteration is one search node, so
-``OracleBudget.max_nodes`` stops the search at the same node on every run,
-unless ``max_seconds`` (checked every 1,024 nodes) trips first. The clock
-starts before the join, which stops at ``max_join_support`` + 1 rows and
-checks the clock every 1,024 rows. Exponential in the worst case by design:
-this module exists to certify small instances and to cross-check every
-other decision path.
+backtrack path. A join row's slack depends only on its position, so it is
+built once per system: per join row, (constraint row, cap times the later
+join rows touching it). The search keeps the remaining demands and two flat
+per-depth arrays, the value and its lowest allowed value. Each loop
+iteration is one search node, so ``OracleBudget.max_nodes`` stops the
+search at the same node on every run, unless ``max_seconds`` (checked every
+1,024 nodes) trips first. The clock starts before the join, which stops at
+``max_join_support`` + 1 rows and checks the clock every 1,024 rows.
+Exponential in the worst case by design: this module exists to certify
+small instances and to cross-check every other decision path.
 """
 from __future__ import annotations
 
@@ -40,7 +43,11 @@ class OracleBudget:
     max_seconds: float = 60.0
 
     def __post_init__(self):
-        if self.max_join_support <= 0 or self.max_nodes <= 0 or self.max_seconds <= 0:
+        # the class of a bool is not int, and NaN fails every comparison
+        counts = (self.max_join_support, self.max_nodes)
+        if any(c.__class__ is not int for c in counts):
+            raise ValueError("budget counts must be integers")
+        if not (min(counts) > 0 and self.max_seconds > 0):
             raise ValueError("budget limits must be positive")
 
 
@@ -60,8 +67,9 @@ class _System:
     union_schema: tuple
     join_rows: list                 # candidate witness rows, canonical order
     demands: list                   # one per constraint row
-    row_tuples: list                # per join row: indices of constraint rows
     incident: list                  # per constraint row: count of incident join rows
+    cap: int                        # the largest demand
+    slack: list                     # per join row p: (r, cap * later rows touching r)
 
 
 def _support_join(db, budget: OracleBudget, deadline: float):
@@ -105,14 +113,18 @@ def _build_system(db, budget: OracleBudget,
     # each bag's attribute positions in a join row (over the union schema)
     at = {a: k for k, a in enumerate(union_schema)}
     cols = [_row_key([at[a] for a in bag.schema]) for bag in db.bags]
-    row_tuples = []
-    incident = [0] * len(demands)
-    for jrow in join_rows:
-        hit = [row_index[(i, col(jrow))] for i, col in enumerate(cols)]
+    # per join row: the constraint rows it touches, then, walking back from
+    # the last join row, each one paired with cap * the later rows touching it
+    slack = [[row_index[(i, col(jrow))] for i, col in enumerate(cols)]
+             for jrow in join_rows]
+    cap = max(demands, default=0)
+    after = [0] * len(demands)
+    for p in range(len(slack) - 1, -1, -1):
+        hit = slack[p]
+        slack[p] = tuple([(r, after[r] * cap) for r in hit])
         for r in hit:
-            incident[r] += 1
-        row_tuples.append(hit)
-    return _System(union_schema, join_rows, demands, row_tuples, incident)
+            after[r] += 1
+    return _System(union_schema, join_rows, demands, after, cap, slack)
 
 
 def _search(db, budget: OracleBudget, want_all: bool):
@@ -135,72 +147,60 @@ def _search(db, budget: OracleBudget, want_all: bool):
     if len(totals) > 1:
         return []
 
-    cap = max(demands, default=0)
-    n = len(sys_.join_rows)
-    row_tuples = sys_.row_tuples
+    cap, slack = sys_.cap, sys_.slack
+    last = len(slack) - 1
     rem = list(demands)
-    # per constraint row: how many join rows at position >= p still touch it
-    pending = list(sys_.incident)
-    assignment = [0] * n
+    max_nodes, clock = budget.max_nodes, time.monotonic
+    # iterative DFS over flat per-depth state, descending value order: the
+    # value placed (or next tried) at each depth, and the lowest value the
+    # slack allows there
+    value = [0] * len(slack)
+    low = [0] * len(slack)
     solutions: list[Bag] = []
     nodes = 0
-
-    # iterative DFS, descending value order: the next value to try at each
-    # depth, and the lowest value the slack still allows there
-    value_stack: list[int] = []
-    lb_stack: list[int] = []
-
-    def push(p):
+    p = 0
+    while True:
+        # enter depth p: no touched row may go below 0, and the join rows
+        # after p must still be able to cover what it leaves (<= cap each)
         ub = cap
         lb = 0
-        for r in row_tuples[p]:
-            if rem[r] < ub:
-                ub = rem[r]
-            floor = rem[r] - (pending[r] - 1) * cap
-            if floor > lb:
-                lb = floor
-        value_stack.append(ub)
-        lb_stack.append(lb)
-
-    push(0)
-    while value_stack:
-        nodes += 1
-        if nodes > budget.max_nodes or (nodes % 1024 == 0
-                                        and time.monotonic() > deadline):
-            return EXHAUSTED
-        p = len(value_stack) - 1
-        val = value_stack[p]
-        if val < lb_stack[p]:
-            # no value left at this depth: take back the parent's
-            value_stack.pop()
-            lb_stack.pop()
-            if not p:
-                break
-            p -= 1
-            val = assignment[p]
-        else:
-            # lb <= val <= ub keeps every touched row at
-            # 0 <= rem[r] <= pending[r] * cap, so the placement needs no test
-            assignment[p] = val
-            for r in row_tuples[p]:
-                rem[r] -= val
-                pending[r] -= 1
-            if p + 1 < n:
-                push(p + 1)
-                continue
-            if all(x == 0 for x in rem):
-                solutions.append(Bag(sys_.union_schema, {
-                    row: m for row, m in zip(sys_.join_rows, assignment)
-                    if m}))
-                if not want_all:
+        for r, s in slack[p]:
+            d = rem[r]
+            if d < ub:
+                ub = d
+            d -= s
+            if d > lb:
+                lb = d
+        value[p] = ub
+        low[p] = lb
+        while True:
+            nodes += 1
+            if nodes > max_nodes or (not nodes & 1023 and clock() > deadline):
+                return EXHAUSTED
+            val = value[p]
+            if val < low[p]:
+                # no value left at this depth: take back the parent's
+                if not p:
+                    return solutions
+                p -= 1
+                val = value[p]
+            else:
+                # lb <= val <= ub keeps every touched row at 0 <= rem[r] <=
+                # cap * (later rows touching r): the placement needs no test
+                for r, _ in slack[p]:
+                    rem[r] -= val
+                if p < last:
+                    p += 1
                     break
-        # take back val at depth p and step to the next lower value
-        for r in row_tuples[p]:
-            rem[r] += val
-            pending[r] += 1
-        assignment[p] = 0
-        value_stack[p] -= 1
-    return solutions
+                if all(x == 0 for x in rem):
+                    solutions.append(Bag(sys_.union_schema, {
+                        row: m for row, m in zip(sys_.join_rows, value) if m}))
+                    if not want_all:
+                        return solutions
+            # take back val at depth p and step to the next lower value
+            for r, _ in slack[p]:
+                rem[r] += val
+            value[p] = val - 1
 
 
 def solve_feasibility(db, budget: Optional[OracleBudget] = None

@@ -84,6 +84,17 @@ def test_global_budget_exhaustion(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb", [["global", "--oracle"], ["enumerate"]],
+                         ids=["global", "enumerate"])
+@pytest.mark.parametrize("limit", [
+    ["--budget-seconds", "nan"], ["--budget-seconds", "0"],
+    ["--budget-nodes", "0"]], ids=["seconds-nan", "seconds-0", "nodes-0"])
+def test_bad_budget_is_a_usage_error(triangle_db_file, capsys, verb, limit):
+    # a NaN deadline would never trip, so it must not reach the search
+    assert run(verb + ["--db", triangle_db_file] + limit) == 2
+    capsys.readouterr()
+
+
 def test_witness_verb(tmp_path, capsys):
     h = path_hypergraph(3)
     db = BagDatabase(h, (Bag(("A1", "A2"), {("0", "0"): 1}),

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -18,13 +19,19 @@ from bagconsist import (
 from bagconsist.bags import SchemaMismatchError
 
 from conftest import pair_database, random_acyclic_database, witness_family
+from reference import reference_search
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        OracleBudget(max_nodes=0)
-    with pytest.raises(ValueError):
-        OracleBudget(max_seconds=-1)
+    for limits in ({"max_nodes": 0}, {"max_seconds": -1},
+                   {"max_join_support": 0},
+                   # NaN never trips the deadline; a fraction breaks the
+                   # join's slice
+                   {"max_seconds": float("nan")}, {"max_join_support": 0.5},
+                   {"max_nodes": True}, {"max_nodes": 2.5},
+                   {"max_join_support": False}):
+        with pytest.raises(ValueError):
+            OracleBudget(**limits)
 
 
 def test_check_witness_paper_example(paper_pair):
@@ -115,16 +122,21 @@ def test_join_budget_stops_the_join(budget):
     assert peak < 30 * 2 ** 20
 
 
+def _margins(t):
+    """The XZ, YZ and XY margins of an n x n x n table t[x][y][z]."""
+    ix = range(len(t))
+    return ([[sum(t[x][y][z] for y in ix) for z in ix] for x in ix],
+            [[sum(t[x][y][z] for x in ix) for z in ix] for y in ix],
+            [[sum(t[x][y][z] for z in ix) for y in ix] for x in ix])
+
+
 def _feasible_3dct(n, seed, density):
     """The margins of a seeded random 0-1 table over X, Y, Z: a feasible
     3DCT instance."""
     rng = random.Random(seed)
     t = [[[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
          for _ in range(n)]
-    ix = range(n)
-    return encode_3dct([[sum(t[x][y][z] for y in ix) for z in ix] for x in ix],
-                       [[sum(t[x][y][z] for x in ix) for z in ix] for y in ix],
-                       [[sum(t[x][y][z] for z in ix) for y in ix] for x in ix])
+    return encode_3dct(*_margins(t))
 
 
 # (database, nodes to the first witness or proof of none, nodes to
@@ -153,6 +165,62 @@ def test_node_counts_pinned(make, first, every):
                           (enumerate_witnesses, every)):
         assert search(db, OracleBudget(max_nodes=nodes)) is not EXHAUSTED
         assert search(db, OracleBudget(max_nodes=nodes - 1)) is EXHAUSTED
+
+
+def _perturbed_3dct(rng, n):
+    """The margins of a random table over X, Y, Z with cells in 0..2; one
+    in three has one unit of F moved around a 2x2 cycle (pairwise
+    consistent, maybe infeasible) or, where the cycle has no unit to move,
+    one cell bumped (pairwise inconsistent)."""
+    t = [[[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+         for _ in range(n)]
+    r, c, f = _margins(t)
+    if not rng.randrange(3):
+        x0, x1 = rng.sample(range(n), 2)
+        y0, y1 = rng.sample(range(n), 2)
+        if f[x0][y1] and f[x1][y0]:
+            for x, y, step in ((x0, y0, 1), (x1, y1, 1), (x0, y1, -1),
+                               (x1, y0, -1)):
+                f[x][y] += step
+        else:
+            rng.choice((r, c, f))[x0][y0] += 1
+    return encode_3dct(r, c, f)
+
+
+def _first(sols):
+    """``solve_feasibility``'s answer from a list of solutions."""
+    if sols is EXHAUSTED:
+        return sols
+    return sols[0] if sols else None
+
+
+def test_search_matches_reference():
+    """The search visits the same nodes in the same order as the
+    reference DFS: at every node budget it gives the same EXHAUSTED, None
+    or witness, and the same witness list in the same order."""
+    rng = random.Random(808)
+    seen = set()
+    for _ in range(120):
+        db = _perturbed_3dct(rng, rng.randint(2, 4))
+        for nodes in (1, 2, 3, 5, 10, 30, 100, 10 ** 3, 10 ** 4):
+            budget = OracleBudget(max_nodes=nodes)
+            first = solve_feasibility(db, budget)
+            assert first == _first(reference_search(db, budget, False))
+            assert (enumerate_witnesses(db, budget)
+                    == reference_search(db, budget, True))
+            seen.add("witness" if isinstance(first, Bag) else repr(first))
+    assert seen == {"EXHAUSTED", "None", "witness"}
+
+
+def test_seconds_budget_stops_the_search():
+    """A dense n = 7 table outlasts 0.1 s of search (more than 15 s to a
+    witness on a 2-vCPU VM); the clock check inside the search loop ends it
+    long before the node budget would."""
+    db = _feasible_3dct(7, 0, 0.7)
+    start = time.monotonic()
+    assert solve_feasibility(
+        db, OracleBudget(max_nodes=10 ** 9, max_seconds=0.1)) is EXHAUSTED
+    assert time.monotonic() - start < 2
 
 
 def test_verify_bounds_paper_example(paper_pair):
