@@ -20,14 +20,12 @@ from .consistency import (
     ConsistencyReport,
     CyclicHypergraphError,
     DatabaseError,
-    OracleExhaustedError,
     acyclic_global_witness,
     clique_hardness_lift,
     cycle_hardness_lift,
     encode_3dct,
     global_consistent,
     inconsistent_pairs,
-    k_wise_consistent,
     lift_collection,
     minimal_two_bag_witness,
     pairwise_consistent,
@@ -72,10 +70,10 @@ __all__ = [
     "Bag", "BagFormatError", "SchemaMismatchError", "SizeNorms",
     "make_schema", "project_row",
     "BagDatabase", "ConsistencyReport", "CyclicHypergraphError",
-    "DatabaseError", "OracleExhaustedError", "acyclic_global_witness",
+    "DatabaseError", "acyclic_global_witness",
     "clique_hardness_lift", "cycle_hardness_lift", "encode_3dct",
-    "global_consistent", "inconsistent_pairs", "k_wise_consistent",
-    "lift_collection", "minimal_two_bag_witness", "pairwise_consistent",
+    "global_consistent", "inconsistent_pairs", "lift_collection",
+    "minimal_two_bag_witness", "pairwise_consistent",
     "tseitin_counterexample", "two_bag_witness",
     "KERNEL", "Flow", "FlowError", "FlowNetwork", "build_network",
     "is_saturated", "max_flow", "suppress_middle_arc",

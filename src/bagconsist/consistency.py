@@ -23,7 +23,7 @@ from .hypergraph import (
     Hypergraph,
     HypergraphError,
     SafeDeletionOp,
-    _tracked_replay,
+    _replay,
     clique_complement_hypergraph,
     cycle_hypergraph,
 )
@@ -32,10 +32,6 @@ from .oracle import EXHAUSTED, OracleBudget, check_witness, solve_feasibility
 
 class CyclicHypergraphError(ValueError):
     """Raised when an acyclic-only algorithm receives a cyclic schema."""
-
-
-class OracleExhaustedError(RuntimeError):
-    pass
 
 
 class DatabaseError(ValueError):
@@ -279,36 +275,6 @@ def global_consistent(db: BagDatabase, mode: str = "auto",
     return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_UNKNOWN)
 
 
-def k_wise_consistent(db: BagDatabase, k: int,
-                      budget: Optional[OracleBudget] = None) -> bool:
-    """Every subcollection of size <= k is globally consistent."""
-    m = len(db.bags)
-    if not 1 <= k <= m:
-        raise ValueError("k must be between 1 and the number of bags")
-    if inconsistent_pairs(db):
-        return False
-    for size in range(3, k + 1):
-        for subset in itertools.combinations(range(m), size):
-            sub = _sub_database(db, subset)
-            if sub.hypergraph.is_acyclic():
-                continue  # pairwise already verified, acyclic => consistent
-            result = solve_feasibility(sub, budget)
-            if result is EXHAUSTED:
-                raise OracleExhaustedError(
-                    "oracle budget exceeded on subset %r" % (subset,))
-            if result is None:
-                return False
-    return True
-
-
-def _sub_database(db: BagDatabase, indices: Iterable[int]) -> BagDatabase:
-    indices = list(indices)
-    edges = [db.hypergraph.edges[i] for i in indices]
-    vertices = set().union(*edges) if edges else set()
-    return BagDatabase(Hypergraph(vertices, edges),
-                       tuple(db.bags[i] for i in indices))
-
-
 # -- counterexample generator ----------------------------------------------
 
 def tseitin_counterexample(h: Hypergraph) -> BagDatabase:
@@ -346,49 +312,41 @@ def tseitin_counterexample(h: Hypergraph) -> BagDatabase:
 # -- lifting along safe deletions ------------------------------------------
 
 def lift_collection(d0: BagDatabase, h1: Hypergraph,
-                    ops: Iterable[SafeDeletionOp],
-                    default_values: Optional[dict] = None) -> BagDatabase:
+                    ops: Iterable[SafeDeletionOp]) -> BagDatabase:
     """Invert a safe-deletion sequence: given bags over the reduced
     hypergraph, produce bags over the original one, preserving k-wise
     consistency in both directions.
 
     ``ops`` must transform ``h1`` into ``d0``'s hypergraph. Deleted covered
     edges are refilled with marginals of their cover's bag; deleted vertices
-    are refilled with a default value at full carried-over multiplicity.
+    are refilled with the value "0" at full carried-over multiplicity.
     """
-    defaults = dict(default_values or {})
     ops = list(ops)
-    states = _tracked_replay(list(h1.vertices), list(h1.edges), ops)
-    final_edges = states[-1][1]
-    if any(not e for e in final_edges):
+    _, edges, records = _replay(h1, ops)
+    if not all(edges.values()):
         raise DatabaseError(
             "ops leave empty edges; cannot align bags for lifting")
-    if sorted(final_edges, key=sorted) != sorted(d0.hypergraph.edges, key=sorted):
+    if sorted(edges.values(), key=sorted) != sorted(d0.hypergraph.edges, key=sorted):
         raise DatabaseError(
             "replaying ops on the target hypergraph does not yield the "
             "database's hypergraph")
-    # align d0's bags with the final replay state by edge value
+    # align d0's bags with the edges left by edge value; bags are keyed by
+    # their edge's index in h1
     pool: dict = {}
     for bag, edge in zip(d0.bags, d0.hypergraph.edges):
         pool.setdefault(edge, []).append(bag)
-    bags = [pool[e].pop(0) for e in final_edges]
-
-    for t in range(len(ops) - 1, -1, -1):
-        record = states[t][2]
-        before_edges = states[t][1]
-        if record[0] == "vertex":
-            _, v = record
-            u0 = str(defaults.get(v, "0"))
-            bags = [
-                _pad_with_default(bag, v, u0) if v in before_edges[i] else bag
-                for i, bag in enumerate(bags)
-            ]
+    bags = {i: pool[e].pop(0) for i, e in edges.items()}
+    for op, record in zip(reversed(ops), reversed(records)):
+        if record is None:
+            # no earlier op deleted the vertex, so edge i held it just
+            # before this op iff h1's edge i holds it
+            for i, bag in bags.items():
+                if op.vertex in h1.edges[i]:
+                    bags[i] = _pad_with_default(bag, op.vertex, "0")
         else:
-            _, pos, cover_pos = record
-            removed = before_edges[pos]
-            refill = bags[cover_pos].marginal(removed)
-            bags = bags[:pos] + [refill] + bags[pos:]
-    return BagDatabase(h1, tuple(bags))
+            removed, cover = record
+            bags[removed] = bags[cover].marginal(op.edge)
+    return BagDatabase(h1, tuple(bags[i] for i in range(len(h1.edges))))
 
 
 def _pad_with_default(bag: Bag, attr: str, value: str) -> Bag:

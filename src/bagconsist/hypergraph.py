@@ -5,7 +5,10 @@ conformality (Gilmore's triple criterion), acyclicity and join trees by
 maximum cardinality search over the hyperedges, running intersection
 orderings taken from that search's pick order, and extraction of minimal
 non-chordal / non-conformal witness sets together with the safe-deletion
-sequences that expose them. Both searches pick from a lazy heap.
+sequences that expose them. Both searches pick from a lazy heap. A
+safe-deletion sequence is replayed once, with each edge named by its index
+in the input; lifting a database back along it refills deleted covered
+edges with their cover's marginal and deleted vertices with the value "0".
 """
 from __future__ import annotations
 
@@ -316,43 +319,43 @@ def replay_ops(h: Hypergraph, ops: Iterable[SafeDeletionOp]) -> Hypergraph:
     applicable and the sequence is invertible (which database lifting
     relies on).
     """
-    states = _tracked_replay(list(h.vertices), list(h.edges), ops)
-    vertices, edges, _ = states[-1]
-    return Hypergraph(vertices, [e for e in edges if e])
+    vertices, edges, _ = _replay(h, ops)
+    return Hypergraph(vertices, [e for e in edges.values() if e])
 
 
-def _tracked_replay(vertices: list[str], edges: list[Edge],
-                    ops: Iterable[SafeDeletionOp]):
-    """Run ops over an edge *list*; returns the per-step states.
+def _replay(h: Hypergraph, ops: Iterable[SafeDeletionOp]):
+    """Run ops over ``h``'s edges, each named by its index in ``h.edges``.
 
-    Each state is (vertices, edges, record); the record describes how the
-    following op acted: ("vertex", v) or ("edge", removed_pos, cover_pos)
-    with cover_pos indexing the post-removal list.
+    Returns the vertices left, the edges left (index -> current vertex
+    set, in index order) and one record per op: None for a vertex deletion,
+    (removed index, cover index) for a covered-edge deletion. An op's edge
+    and cover are matched by value to the first edge left that equals them.
     """
-    states = [(list(vertices), list(edges), None)]
+    vertices = set(h.vertices)
+    edges = dict(enumerate(h.edges))
+    records = []
     for op in ops:
-        vertices, edges, _ = states[-1]
         if op.kind == VERTEX_DELETION:
-            if op.vertex not in vertices:
-                raise HypergraphError("vertex %r not present" % (op.vertex,))
-            vertices = [v for v in vertices if v != op.vertex]
-            edges = [e - {op.vertex} for e in edges]
-            record = ("vertex", op.vertex)
-        else:
-            pos = next((i for i, e in enumerate(edges) if e == op.edge), None)
-            if pos is None:
-                raise HypergraphError("edge %r not present" % (sorted(op.edge),))
-            cover_pos = next(
-                (i for i, e in enumerate(edges)
-                 if i != pos and op.edge <= e and e == op.cover), None)
-            if cover_pos is None:
-                raise HypergraphError(
-                    "cover %r for %r not present" % (sorted(op.cover), sorted(op.edge)))
-            edges = edges[:pos] + edges[pos + 1:]
-            record = ("edge", pos, cover_pos if cover_pos < pos else cover_pos - 1)
-        states[-1] = (states[-1][0], states[-1][1], record)
-        states.append((vertices, edges, None))
-    return states
+            v = op.vertex
+            if v not in vertices:
+                raise HypergraphError("vertex %r not present" % (v,))
+            vertices.remove(v)
+            for i, e in edges.items():
+                if v in e:
+                    edges[i] = e - {v}
+            records.append(None)
+            continue
+        pos = next((i for i, e in edges.items() if e == op.edge), None)
+        if pos is None:
+            raise HypergraphError("edge %r not present" % (sorted(op.edge),))
+        cover = next((i for i, e in edges.items()
+                      if i != pos and e == op.cover), None)
+        if cover is None:
+            raise HypergraphError(
+                "cover %r for %r not present" % (sorted(op.cover), sorted(op.edge)))
+        del edges[pos]
+        records.append((pos, cover))
+    return vertices, edges, records
 
 
 # -- bad-witness extraction ------------------------------------------------
@@ -392,9 +395,8 @@ def find_bad_witness(h: Hypergraph) -> Optional[BadWitness]:
         # cyclic means non-conformal, and the linear search decides it
         w = _minimize(h, lambda w: h.induced(w).join_tree() is None)
         shape = SHAPE_CLIQUE_COMPLEMENT
-    ops = _normalizing_ops(h, w)
-    reduced = replay_ops(h, ops).reduce()
-    if not _matches_shape(reduced, w, shape):
+    ops, kept = _normalizing_ops(h, w)
+    if not _matches_shape(kept, w, shape):
         raise AssertionError(
             "witness minimization did not reach a %s on %r" % (shape, sorted(w)))
     return BadWitness(w=frozenset(w), shape=shape, ops=tuple(ops))
@@ -412,9 +414,10 @@ def _minimize(h: Hypergraph, bad) -> set:
     return w
 
 
-def _normalizing_ops(h: Hypergraph, w: set) -> list[SafeDeletionOp]:
+def _normalizing_ops(h: Hypergraph, w: set):
     """Vertex deletions of V \\ W followed by covered-edge deletions down to
-    the reduced induced hypergraph, valid under multiset replay."""
+    the reduced induced hypergraph, valid under multiset replay; also the
+    edges that replay leaves, which are that hypergraph's edges."""
     ops = [SafeDeletionOp(VERTEX_DELETION, vertex=v)
            for v in sorted(set(h.vertices) - w)]
     # track the edge list through the vertex deletions (no dedup, no drops)
@@ -432,14 +435,13 @@ def _normalizing_ops(h: Hypergraph, w: set) -> list[SafeDeletionOp]:
         if cover is None:
             raise HypergraphError("no cover available for %r" % (sorted(e),))
         ops.append(SafeDeletionOp(COVERED_EDGE_DELETION, edge=e, cover=cover))
-    return ops
+    return ops, kept
 
 
-def _matches_shape(reduced: Hypergraph, w: set, shape: str) -> bool:
+def _matches_shape(edges: list[Edge], w: set, shape: str) -> bool:
+    """Whether distinct edges within W form the named shape on all of W."""
     n = len(w)
-    edges = set(reduced.edges)
-    if set(reduced.vertices) != w:
-        return False
+    edges = set(edges)
     if shape == SHAPE_CLIQUE_COMPLEMENT:
         if n < 3:
             return False

@@ -192,11 +192,13 @@ def _search(db, budget: OracleBudget, want_all: bool):
                 if p < last:
                     p += 1
                     break
-                if all(x == 0 for x in rem):
-                    solutions.append(Bag(sys_.union_schema, {
-                        row: m for row, m in zip(sys_.join_rows, value) if m}))
-                    if not want_all:
-                        return solutions
+                # every leaf is a solution (rem is all 0): the last join row
+                # touching row r has slack 0, so its bounds force val = rem[r];
+                # rows that no join row touches have demand 0 (early-out)
+                solutions.append(Bag(sys_.union_schema, {
+                    row: m for row, m in zip(sys_.join_rows, value) if m}))
+                if not want_all:
+                    return solutions
             # take back val at depth p and step to the next lower value
             for r, _ in slack[p]:
                 rem[r] += val

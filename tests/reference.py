@@ -6,10 +6,31 @@ updated on every placement and undo, an ``assignment`` array beside the
 value stack, and the bounds set by a ``push`` closure. The production
 search must visit the same nodes in the same order and return the same
 answers, so the tests compare the two at many node budgets.
+
+``reference_lift`` and ``reference_replay_ops`` replay safe deletions as
+they did before the replay named edges by their original index: a copy of
+the vertex and edge lists at every op, edge positions that shift after each
+deletion, and a lift that re-inserts refilled bags at those positions.
+``reference_find_bad_witness`` checks its ops by that replay. Classify and
+lift must give the same outputs and the same errors as these.
 """
 import time
 
-from bagconsist import Bag
+from bagconsist import Bag, BagDatabase, DatabaseError
+from bagconsist.consistency import _pad_with_default
+from bagconsist.hypergraph import (
+    COVERED_EDGE_DELETION,
+    SHAPE_CLIQUE_COMPLEMENT,
+    SHAPE_CYCLE,
+    VERTEX_DELETION,
+    BadWitness,
+    Hypergraph,
+    HypergraphError,
+    SafeDeletionOp,
+    _graph_is_chordal,
+    _matches_shape,
+    _minimize,
+)
 from bagconsist.oracle import EXHAUSTED, _build_system
 
 
@@ -96,3 +117,112 @@ def reference_search(db, budget, want_all):
         assignment[p] = 0
         value_stack[p] -= 1
     return solutions
+
+
+def _tracked_replay(vertices, edges, ops):
+    """Run ops over an edge *list*; returns the per-step states.
+
+    Each state is (vertices, edges, record); the record describes how the
+    following op acted: ("vertex", v) or ("edge", removed_pos, cover_pos)
+    with cover_pos indexing the post-removal list.
+    """
+    states = [(list(vertices), list(edges), None)]
+    for op in ops:
+        vertices, edges, _ = states[-1]
+        if op.kind == VERTEX_DELETION:
+            if op.vertex not in vertices:
+                raise HypergraphError("vertex %r not present" % (op.vertex,))
+            vertices = [v for v in vertices if v != op.vertex]
+            edges = [e - {op.vertex} for e in edges]
+            record = ("vertex", op.vertex)
+        else:
+            pos = next((i for i, e in enumerate(edges) if e == op.edge), None)
+            if pos is None:
+                raise HypergraphError("edge %r not present" % (sorted(op.edge),))
+            cover_pos = next(
+                (i for i, e in enumerate(edges)
+                 if i != pos and op.edge <= e and e == op.cover), None)
+            if cover_pos is None:
+                raise HypergraphError(
+                    "cover %r for %r not present" % (sorted(op.cover), sorted(op.edge)))
+            edges = edges[:pos] + edges[pos + 1:]
+            record = ("edge", pos, cover_pos if cover_pos < pos else cover_pos - 1)
+        states[-1] = (states[-1][0], states[-1][1], record)
+        states.append((vertices, edges, None))
+    return states
+
+
+def reference_replay_ops(h, ops):
+    states = _tracked_replay(list(h.vertices), list(h.edges), ops)
+    vertices, edges, _ = states[-1]
+    return Hypergraph(vertices, [e for e in edges if e])
+
+
+def reference_lift(d0, h1, ops):
+    """Bags over ``h1`` from bags over the hypergraph ``ops`` reduce it to:
+    covered edges refilled with their cover's marginal, deleted vertices
+    with the value "0"."""
+    ops = list(ops)
+    states = _tracked_replay(list(h1.vertices), list(h1.edges), ops)
+    final_edges = states[-1][1]
+    if any(not e for e in final_edges):
+        raise DatabaseError(
+            "ops leave empty edges; cannot align bags for lifting")
+    if sorted(final_edges, key=sorted) != sorted(d0.hypergraph.edges, key=sorted):
+        raise DatabaseError(
+            "replaying ops on the target hypergraph does not yield the "
+            "database's hypergraph")
+    # align d0's bags with the final replay state by edge value
+    pool = {}
+    for bag, edge in zip(d0.bags, d0.hypergraph.edges):
+        pool.setdefault(edge, []).append(bag)
+    bags = [pool[e].pop(0) for e in final_edges]
+
+    for t in range(len(ops) - 1, -1, -1):
+        record = states[t][2]
+        before_edges = states[t][1]
+        if record[0] == "vertex":
+            _, v = record
+            bags = [
+                _pad_with_default(bag, v, "0") if v in before_edges[i] else bag
+                for i, bag in enumerate(bags)
+            ]
+        else:
+            _, pos, cover_pos = record
+            removed = before_edges[pos]
+            refill = bags[cover_pos].marginal(removed)
+            bags = bags[:pos] + [refill] + bags[pos:]
+    return BagDatabase(h1, tuple(bags))
+
+
+def reference_find_bad_witness(h):
+    """The minimal obstruction, its ops built edge by edge and checked by
+    replaying them and reducing the result."""
+    if h.join_tree() is not None:
+        return None
+    if not h.is_chordal():
+        adj = h.primal_graph()
+        w = _minimize(h, lambda w: not _graph_is_chordal(
+            {u: adj[u] & w for u in w}))
+        shape = SHAPE_CYCLE
+    else:
+        w = _minimize(h, lambda w: h.induced(w).join_tree() is None)
+        shape = SHAPE_CLIQUE_COMPLEMENT
+    ops = [SafeDeletionOp(VERTEX_DELETION, vertex=v)
+           for v in sorted(set(h.vertices) - w)]
+    edges = [e & w for e in h.edges]
+    maximal = {e for e in edges if e and not any(e < f for f in edges)}
+    kept = []
+    victims = []
+    for e in edges:
+        if e in maximal and e not in kept:
+            kept.append(e)
+        else:
+            victims.append(e)
+    for e in victims:
+        cover = next(f for f in kept if e <= f)
+        ops.append(SafeDeletionOp(COVERED_EDGE_DELETION, edge=e, cover=cover))
+    reduced = reference_replay_ops(h, ops).reduce()
+    assert set(reduced.vertices) == w
+    assert _matches_shape(reduced.edges, w, shape)
+    return BadWitness(w=frozenset(w), shape=shape, ops=tuple(ops))

@@ -17,10 +17,10 @@ from bagconsist import (
     find_bad_witness,
     global_consistent,
     inconsistent_pairs,
-    k_wise_consistent,
     lift_collection,
     minimal_two_bag_witness,
     pairwise_consistent,
+    replay_ops,
     solve_feasibility,
     tseitin_counterexample,
     two_bag_witness,
@@ -36,6 +36,11 @@ from conftest import (
     random_global_bag,
     random_hypergraph,
     witness_family,
+)
+from reference import (
+    reference_find_bad_witness,
+    reference_lift,
+    reference_replay_ops,
 )
 
 
@@ -248,7 +253,6 @@ def test_inconsistent_pairs_matches_naive_loop():
             # the witness builder decides consistency by its own grouping
             assert (minimal_two_bag_witness(bags[i], bags[j]) is None) == (not ok)
         assert inconsistent_pairs(db) == naive
-        assert k_wise_consistent(db, min(2, len(bags))) == (not naive)
     assert seen[True] > 100 and seen[False] > 100
 
 
@@ -298,14 +302,6 @@ def test_global_consistent_bad_mode(triangle_relations):
         global_consistent(triangle_relations, mode="bogus")
 
 
-def test_k_wise_consistency_triangle(triangle_relations):
-    assert k_wise_consistent(triangle_relations, 1)
-    assert k_wise_consistent(triangle_relations, 2)
-    assert not k_wise_consistent(triangle_relations, 3)
-    with pytest.raises(ValueError):
-        k_wise_consistent(triangle_relations, 4)
-
-
 def test_tseitin_c3(triangle_relations):
     db = tseitin_counterexample(cycle_hypergraph(3))
     assert sorted(db.bags[0].entries) == [("0", "0"), ("1", "1")]
@@ -344,7 +340,6 @@ def test_lift_collection_round_trip():
                    [["A", "B"], ["B", "C"], ["A", "C"], ["C", "D"]])
     bad = find_bad_witness(h)
     assert bad is not None and bad.w == {"A", "B", "C"}
-    from bagconsist import replay_ops
     reduced = replay_ops(h, bad.ops)
     tri = tseitin_counterexample(cycle_hypergraph(3))
     # rebuild the triangle database over the reduced hypergraph's edges:
@@ -366,6 +361,45 @@ def test_lift_collection_round_trip():
 def test_lift_collection_bad_ops(triangle_relations):
     with pytest.raises(DatabaseError):
         lift_collection(triangle_relations, path_hypergraph(3), [])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_replay_and_lift_match_reference():
+    """Replaying by original edge index gives what the replay with a
+    snapshot per op gave: the same certificate, reduced hypergraph and
+    lifted database, and the same error type and message on shuffled,
+    truncated and repeated op sequences."""
+    rng = random.Random(7)
+    checked = 0
+    while checked < 400:
+        h = random_hypergraph(rng)
+        bad = find_bad_witness(h)
+        ref = reference_find_bad_witness(h)
+        if bad is None:
+            assert ref is None
+            continue
+        assert bad.to_json_dict() == ref.to_json_dict()
+        reduced = replay_ops(h, bad.ops)
+        assert reduced == reference_replay_ops(h, bad.ops)
+        d0 = database_of([sorted(e) for e in reduced.edges], random_global_bag(
+            rng, reduced.vertices, rng.randint(0, 5)))
+        assert lift_collection(d0, h, bad.ops) == reference_lift(d0, h, bad.ops)
+        ops = list(bad.ops)
+        for _ in range(3):
+            rng.shuffle(ops)
+            prefix = ops[:rng.randint(0, len(ops))]
+            for seq in (ops, prefix, prefix + ops):
+                assert (_outcome(replay_ops, h, seq)
+                        == _outcome(reference_replay_ops, h, seq))
+                assert (_outcome(lift_collection, d0, h, seq)
+                        == _outcome(reference_lift, d0, h, seq))
+        checked += 1
 
 
 def test_cycle_hardness_lift_preserves_verdict():
