@@ -1,11 +1,13 @@
 """Consistency of bag (multiset) databases.
 
 Decides pairwise and global consistency, builds small witnesses over
-acyclic schemas by chaining northwest-corner two-bag witnesses, classifies
-schema hypergraphs, and generates counterexample and hardness-reduction
-instances. Two independent references back the tests: an exact max-flow
-characterisation of two-bag consistency (``KERNEL`` names its Dinic kernel,
-always ``"python"``) and a brute-force integer-feasibility oracle.
+acyclic schemas by gluing northwest-corner two-bag witnesses (the glue
+itself decides), classifies schema hypergraphs, and generates
+counterexample and hardness-reduction instances. A brute-force
+integer-feasibility oracle decides small cyclic instances and cross-checks
+the rest. The max-flow characterisation of two-bag consistency is a test
+reference in ``bagconsist.flow``; only ``KERNEL``, the name of its Dinic
+kernel (always ``"python"``), is re-exported here.
 """
 from .bags import (
     Bag,
@@ -30,18 +32,8 @@ from .consistency import (
     minimal_two_bag_witness,
     pairwise_consistent,
     tseitin_counterexample,
-    two_bag_witness,
 )
-from .flow import (
-    KERNEL,
-    Flow,
-    FlowError,
-    FlowNetwork,
-    build_network,
-    is_saturated,
-    max_flow,
-    suppress_middle_arc,
-)
+from .flow import KERNEL
 from .hypergraph import (
     BadWitness,
     Hypergraph,
@@ -74,9 +66,7 @@ __all__ = [
     "clique_hardness_lift", "cycle_hardness_lift", "encode_3dct",
     "global_consistent", "inconsistent_pairs", "lift_collection",
     "minimal_two_bag_witness", "pairwise_consistent",
-    "tseitin_counterexample", "two_bag_witness",
-    "KERNEL", "Flow", "FlowError", "FlowNetwork", "build_network",
-    "is_saturated", "max_flow", "suppress_middle_arc",
+    "tseitin_counterexample", "KERNEL",
     "BadWitness", "Hypergraph", "HypergraphError", "JoinTree",
     "SafeDeletionOp", "clique_complement_hypergraph", "cycle_hypergraph",
     "find_bad_witness", "path_hypergraph", "replay_ops",

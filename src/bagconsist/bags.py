@@ -281,12 +281,14 @@ def _raise_first_duplicate(tuples: list, cells: Callable, last=None) -> None:
 
 
 def _json_cell(value, item) -> str:
-    """A non-string JSON cell value as a string: numbers are accepted,
-    null, booleans, lists and objects are not."""
-    if value.__class__ is int or value.__class__ is float:
+    """A non-string JSON cell value as a string: finite numbers are accepted;
+    NaN and infinities (``json`` reads them), null, booleans, lists and
+    objects are not."""
+    if value.__class__ is int or (value.__class__ is float
+                                  and math.isfinite(value)):
         return str(value)
     raise BagFormatError("cell value %r in tuple %r is not a string or a "
-                         "number" % (value, item))
+                         "finite number" % (value, item))
 
 
 def _is_name_list(data) -> bool:

@@ -67,20 +67,23 @@ def _load_schema(path: str) -> Hypergraph:
         raise CliError("invalid hypergraph in %s: %s" % (path, exc))
 
 
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path: str, data) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(data))
     except OSError as exc:
         raise CliError("cannot write %s: %s" % (path, exc))
 
 
 def _budget(args) -> OracleBudget:
     kwargs = {}
-    if getattr(args, "budget_nodes", None) is not None:
+    if args.budget_nodes is not None:
         kwargs["max_nodes"] = args.budget_nodes
-    if getattr(args, "budget_seconds", None) is not None:
+    if args.budget_seconds is not None:
         kwargs["max_seconds"] = args.budget_seconds
     try:
         return OracleBudget(**kwargs)
@@ -89,8 +92,7 @@ def _budget(args) -> OracleBudget:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(obj))
 
 
 # -- verbs -----------------------------------------------------------------

@@ -3,12 +3,12 @@
 Two bags are consistent iff their marginals on the shared attributes agree;
 a minimal two-bag witness is filled in by the northwest-corner rule, one
 shared-key group at a time. Collections over acyclic schemas glue their bags
-the same way, in one pass along a running-intersection order, and check the
-finished witness exactly once; cyclic schemas fall back to the brute-force
-oracle. The max-flow characterisation survives only as ``two_bag_witness``,
-an independent reference for the tests. Also houses the mod-d
-counterexample generator, safe-deletion lifting, and the hardness-reduction
-instance transformations.
+the same way, in one pass along a running-intersection order: each bag's
+overlap with the rows glued so far lies in one earlier bag, so the glue
+fails exactly when some pair is inconsistent, and the glue itself decides.
+Every finished witness is checked exactly once; cyclic schemas fall back to
+the brute-force oracle. Also houses the mod-d counterexample generator,
+safe-deletion lifting, and the hardness-reduction instance transformations.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .bags import Bag, _row_key, make_schema
-# keep all four names, used or not: perfbench/tracer.py patches them here
-from .flow import build_network, is_saturated, max_flow, suppress_middle_arc
+# unused here: the benchmark's tracer wraps these three names in this module
+from .flow import build_network, max_flow, suppress_middle_arc
 from .hypergraph import (
     Hypergraph,
     HypergraphError,
@@ -79,11 +79,14 @@ class BagDatabase:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    pairwise_ok: bool
     inconsistent_pairs: tuple
     global_status: str
     witness: Optional[Bag] = None
     oracle_exhausted: bool = False
+
+    @property
+    def pairwise_ok(self) -> bool:
+        return not self.inconsistent_pairs
 
     def to_json_dict(self) -> dict:
         out = {
@@ -107,17 +110,6 @@ def pairwise_consistent(r: Bag, s: Bag) -> bool:
     return r.marginal(shared) == s.marginal(shared)
 
 
-def two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
-    """Some witness from a saturated integral max flow, or None."""
-    net = build_network(r, s)
-    flow = max_flow(net)
-    if not is_saturated(net, flow):
-        return None
-    entries = {jrow: f for (_, _, jrow), f in zip(net.middles, flow.middle_flows)
-               if f}
-    return _checked_witness(Bag(net.join_schema, entries), r, s)
-
-
 def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
     """A witness with inclusion-minimal support, or None: the two-bag case
     of :func:`_northwest_glue`. Each shared-key group is a balanced
@@ -127,7 +119,11 @@ def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
     |supp r| + |supp s| - 1 rows.
     """
     witness = _northwest_glue((r, s))
-    return None if witness is None else _checked_witness(witness, r, s)
+    # re-verify before handing out
+    if witness is not None and (witness.marginal(r.schema) != r
+                                or witness.marginal(s.schema) != s):
+        raise AssertionError("constructed an invalid two-bag witness")
+    return witness
 
 
 def _northwest_glue(bags) -> Optional[Bag]:
@@ -141,8 +137,10 @@ def _northwest_glue(bags) -> Optional[Bag]:
     bag's new attributes to each row. Rows are permuted into schema order
     once, at the end. Along a running-intersection order each step is a
     minimal two-bag witness, so the result has at most
-    sum |supp B_i| - (m - 1) rows.
+    sum |supp B_i| - (m - 1) rows. No bags glue to the empty bag.
     """
+    if not bags:
+        return Bag((), {})
     first = bags[0]
     at = {a: k for k, a in enumerate(first.schema)}
     cells = sorted(first.entries.items())
@@ -183,13 +181,6 @@ def _northwest_glue(bags) -> Optional[Bag]:
     return Bag._trusted(schema, {pick(row): mult for row, mult in cells})
 
 
-def _checked_witness(witness: Bag, r: Bag, s: Bag) -> Bag:
-    # re-verify before handing out
-    if witness.marginal(r.schema) != r or witness.marginal(s.schema) != s:
-        raise AssertionError("constructed an invalid two-bag witness")
-    return witness
-
-
 # -- collections -----------------------------------------------------------
 
 def inconsistent_pairs(db: BagDatabase) -> list:
@@ -217,25 +208,13 @@ def inconsistent_pairs(db: BagDatabase) -> list:
 
 def acyclic_global_witness(db: BagDatabase) -> Optional[Bag]:
     """Witness by northwest-corner gluing along a running-intersection
-    order; None iff some pair is inconsistent."""
+    order; None iff some pair is inconsistent, which the glue itself finds."""
     order = db.hypergraph.running_intersection_order()
     if order is None:
         raise CyclicHypergraphError(
             "schema is cyclic; use the oracle path instead")
-    if inconsistent_pairs(db):
-        return None
-    return _chain_witness(db, order)
-
-
-def _chain_witness(db: BagDatabase, order) -> Bag:
-    """Glue the bags of a pairwise-consistent database along a
-    running-intersection order into one witness, checked exactly once."""
-    if not db.bags:
-        return Bag((), {})
     witness = _northwest_glue([db.bags[idx] for idx, _ in order])
-    if witness is None:  # cannot happen for pairwise-consistent input
-        raise AssertionError("chaining failed on a consistent collection")
-    return _checked_global_witness(witness, db)
+    return None if witness is None else _checked_global_witness(witness, db)
 
 
 def _checked_global_witness(witness: Bag, db: BagDatabase) -> Bag:
@@ -253,26 +232,28 @@ def global_consistent(db: BagDatabase, mode: str = "auto",
     if mode not in ("auto", "oracle"):
         raise ValueError("mode must be 'auto' or 'oracle'")
     bad_pairs = tuple(inconsistent_pairs(db))
-    pairwise_ok = not bad_pairs
-    if not pairwise_ok:
-        return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_NO)
+    if bad_pairs:
+        return ConsistencyReport(bad_pairs, GLOBAL_NO)
     order = db.hypergraph.running_intersection_order()
     if order is not None:
-        return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_YES,
-                                 _chain_witness(db, order))
+        witness = _northwest_glue([db.bags[idx] for idx, _ in order])
+        if witness is None:  # cannot happen for pairwise-consistent input
+            raise AssertionError("chaining failed on a consistent collection")
+        return ConsistencyReport(bad_pairs, GLOBAL_YES,
+                                 _checked_global_witness(witness, db))
     join_bound = 1
     for bag in db.bags:
         join_bound *= max(len(bag), 1)
     if mode == "oracle" or join_bound <= AUTO_ORACLE_SUPPORT_LIMIT:
         result = solve_feasibility(db, budget)
         if result is EXHAUSTED:
-            return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_UNKNOWN,
+            return ConsistencyReport(bad_pairs, GLOBAL_UNKNOWN,
                                      oracle_exhausted=True)
         if result is None:
-            return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_NO)
-        return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_YES,
+            return ConsistencyReport(bad_pairs, GLOBAL_NO)
+        return ConsistencyReport(bad_pairs, GLOBAL_YES,
                                  _checked_global_witness(result, db))
-    return ConsistencyReport(pairwise_ok, bad_pairs, GLOBAL_UNKNOWN)
+    return ConsistencyReport(bad_pairs, GLOBAL_UNKNOWN)
 
 
 # -- counterexample generator ----------------------------------------------

@@ -135,16 +135,12 @@ def _search(db, budget: OracleBudget, want_all: bool):
     if sys_ is EXHAUSTED:
         return EXHAUSTED
     demands = sys_.demands
-    if not sys_.join_rows:
-        if all(d == 0 for d in demands):
-            return [Bag(sys_.union_schema, {})]
-        return []
-    if any(d > 0 and c == 0 for d, c in zip(demands, sys_.incident)):
-        return []
-    # every join row contributes exactly once to each bag's equation system,
-    # so all bag totals must equal the witness total mass
-    totals = {sum(bag.entries.values()) for bag in db.bags}
-    if len(totals) > 1:
+    if not demands:  # no bag has a row: the empty bag is the witness
+        return [Bag(sys_.union_schema, {})]
+    # every demand is positive, so a row no join row touches cannot be met;
+    # each join row adds once to every bag's total, so the totals must agree
+    if (0 in sys_.incident
+            or len({sum(bag.entries.values()) for bag in db.bags}) > 1):
         return []
 
     cap, slack = sys_.cap, sys_.slack
@@ -194,7 +190,7 @@ def _search(db, budget: OracleBudget, want_all: bool):
                     break
                 # every leaf is a solution (rem is all 0): the last join row
                 # touching row r has slack 0, so its bounds force val = rem[r];
-                # rows that no join row touches have demand 0 (early-out)
+                # rows that no join row touches were refused by the early-out
                 solutions.append(Bag(sys_.union_schema, {
                     row: m for row, m in zip(sys_.join_rows, value) if m}))
                 if not want_all:
@@ -216,8 +212,11 @@ def solve_feasibility(db, budget: Optional[OracleBudget] = None
 
 def enumerate_witnesses(db, budget: Optional[OracleBudget] = None
                         ) -> Union[list, _Exhausted]:
-    """All distinct witnesses, by complete enumeration of the search tree."""
-    return _search(db, budget or OracleBudget(), want_all=True)
+    """All distinct witnesses, by complete enumeration, each re-checked."""
+    sols = _search(db, budget or OracleBudget(), want_all=True)
+    if sols is not EXHAUSTED and not all(check_witness(w, db) for w in sols):
+        raise AssertionError("enumerated an invalid witness")
+    return sols
 
 
 @dataclass(frozen=True)

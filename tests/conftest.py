@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from bagconsist import Bag, BagDatabase, Hypergraph, build_network, max_flow, suppress_middle_arc
+from bagconsist import Bag, BagDatabase, Hypergraph
+from bagconsist.flow import build_network, max_flow, suppress_middle_arc
 
 
 def random_hypergraph(rng: random.Random, max_vertices: int = 8,

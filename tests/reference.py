@@ -13,11 +13,18 @@ the vertex and edge lists at every op, edge positions that shift after each
 deletion, and a lift that re-inserts refilled bags at those positions.
 ``reference_find_bad_witness`` checks its ops by that replay. Classify and
 lift must give the same outputs and the same errors as these.
+
+``two_bag_witness`` decides two-bag consistency by the max-flow
+characterisation: some witness from a saturated integral max flow, checked
+exactly. It shares no code with the northwest-corner glue, so the tests use
+it to cross-check ``minimal_two_bag_witness``.
 """
 import time
+from typing import Optional
 
 from bagconsist import Bag, BagDatabase, DatabaseError
 from bagconsist.consistency import _pad_with_default
+from bagconsist.flow import build_network, is_saturated, max_flow
 from bagconsist.hypergraph import (
     COVERED_EDGE_DELETION,
     SHAPE_CLIQUE_COMPLEMENT,
@@ -32,6 +39,20 @@ from bagconsist.hypergraph import (
     _minimize,
 )
 from bagconsist.oracle import EXHAUSTED, _build_system
+
+
+def two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
+    """Some witness from a saturated integral max flow, or None."""
+    net = build_network(r, s)
+    flow = max_flow(net)
+    if not is_saturated(net, flow):
+        return None
+    entries = {jrow: f for (_, _, jrow), f in zip(net.middles, flow.middle_flows)
+               if f}
+    witness = Bag(net.join_schema, entries)
+    if witness.marginal(r.schema) != r or witness.marginal(s.schema) != s:
+        raise AssertionError("constructed an invalid two-bag witness")
+    return witness
 
 
 def reference_search(db, budget, want_all):

@@ -24,7 +24,6 @@ from bagconsist import (
     pairwise_consistent,
     solve_feasibility,
     tseitin_counterexample,
-    two_bag_witness,
     verify_bounds,
 )
 from bagconsist.hypergraph import clique_complement_hypergraph, cycle_hypergraph, path_hypergraph
@@ -36,6 +35,7 @@ from conftest import (
     random_hypergraph,
     witness_family,
 )
+from reference import two_bag_witness
 
 CRITERIA = {
     1: "two-bag paper example: 2 witnesses, minimal support 2",

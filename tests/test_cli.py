@@ -221,8 +221,13 @@ def _malformed(path, value):
     _malformed(("bags", 0, "tuples", 0, "values", "A"), True),
     _malformed(("bags", 0, "tuples", 0, "values", "A"), [1]),
     _malformed(("bags", 0, "tuples", 0, "values", "A"), {"v": 1}),
+    # json reads NaN and Infinity (and overflows 1e999 to inf); as cells
+    # "nan" and "inf" on the shared attribute they would answer "no"
+    _malformed(("bags", 0, "tuples", 0, "values", "B"), float("nan")),
+    _malformed(("bags", 0, "tuples", 0, "values", "B"), float("inf")),
 ], ids=["tuples-as-lists", "edges-5", "tuples-7", "null-value",
-        "bool-value", "list-value", "object-value"])
+        "bool-value", "list-value", "object-value", "nan-value",
+        "inf-value"])
 def test_malformed_database_exits_2(tmp_path, capsys, verb, data):
     f = _write(tmp_path / "db.json", data)
     argv = [verb, "--db", f]

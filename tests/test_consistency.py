@@ -23,7 +23,6 @@ from bagconsist import (
     replay_ops,
     solve_feasibility,
     tseitin_counterexample,
-    two_bag_witness,
 )
 from bagconsist import consistency
 from bagconsist.hypergraph import clique_complement_hypergraph, cycle_hypergraph, path_hypergraph
@@ -41,6 +40,7 @@ from reference import (
     reference_find_bad_witness,
     reference_lift,
     reference_replay_ops,
+    two_bag_witness,
 )
 
 
@@ -254,6 +254,43 @@ def test_inconsistent_pairs_matches_naive_loop():
             assert (minimal_two_bag_witness(bags[i], bags[j]) is None) == (not ok)
         assert inconsistent_pairs(db) == naive
     assert seen[True] > 100 and seen[False] > 100
+
+
+def test_glue_decides_exactly_when_a_pair_disagrees():
+    """Along a running-intersection order the glue fails iff some pair of
+    bags is inconsistent, on consistent databases, on ones with one unit
+    added to a bag, and on ones with a unit of mass moved inside one bag
+    (same totals, so only a shared marginal can tell)."""
+    rng = random.Random(0x61E)
+    moved = {True: 0, False: 0}
+    for trial in range(600):
+        if trial % 2:
+            db = random_acyclic_database(rng)
+        else:
+            edges = random_acyclic_schema(rng, rng.randint(5, 40))
+            db = database_of(edges, random_global_bag(
+                rng, {v for e in edges for v in e}, rng.randint(1, 12)))
+        bags = list(db.bags)
+        k = rng.randrange(len(bags))
+        change = trial % 3
+        if change == 1:
+            # one more unit on a random row, which may be new to the bag
+            row = tuple(str(rng.randint(0, 2)) for _ in bags[k].schema)
+            entries = bags[k].entries
+            bags[k] = Bag(bags[k].schema,
+                          {**entries, row: entries.get(row, 0) + 1})
+        elif change == 2:
+            bags[k] = _move_one_unit(rng, bags[k])
+        db = BagDatabase(db.hypergraph, tuple(bags))
+        witness = acyclic_global_witness(db)
+        bad = bool(inconsistent_pairs(db))
+        assert (witness is None) == bad
+        if witness is not None:
+            assert check_witness(witness, db)
+        if change == 2:
+            moved[bad] += 1
+    # moves inside one bag give both answers
+    assert moved[True] > 50 and moved[False] > 50
 
 
 def test_global_consistent_triangle(triangle_relations):

@@ -3,8 +3,16 @@ import random
 
 import pytest
 
-from bagconsist import Bag, FlowError, build_network, is_saturated, max_flow, suppress_middle_arc
-from bagconsist.flow import KERNEL, dinic
+from bagconsist import Bag
+from bagconsist.flow import (
+    KERNEL,
+    FlowError,
+    build_network,
+    dinic,
+    is_saturated,
+    max_flow,
+    suppress_middle_arc,
+)
 
 
 def test_kernel_selected():

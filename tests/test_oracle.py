@@ -16,6 +16,7 @@ from bagconsist import (
     solve_feasibility,
     verify_bounds,
 )
+from bagconsist import oracle
 from bagconsist.bags import SchemaMismatchError
 
 from conftest import pair_database, random_acyclic_database, witness_family
@@ -79,6 +80,18 @@ def test_enumerate_matches_feasibility(rng):
             assert check_witness(w, db)
         if feas is not None:
             assert feas in ws
+
+
+def test_enumerate_rechecks_every_witness(paper_pair, monkeypatch):
+    """Enumerated witnesses go out only after the exact witness check."""
+    r, s = paper_pair
+    db = pair_database(r, s)
+    ws = enumerate_witnesses(db)
+    wrong = Bag(("A", "B", "C"), {("1", "2", "2"): 2})
+    monkeypatch.setattr(oracle, "_search",
+                        lambda db, budget, want_all: ws + [wrong])
+    with pytest.raises(AssertionError):
+        enumerate_witnesses(db)
 
 
 def test_empty_database():
