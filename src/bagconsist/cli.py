@@ -49,7 +49,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise CliError("malformed JSON in %s: %s" % (path, exc))
 
 

@@ -4,11 +4,12 @@ Two bags are consistent iff their marginals on the shared attributes agree;
 a minimal two-bag witness is filled in by the northwest-corner rule, one
 shared-key group at a time. Collections over acyclic schemas glue their bags
 the same way, in one pass along a running-intersection order: each bag's
-overlap with the rows glued so far lies in one earlier bag, so the glue
-fails exactly when some pair is inconsistent, and the glue itself decides.
-Every finished witness is checked exactly once; cyclic schemas fall back to
-the brute-force oracle. Also houses the mod-d counterexample generator,
-safe-deletion lifting, and the hardness-reduction instance transformations.
+overlap with the rows glued so far lies in its parent in the join tree, so
+the glue fails exactly when some bag disagrees with its parent, and the
+m - 1 parent links decide. All pairs are listed only to explain a no, and
+before the oracle on cyclic schemas. Every finished witness is checked
+exactly once. Also houses the mod-d counterexample generator, safe-deletion
+lifting, and the hardness-reduction instance transformations.
 """
 from __future__ import annotations
 
@@ -183,24 +184,28 @@ def _northwest_glue(bags) -> Optional[Bag]:
 
 # -- collections -----------------------------------------------------------
 
-def inconsistent_pairs(db: BagDatabase) -> list:
-    """Every pair (i, j), i < j, of bags whose marginals on their shared
-    attributes differ. Each bag's marginal on each distinct shared set is
-    computed once per call."""
-    bags = db.bags
-    schemas = [frozenset(bag.schema) for bag in bags]
-    marginals: dict = {}
+def _marginal_memo(bags):
+    """``marginal(i, shared)``: bag i's marginal on the attribute set
+    ``shared``, computed once per (bag, set)."""
+    memo: dict = {}
 
     def marginal(i, shared):
-        key = (i, shared)
-        out = marginals.get(key)
+        out = memo.get((i, shared))
         if out is None:
-            out = marginals[key] = bags[i].marginal(shared)
+            out = memo[i, shared] = bags[i].marginal(shared)
         return out
+    return marginal
 
+
+def inconsistent_pairs(db: BagDatabase, _marginal=None) -> list:
+    """Every pair (i, j), i < j, of bags whose marginals on their shared
+    attributes differ. Each bag's marginal on each distinct shared set is
+    computed once per call, or once per ``_marginal`` memo passed in."""
+    marginal = _marginal or _marginal_memo(db.bags)
+    edges = db.hypergraph.edges
     out = []
-    for i, j in itertools.combinations(range(len(bags)), 2):
-        shared = schemas[i] & schemas[j]
+    for i, j in itertools.combinations(range(len(edges)), 2):
+        shared = edges[i] & edges[j]
         if marginal(i, shared) != marginal(j, shared):
             out.append((i, j))
     return out
@@ -224,23 +229,41 @@ def _checked_global_witness(witness: Bag, db: BagDatabase) -> Bag:
     return witness
 
 
+def _parent_links_agree(db: BagDatabase, order, marginal) -> bool:
+    """Whether every bag of the running-intersection order agrees with its
+    parent, the bag at its witness slot, on their shared attributes."""
+    edges = db.hypergraph.edges
+    for idx, slot in order[1:]:
+        parent = order[slot][0]
+        shared = edges[idx] & edges[parent]
+        if marginal(idx, shared) != marginal(parent, shared):
+            return False
+    return True
+
+
 def global_consistent(db: BagDatabase, mode: str = "auto",
                       budget: Optional[OracleBudget] = None) -> ConsistencyReport:
-    """Check every pair and classify the schema once. An inconsistent pair
-    answers no; an acyclic schema answers yes with a chained witness; a
-    cyclic one goes to the oracle."""
+    """Classify the schema once. On an acyclic schema the join tree's
+    parent links decide: if every bag agrees with its parent, the glue
+    answers yes with a chained witness; otherwise all pairs are listed to
+    explain the no, reusing the links' marginals. A cyclic schema lists
+    all pairs first: an inconsistent one answers no, else the oracle
+    decides."""
     if mode not in ("auto", "oracle"):
         raise ValueError("mode must be 'auto' or 'oracle'")
-    bad_pairs = tuple(inconsistent_pairs(db))
+    order = db.hypergraph.running_intersection_order()
+    marginal = _marginal_memo(db.bags)
+    if order is not None and _parent_links_agree(db, order, marginal):
+        witness = _northwest_glue([db.bags[idx] for idx, _ in order])
+        if witness is None:  # cannot happen when every link agrees
+            raise AssertionError("chaining failed on a consistent collection")
+        return ConsistencyReport((), GLOBAL_YES,
+                                 _checked_global_witness(witness, db))
+    bad_pairs = tuple(inconsistent_pairs(db, marginal))
     if bad_pairs:
         return ConsistencyReport(bad_pairs, GLOBAL_NO)
-    order = db.hypergraph.running_intersection_order()
-    if order is not None:
-        witness = _northwest_glue([db.bags[idx] for idx, _ in order])
-        if witness is None:  # cannot happen for pairwise-consistent input
-            raise AssertionError("chaining failed on a consistent collection")
-        return ConsistencyReport(bad_pairs, GLOBAL_YES,
-                                 _checked_global_witness(witness, db))
+    if order is not None:  # a disagreeing link is an inconsistent pair
+        raise AssertionError("a parent link disagrees, but no pair does")
     join_bound = 1
     for bag in db.bags:
         join_bound *= max(len(bag), 1)

@@ -14,6 +14,11 @@ deletion, and a lift that re-inserts refilled bags at those positions.
 ``reference_find_bad_witness`` checks its ops by that replay. Classify and
 lift must give the same outputs and the same errors as these.
 
+``reference_check_witness`` is the exact witness check as it was written
+before it summed the witness's rows itself: one ``Bag.marginal`` per bag,
+compared with the bag. The production check must give the same answers
+and raise the same errors.
+
 ``two_bag_witness`` decides two-bag consistency by the max-flow
 characterisation: some witness from a saturated integral max flow, checked
 exactly. It shares no code with the northwest-corner glue, so the tests use
@@ -38,7 +43,19 @@ from bagconsist.hypergraph import (
     _matches_shape,
     _minimize,
 )
+from bagconsist.bags import SchemaMismatchError
 from bagconsist.oracle import EXHAUSTED, _build_system
+
+
+def reference_check_witness(w: Bag, db) -> bool:
+    """True iff the bag's marginals reproduce every bag of the database."""
+    union = set()
+    for bag in db.bags:
+        union |= set(bag.schema)
+    if set(w.schema) != union:
+        raise SchemaMismatchError(
+            "witness schema %r != union schema %r" % (w.schema, tuple(sorted(union))))
+    return all(w.marginal(bag.schema) == bag for bag in db.bags)
 
 
 def two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:

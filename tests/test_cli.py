@@ -253,6 +253,19 @@ def test_malformed_tables_exit_2(tmp_path, capsys, tables):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("verb, flag", [
+    ("global", "--db"), ("pairwise", "--db"), ("classify", "--schema")])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, verb, flag):
+    # the decoder recurses once per nesting level, so it gives up on this
+    # text with a RecursionError, not a ValueError
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 200000)
+    assert run([verb, flag, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON")
+    assert "Traceback" not in err
+
+
 # -- mutation fuzz ---------------------------------------------------------
 
 _JSON_VALUES = st.recursive(

@@ -171,20 +171,28 @@ def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
     assert check_witness(report.witness, db)
     assert len(trees) == 1
     assert computed and len(computed) == len(set(computed))
-    # the chain builds no intermediate bags: the only marginals of a
-    # non-input bag are the final exact check's, one per input bag
-    assert len(derived) == len(db.bags)
-    # an inconsistent pair answers no before the schema is classified
+    # the chain builds no intermediate bags, and the exact check sums the
+    # witness's rows without going through Bag.marginal
+    assert derived == []
+    # a no is classified once, lists the same pairs as the full pass, and
+    # computes no (bag, shared set) marginal twice: the pair pass reuses
+    # the parent links' marginals
     first = db.bags[0]
     row = min(first.entries)
     bumped = Bag(first.schema, {**first.entries, row: first.entries[row] + 1})
     perturbed = BagDatabase(db.hypergraph, (bumped,) + db.bags[1:])
+    expected = tuple(inconsistent_pairs(perturbed))
+    index = {id(bag): i for i, bag in enumerate(perturbed.bags)}
     trees.clear()
+    computed.clear()
     monkeypatch.setattr(Hypergraph, "join_tree", counting_join_tree)
+    monkeypatch.setattr(Bag, "marginal", recording_marginal)
     report = global_consistent(perturbed)
     monkeypatch.undo()
-    assert report.global_status == "no" and report.inconsistent_pairs
-    assert trees == []
+    assert report.global_status == "no" and report.witness is None
+    assert expected and report.inconsistent_pairs == expected
+    assert len(trees) == 1
+    assert computed and len(computed) == len(set(computed))
 
 
 def test_chained_witness_within_bound():
@@ -258,7 +266,8 @@ def test_inconsistent_pairs_matches_naive_loop():
 
 def test_glue_decides_exactly_when_a_pair_disagrees():
     """Along a running-intersection order the glue fails iff some pair of
-    bags is inconsistent, on consistent databases, on ones with one unit
+    bags is inconsistent, and ``global_consistent`` reports what a check of
+    every pair reports, on consistent databases, on ones with one unit
     added to a bag, and on ones with a unit of mass moved inside one bag
     (same totals, so only a shared marginal can tell)."""
     rng = random.Random(0x61E)
@@ -283,10 +292,21 @@ def test_glue_decides_exactly_when_a_pair_disagrees():
             bags[k] = _move_one_unit(rng, bags[k])
         db = BagDatabase(db.hypergraph, tuple(bags))
         witness = acyclic_global_witness(db)
-        bad = bool(inconsistent_pairs(db))
+        pairs = inconsistent_pairs(db)
+        bad = bool(pairs)
         assert (witness is None) == bad
         if witness is not None:
             assert check_witness(witness, db)
+        # global decides on the parent links and lists every pair for a no:
+        # the same report as checking every pair first
+        report = global_consistent(db).to_json_dict()
+        assert report.pop("witness", None) == (
+            None if bad else witness.to_json_dict())
+        assert report == {
+            "pairwise": {"consistent": not pairs,
+                         "inconsistent_pairs": [list(p) for p in pairs]},
+            "global": "no" if pairs else "yes",
+            "oracle_exhausted": False}
         if change == 2:
             moved[bad] += 1
     # moves inside one bag give both answers

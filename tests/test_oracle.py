@@ -10,6 +10,7 @@ from bagconsist import (
     BagDatabase,
     Hypergraph,
     OracleBudget,
+    acyclic_global_witness,
     check_witness,
     encode_3dct,
     enumerate_witnesses,
@@ -18,9 +19,17 @@ from bagconsist import (
 )
 from bagconsist import oracle
 from bagconsist.bags import SchemaMismatchError
+from bagconsist.consistency import _pad_with_default
 
-from conftest import pair_database, random_acyclic_database, witness_family
-from reference import reference_search
+from conftest import (
+    database_of,
+    pair_database,
+    random_acyclic_database,
+    random_acyclic_schema,
+    random_global_bag,
+    witness_family,
+)
+from reference import reference_check_witness, reference_search
 
 
 def test_budget_validation():
@@ -33,6 +42,51 @@ def test_budget_validation():
                    {"max_join_support": False}):
         with pytest.raises(ValueError):
             OracleBudget(**limits)
+
+
+def _check_outcome(check, w, db):
+    try:
+        return check(w, db)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_check_witness_matches_reference():
+    """The exact check answers as one Bag.marginal per bag does, on
+    witnesses of random acyclic databases as they are, with one
+    multiplicity bumped, with one cell of one row changed, and over a
+    schema with one attribute too many or too few."""
+    rng = random.Random(0xC4EC)
+    seen = {}
+    for trial in range(300):
+        if trial % 2:
+            db = random_acyclic_database(rng)
+        else:
+            edges = random_acyclic_schema(rng, rng.randint(2, 20))
+            db = database_of(edges, random_global_bag(
+                rng, {v for e in edges for v in e}, rng.randint(0, 8)))
+        w = acyclic_global_witness(db)
+        candidates = [w, _pad_with_default(w, "ZZ", "0")]
+        if len(w.schema) > 1:
+            candidates.append(w.marginal(w.schema[1:]))
+        if w:
+            row = rng.choice(sorted(w.entries))
+            entries = dict(w.entries)
+            entries[row] += 1
+            candidates.append(Bag(w.schema, entries))
+            entries = dict(w.entries)
+            mult = entries.pop(row)
+            k = rng.randrange(len(row))
+            moved = row[:k] + (str(rng.randint(0, 3)),) + row[k + 1:]
+            entries[moved] = entries.get(moved, 0) + mult
+            candidates.append(Bag(w.schema, entries))
+        for c in candidates:
+            got = _check_outcome(check_witness, c, db)
+            assert got == _check_outcome(reference_check_witness, c, db)
+            kind = got if isinstance(got, bool) else got[0]
+            seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {True, False, SchemaMismatchError}
+    assert min(seen.values()) > 100
 
 
 def test_check_witness_paper_example(paper_pair):
