@@ -5,7 +5,10 @@ conformality (Gilmore's triple criterion), acyclicity and join trees by
 maximum cardinality search over the hyperedges, running intersection
 orderings taken from that search's pick order, and extraction of minimal
 non-chordal / non-conformal witness sets together with the safe-deletion
-sequences that expose them. Both searches pick from a lazy heap. A
+sequences that expose them. Both searches pick from a lazy heap. The vertex
+search returns a certificate of badness: a chordless cycle, or a primal
+clique that no edge covers. Minimising a witness set reuses it, and searches
+again only when the vertex it deletes lies in the certificate. A
 safe-deletion sequence is replayed once, with each edge named by its index
 in the input; lifting a database back along it refills deleted covered
 edges with their cover's marginal and deleted vertices with the value "0".
@@ -30,7 +33,7 @@ class Hypergraph:
 
     The edge list need not be reduced: covered and duplicate edges are
     allowed (bags in a database are aligned with edges by position). Every
-    vertex must lie in some edge.
+    vertex must have a non-empty name and lie in some edge.
     """
 
     __slots__ = ("vertices", "edges")
@@ -39,6 +42,8 @@ class Hypergraph:
         vs = tuple(sorted({str(v) for v in vertices}))
         es = tuple(frozenset(str(v) for v in e) for e in edges)
         vset = set(vs)
+        if "" in vset:
+            raise HypergraphError("vertex names must be non-empty")
         for e in es:
             if not e:
                 raise HypergraphError("hyperedges must be non-empty")
@@ -91,7 +96,7 @@ class Hypergraph:
     # -- classification ----------------------------------------------------
 
     def is_chordal(self) -> bool:
-        return _graph_is_chordal(self.primal_graph())
+        return _mcs_certificate(self.primal_graph()) is None
 
     def is_conformal(self) -> bool:
         """Gilmore's criterion on the reduced edge set."""
@@ -248,11 +253,27 @@ def _connected(adj: dict, nodes: set) -> bool:
     return seen == nodes
 
 
-def _graph_is_chordal(adj: dict[str, set[str]]) -> bool:
-    """Maximum-cardinality search (ties to the smallest name), checked on
-    the fly: the reverse visit order is a perfect elimination order iff
-    each vertex's earlier-visited neighbours all lie next to the latest
-    of them."""
+def _mcs_certificate(adj: dict[str, set[str]],
+                     holders: Optional[dict[str, list[Edge]]] = None
+                     ) -> Optional[set]:
+    """Maximum-cardinality search over the graph ``adj`` (ties to the
+    smallest name), checked on the fly. Returns a certificate T, a vertex
+    set whose induced sub-hypergraph is cyclic, or None.
+
+    The reverse visit order is a perfect elimination order iff each
+    vertex's earlier-visited neighbours all lie next to the latest of them,
+    u. When that fails at v for an earlier neighbour x, T is a chordless
+    cycle: v plus a shortest u–x path through visited vertices outside v's
+    other neighbours (Tarjan and Yannakakis, SIAM J. Comput. 13(3), 1984,
+    and the 1985 addendum). Should no such path exist, the visited vertices
+    plus v would still do, since the search replays its steps on the graph
+    they induce. Without ``holders``, None means the graph is chordal.
+
+    With ``holders`` (vertex -> the hyperedges holding it), T may also be
+    the first clique of v and its earlier neighbours that no edge holding v
+    covers. On a chordal graph every maximal clique is such a clique, so
+    None then means the hypergraph is chordal and conformal: acyclic.
+    """
     step: dict[str, int] = {}  # vertex -> visit step
     weight = dict.fromkeys(adj, 0)
     # min-heap on (-weight, name); stale entries are skipped
@@ -265,13 +286,44 @@ def _graph_is_chordal(adj: dict[str, set[str]]) -> bool:
         if earlier:
             u = max(earlier, key=step.__getitem__)
             if not adj[u].issuperset(w for w in earlier if w != u):
-                return False
+                x = max((w for w in earlier if w != u and w not in adj[u]),
+                        key=step.__getitem__)
+                return _chordless_cycle(adj, step, v, u, x)
+        if holders is not None:
+            clique = {v, *earlier}
+            if not any(clique <= e for e in holders[v]):
+                return clique
         step[v] = len(step)
         for w in adj[v]:
             if w not in step:
                 weight[w] += 1
                 heappush(heap, (-weight[w], w))
-    return True
+    return None
+
+
+def _chordless_cycle(adj, step, v, u, x) -> set:
+    """v plus a shortest u–x path whose inner vertices are visited and not
+    next to v; u and x are v's non-adjacent earlier neighbours. Neighbours
+    are scanned in name order, so the path does not depend on set order."""
+    inner = {y for y in step if y not in adj[v]}
+    inner.add(x)
+    parent = {u: u}
+    frontier = [u]
+    while frontier and x not in parent:
+        nxt = []
+        for y in frontier:
+            for z in sorted(adj[y] & inner):
+                if z not in parent:
+                    parent[z] = y
+                    nxt.append(z)
+        frontier = nxt
+    if x not in parent:
+        return set(step) | {v}
+    cycle = {v, u}
+    while x != u:
+        cycle.add(x)
+        x = parent[x]
+    return cycle
 
 
 # -- safe deletions --------------------------------------------------------
@@ -381,20 +433,32 @@ class BadWitness:
 def find_bad_witness(h: Hypergraph) -> Optional[BadWitness]:
     """None iff the hypergraph is acyclic (chordal and conformal);
     otherwise a minimal obstruction, preferring the non-chordal (cycle)
-    shape."""
-    if h.join_tree() is not None:
-        return None
-    if not h.is_chordal():
-        # the primal graph of H[W] is H's primal graph induced on W
-        adj = h.primal_graph()
-        w = _minimize(h, lambda w: not _graph_is_chordal(
-            {u: adj[u] & w for u in w}))
+    shape.
+
+    Acyclicity is read off the whole hypergraph's certificates: a failed
+    chordality search gives the cycle shape; else an uncovered clique gives
+    the clique-complement shape; else the hypergraph is acyclic.
+    """
+    adj = h.primal_graph()
+    cert = _mcs_certificate(adj)
+    if cert is not None:
+        holders = None
         shape = SHAPE_CYCLE
     else:
+        holders = {v: [] for v in h.vertices}
+        for e in h.edges:
+            for v in e:
+                holders[v].append(e)
+        cert = _mcs_certificate(adj, holders)
+        if cert is None:
+            return None
         # induced sub-hypergraphs of a chordal one stay chordal, so for them
-        # cyclic means non-conformal, and the linear search decides it
-        w = _minimize(h, lambda w: h.induced(w).join_tree() is None)
+        # every certificate is an uncovered clique
         shape = SHAPE_CLIQUE_COMPLEMENT
+    # the primal graph of H[S] is H's primal graph induced on S, and an edge
+    # of H covers a clique within S iff its trace on S does
+    w = _minimize(h.vertices, cert, lambda s: _mcs_certificate(
+        {u: adj[u] & s for u in s}, holders))
     ops, kept = _normalizing_ops(h, w)
     if not _matches_shape(kept, w, shape):
         raise AssertionError(
@@ -402,15 +466,25 @@ def find_bad_witness(h: Hypergraph) -> Optional[BadWitness]:
     return BadWitness(w=frozenset(w), shape=shape, ops=tuple(ops))
 
 
-def _minimize(h: Hypergraph, bad) -> set:
-    """Delete vertices in canonical order while the hypergraph induced by
-    the remaining vertex set stays bad (``bad`` takes that set). Badness
-    carries over to every superset of vertices, so a vertex kept once can
-    never be deleted later and one pass suffices."""
-    w = set(h.vertices)
-    for v in h.vertices:
-        if bad(w - {v}):
-            w.remove(v)
+def _minimize(vertices, cert: set, certify) -> set:
+    """Delete vertices in canonical order while the set left stays bad.
+
+    ``cert`` is a bad subset of ``vertices``, and ``certify(s)`` returns a
+    bad subset of ``s`` or None when ``s`` is not bad. Badness carries over
+    to every superset, so a vertex outside the current certificate goes
+    without a search; a search runs only for a vertex inside it, and a bad
+    answer becomes the new certificate. A vertex kept once can never be
+    deleted later, so one pass suffices, and every deletion is the one a
+    search per vertex would make.
+    """
+    w = set(vertices)
+    for v in vertices:
+        if v in cert:
+            found = certify(w - {v})
+            if found is None:
+                continue
+            cert = found
+        w.remove(v)
     return w
 
 
@@ -422,7 +496,9 @@ def _normalizing_ops(h: Hypergraph, w: set):
            for v in sorted(set(h.vertices) - w)]
     # track the edge list through the vertex deletions (no dedup, no drops)
     edges = [e & w for e in h.edges]
-    maximal = {e for e in edges if e and not any(e < f for f in edges)}
+    # only the few edges that meet W can be maximal or cover one
+    traces = set(filter(None, edges))
+    maximal = {e for e in traces if not any(e < f for f in traces)}
     kept: list[Edge] = []
     victims: list[Edge] = []
     for e in edges:

@@ -85,6 +85,33 @@ def random_acyclic_schema(rng: random.Random, num_edges: int) -> list:
     return edges
 
 
+def cyclic_variants(rng, edges):
+    """The edges plus one edge joining two attributes at primal distance
+    three or more (a chordless cycle), and the edges plus a fresh attribute
+    T tied to two attributes of one edge (a triangle no edge covers)."""
+    adj = {}
+    for e in edges:
+        for a in e:
+            adj.setdefault(a, set()).update(e)
+    chord = None
+    for a in rng.sample(sorted(adj), len(adj)):
+        dist, frontier = {a: 0}, [a]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in sorted(adj[u] - set(dist)):
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+            frontier = nxt
+        far = sorted(b for b, d in dist.items() if d >= 3)
+        if far:
+            chord = edges + [[a, rng.choice(far)]]
+            break
+    assert chord is not None
+    x, y = rng.sample(rng.choice([e for e in edges if len(e) >= 2]), 2)
+    return chord, edges + [[x, "T"], [y, "T"]]
+
+
 def database_of(edges: list, global_bag: Bag) -> BagDatabase:
     """The database of ``global_bag``'s marginals on the edges."""
     vertices = sorted({v for e in edges for v in e})

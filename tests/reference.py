@@ -13,6 +13,10 @@ the vertex and edge lists at every op, edge positions that shift after each
 deletion, and a lift that re-inserts refilled bags at those positions.
 ``reference_find_bad_witness`` checks its ops by that replay. Classify and
 lift must give the same outputs and the same errors as these.
+``reference_find_bad_witness`` also minimises the obstruction as it did
+before the badness tests returned certificates: ``_minimize`` runs one
+test per vertex, a full chordality search (``_graph_is_chordal``) on the
+cycle shape and a join-tree search on the clique-complement shape.
 
 ``reference_check_witness`` is the exact witness check as it was written
 before it summed the witness's rows itself: one ``Bag.marginal`` per bag,
@@ -25,6 +29,7 @@ exactly. It shares no code with the northwest-corner glue, so the tests use
 it to cross-check ``minimal_two_bag_witness``.
 """
 import time
+from heapq import heappop, heappush
 from typing import Optional
 
 from bagconsist import Bag, BagDatabase, DatabaseError
@@ -39,9 +44,7 @@ from bagconsist.hypergraph import (
     Hypergraph,
     HypergraphError,
     SafeDeletionOp,
-    _graph_is_chordal,
     _matches_shape,
-    _minimize,
 )
 from bagconsist.bags import SchemaMismatchError
 from bagconsist.oracle import EXHAUSTED, _build_system
@@ -233,13 +236,51 @@ def reference_lift(d0, h1, ops):
     return BagDatabase(h1, tuple(bags))
 
 
+def _graph_is_chordal(adj):
+    """Maximum-cardinality search (ties to the smallest name), checked on
+    the fly: the reverse visit order is a perfect elimination order iff
+    each vertex's earlier-visited neighbours all lie next to the latest
+    of them."""
+    step = {}  # vertex -> visit step
+    weight = dict.fromkeys(adj, 0)
+    # min-heap on (-weight, name); stale entries are skipped
+    heap = sorted((0, v) for v in adj)
+    while heap:
+        neg, v = heappop(heap)
+        if v in step or -neg != weight[v]:
+            continue
+        earlier = [w for w in adj[v] if w in step]
+        if earlier:
+            u = max(earlier, key=step.__getitem__)
+            if not adj[u].issuperset(w for w in earlier if w != u):
+                return False
+        step[v] = len(step)
+        for w in adj[v]:
+            if w not in step:
+                weight[w] += 1
+                heappush(heap, (-weight[w], w))
+    return True
+
+
+def _minimize(h, bad):
+    """Delete vertices in canonical order while the hypergraph induced by
+    the remaining vertex set stays bad (``bad`` takes that set). Badness
+    carries over to every superset of vertices, so a vertex kept once can
+    never be deleted later and one pass suffices."""
+    w = set(h.vertices)
+    for v in h.vertices:
+        if bad(w - {v}):
+            w.remove(v)
+    return w
+
+
 def reference_find_bad_witness(h):
     """The minimal obstruction, its ops built edge by edge and checked by
     replaying them and reducing the result."""
     if h.join_tree() is not None:
         return None
-    if not h.is_chordal():
-        adj = h.primal_graph()
+    adj = h.primal_graph()
+    if not _graph_is_chordal(adj):
         w = _minimize(h, lambda w: not _graph_is_chordal(
             {u: adj[u] & w for u in w}))
         shape = SHAPE_CYCLE

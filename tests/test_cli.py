@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from bagconsist import Bag, BagDatabase, Hypergraph
 from bagconsist.cli import run
 from bagconsist.hypergraph import cycle_hypergraph, path_hypergraph
 from bagconsist.consistency import tseitin_counterexample
+
+from conftest import cyclic_variants, random_acyclic_schema
 
 
 def _write(path, data):
@@ -39,6 +42,28 @@ def test_classify_cyclic(tmp_path, capsys):
     assert out.startswith("cyclic")
     payload = json.loads(out.split("\n", 1)[1])
     assert payload["bad_witness"]["shape"] == "cycle"
+
+
+def test_classify_cyclic_runs_one_join_tree_search(tmp_path, capsys,
+                                                 monkeypatch):
+    # find_bad_witness decides acyclicity from its own certificates, so a
+    # cyclic schema is classified by the join-tree search once
+    rng = random.Random(0x3C)
+    chord, _ = cyclic_variants(rng, random_acyclic_schema(rng, 90))
+    f = _write(tmp_path / "wc.json", Hypergraph(
+        {v for e in chord for v in e}, chord).to_json_dict())
+    calls = []
+    join_tree = Hypergraph.join_tree
+
+    def counting(self):
+        calls.append(self)
+        return join_tree(self)
+
+    monkeypatch.setattr(Hypergraph, "join_tree", counting)
+    assert run(["classify", "--schema", f]) == 1
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out.split("\n", 1)[1])[
+        "bad_witness"]["shape"] == "cycle"
 
 
 def test_pairwise(triangle_db_file, tmp_path, capsys):
@@ -236,6 +261,21 @@ def test_malformed_database_exits_2(tmp_path, capsys, verb, data):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["classify", "lift"])
+def test_empty_vertex_name_exits_2(tmp_path, triangle_db_file, capsys, verb):
+    # refused as in a database's bags, where it cannot name an attribute
+    f = _write(tmp_path / "schema.json",
+               {"vertices": ["", "A"], "edges": [["", "A"]]})
+    argv = ["classify", "--schema", f]
+    if verb == "lift":
+        argv = ["lift", "--db", triangle_db_file, "--schema", f,
+                "-o", str(tmp_path / "out.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid hypergraph")
     assert "Traceback" not in err
 
 

@@ -1,51 +1,29 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from bagconsist import Hypergraph, HypergraphError, SafeDeletionOp, find_bad_witness, replay_ops
+from bagconsist import hypergraph
+from bagconsist.cli import run
 from bagconsist.hypergraph import (
     COVERED_EDGE_DELETION,
     SHAPE_CLIQUE_COMPLEMENT,
     SHAPE_CYCLE,
     VERTEX_DELETION,
+    _mcs_certificate,
     clique_complement_hypergraph,
     cycle_hypergraph,
     path_hypergraph,
 )
 
-from conftest import random_acyclic_schema, random_hypergraph
+from conftest import cyclic_variants, random_acyclic_schema, random_hypergraph
+from reference import reference_find_bad_witness
 
 
 def _hypergraph(edges):
     return Hypergraph({v for e in edges for v in e}, edges)
-
-
-def _cyclic_variants(rng, edges):
-    """The edges plus one edge joining two attributes at primal distance
-    three or more (a chordless cycle), and the edges plus a fresh attribute
-    T tied to two attributes of one edge (a triangle no edge covers)."""
-    adj = {}
-    for e in edges:
-        for a in e:
-            adj.setdefault(a, set()).update(e)
-    chord = None
-    for a in rng.sample(sorted(adj), len(adj)):
-        dist, frontier = {a: 0}, [a]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in sorted(adj[u] - set(dist)):
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-            frontier = nxt
-        far = sorted(b for b, d in dist.items() if d >= 3)
-        if far:
-            chord = edges + [[a, rng.choice(far)]]
-            break
-    assert chord is not None
-    x, y = rng.sample(rng.choice([e for e in edges if len(e) >= 2]), 2)
-    return chord, edges + [[x, "T"], [y, "T"]]
 
 
 def _assert_running_intersection(h, order):
@@ -71,6 +49,8 @@ def test_constructor_validates():
         Hypergraph(["A", "B", "C"], [["A", "B"]])
     with pytest.raises(HypergraphError):
         Hypergraph(["A"], [])
+    with pytest.raises(HypergraphError):
+        Hypergraph(["", "A"], [["", "A"]])
     assert Hypergraph([], []).is_acyclic()
     h = Hypergraph(["B", "A"], [["A", "B"], ["A", "B"]])
     assert h.vertices == ("A", "B")
@@ -158,6 +138,77 @@ def test_is_chordal_against_brute_force():
     assert seen[True] > 50 and seen[False] > 50
 
 
+def _random_graph(rng):
+    """A random graph on 3 to 8 vertices as binary edges, plus a singleton
+    edge per vertex so that every vertex lies in some edge."""
+    vs = ["V%d" % i for i in range(rng.randint(3, 8))]
+    p = rng.uniform(0.2, 0.7)
+    pairs = [[a, b] for a, b in itertools.combinations(vs, 2)
+             if rng.random() < p]
+    return Hypergraph(vs, pairs + [[v] for v in vs])
+
+
+def _is_chordless_cycle(adj, t):
+    """Whether t induces one cycle of four or more vertices in adj."""
+    inside = {v: adj[v] & t for v in t}
+    if len(t) < 4 or any(len(n) != 2 for n in inside.values()):
+        return False
+    seen, stack = set(), [min(t)]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(inside[v])
+    return seen == t
+
+
+def test_cycle_certificates_are_chordless_cycles():
+    """A failed chordality search names a chordless cycle of the graph it
+    searched, and a passed one leaves no chordless cycle to find."""
+    rng = random.Random(0xC1C)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        adj = _random_graph(rng).primal_graph()
+        t = _mcs_certificate(adj)
+        assert (t is None) == (not _has_chordless_cycle(adj))
+        if t is not None:
+            assert t <= set(adj)
+            assert _is_chordless_cycle(adj, t)
+        seen[t is None] += 1
+    assert seen[True] > 50 and seen[False] > 50
+
+
+def test_certificates_induce_cyclic_sub_hypergraphs():
+    """On random vertex subsets S of random graphs and hypergraphs, the
+    search with the edges' holders returns None iff H[S] is acyclic by
+    brute-force chordality and Gilmore's criterion; otherwise a set T
+    within S whose H[T] fails one of the two."""
+    rng = random.Random(0xCE27)
+    shapes = {"acyclic": 0, "cycle": 0, "clique": 0}
+    for i in range(400):
+        h = random_hypergraph(rng) if i % 2 else _random_graph(rng)
+        adj = h.primal_graph()
+        holders = {v: [e for e in h.edges if v in e] for v in h.vertices}
+        for k in (len(h.vertices), rng.randint(1, len(h.vertices))):
+            s = set(rng.sample(h.vertices, k))
+            t = _mcs_certificate({u: adj[u] & s for u in s}, holders)
+            g = h.induced(s)
+            if t is None:
+                assert not _has_chordless_cycle(g.primal_graph())
+                assert g.is_conformal()
+                shapes["acyclic"] += 1
+                continue
+            assert t <= s
+            sub = h.induced(t)
+            if _has_chordless_cycle(sub.primal_graph()):
+                assert _is_chordless_cycle(adj, t)
+                shapes["cycle"] += 1
+            else:
+                assert not sub.is_conformal()
+                shapes["clique"] += 1
+    assert min(shapes.values()) > 10
+
+
 def test_join_tree_validity():
     rng = random.Random(99)
     seen = 0
@@ -199,7 +250,7 @@ def test_join_tree_on_shuffled_wide_schemas():
         assert tree is not None and tree.is_valid()
         assert h.is_chordal() and h.is_conformal()
         _assert_running_intersection(h, h.running_intersection_order())
-        chord, triangle = (_hypergraph(e) for e in _cyclic_variants(rng, edges))
+        chord, triangle = (_hypergraph(e) for e in cyclic_variants(rng, edges))
         assert not chord.is_chordal()
         assert triangle.is_chordal() and not triangle.is_conformal()
         for g in (chord, triangle):
@@ -226,7 +277,7 @@ def test_find_bad_witness_matches_restart_reference():
     rng = random.Random(0xBAD)
     schemas = [random_hypergraph(rng) for _ in range(300)]
     for _ in range(3):
-        schemas.extend(_hypergraph(e) for e in _cyclic_variants(
+        schemas.extend(_hypergraph(e) for e in cyclic_variants(
             rng, random_acyclic_schema(rng, 20)))
     checked = 0
     for h in schemas:
@@ -243,6 +294,55 @@ def test_find_bad_witness_matches_restart_reference():
         assert (bad.w, bad.shape) == (w, shape)
         checked += 1
     assert checked > 30
+
+
+def _wide_schemas(rng, count):
+    """Wide-schema-shaped cyclic schemas: trees of 90 edges with a chord,
+    and trees of 30 edges with a hung triangle."""
+    for _ in range(count):
+        chord, _ = cyclic_variants(rng, random_acyclic_schema(rng, 90))
+        _, triangle = cyclic_variants(rng, random_acyclic_schema(rng, 30))
+        yield _hypergraph(chord)
+        yield _hypergraph(triangle)
+
+
+def test_find_bad_witness_and_classify_match_reference_on_wide_schemas(
+        tmp_path, capsys):
+    """The certificate-driven minimisation finds the obstruction and ops
+    that one search per vertex finds, and classify prints them the same."""
+    rng = random.Random(0x91)
+    path = tmp_path / "schema.json"
+    shapes = set()
+    for h in _wide_schemas(rng, 40):
+        ref = reference_find_bad_witness(h)
+        bad = find_bad_witness(h)
+        assert bad.to_json_dict() == ref.to_json_dict()
+        shapes.add(bad.shape)
+        path.write_text(json.dumps(h.to_json_dict()))
+        assert run(["classify", "--schema", str(path)]) == 1
+        assert capsys.readouterr().out == "cyclic\n" + json.dumps(
+            {"bad_witness": ref.to_json_dict()}, indent=2, sort_keys=True) + "\n"
+    assert shapes == {SHAPE_CYCLE, SHAPE_CLIQUE_COMPLEMENT}
+
+
+def test_find_bad_witness_searches_only_certificate_vertices(monkeypatch):
+    """On a tree of 90 edges with a chord, the minimisation searches once
+    for the whole schema and once per vertex of a certificate, not once
+    per vertex of the schema."""
+    rng = random.Random(0x5EA)
+    chord, _ = cyclic_variants(rng, random_acyclic_schema(rng, 90))
+    h = _hypergraph(chord)
+    assert len(h.vertices) >= 90
+    searches = []
+
+    def counting(adj, holders=None):
+        searches.append(len(adj))
+        return _mcs_certificate(adj, holders)
+
+    monkeypatch.setattr(hypergraph, "_mcs_certificate", counting)
+    bad = find_bad_witness(h)
+    assert bad.shape == SHAPE_CYCLE
+    assert len(searches) <= len(bad.w) + 2
 
 
 def test_safe_deletion_ops():
