@@ -1,9 +1,9 @@
 """Consistency of bag (multiset) databases.
 
-Decides pairwise and global consistency, builds small witnesses over
-acyclic schemas by gluing northwest-corner two-bag witnesses (the glue
-itself decides), classifies schema hypergraphs, and generates
-counterexample and hardness-reduction instances. A brute-force
+Decides pairwise and global consistency (on acyclic schemas, by the join
+tree's parent links), builds small witnesses over acyclic schemas by gluing
+northwest-corner two-bag witnesses, classifies schema hypergraphs, and
+generates counterexample and hardness-reduction instances. A brute-force
 integer-feasibility oracle decides small cyclic instances and cross-checks
 the rest. The max-flow characterisation of two-bag consistency is a test
 reference in ``bagconsist.flow``; only ``KERNEL``, the name of its Dinic

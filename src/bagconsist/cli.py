@@ -72,10 +72,19 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: str, data) -> None:
+def _write_json(path: str, obj) -> None:
+    """Write ``obj.to_json_dict()`` to ``path``, or nothing when it does
+    not serialise."""
+    try:
+        text = _json_text(obj.to_json_dict())
+    except ValueError:
+        # str() refuses ints past sys.get_int_max_str_digits() digits; the
+        # parser refuses such inputs, but lift and harden sum them
+        raise CliError("cannot write %s: a multiplicity has too many digits"
+                       % path)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(data))
+            fh.write(text)
     except OSError as exc:
         raise CliError("cannot write %s: %s" % (path, exc))
 
@@ -135,7 +144,7 @@ def cmd_global(args) -> int:
         print("unknown (cyclic schema beyond oracle scope)")
     _emit(report.to_json_dict())
     if args.witness and report.witness is not None:
-        _write_json(args.witness, report.witness.to_json_dict())
+        _write_json(args.witness, report.witness)
     if report.global_status == GLOBAL_YES:
         return EXIT_OK
     if report.global_status == GLOBAL_NO:
@@ -152,7 +161,7 @@ def cmd_witness(args) -> int:
     if witness is None:
         print("no witness: some pair is inconsistent")
         return EXIT_NEGATIVE
-    _write_json(args.output, witness.to_json_dict())
+    _write_json(args.output, witness)
     print("witness written to %s" % args.output)
     return EXIT_OK
 
@@ -162,7 +171,7 @@ def cmd_counterexample(args) -> int:
         raise CliError("--n must be at least 3")
     maker = cycle_hypergraph if args.shape == "cycle" else clique_complement_hypergraph
     db = tseitin_counterexample(maker(args.n))
-    _write_json(args.output, db.to_json_dict())
+    _write_json(args.output, db)
     print("counterexample written to %s" % args.output)
     return EXIT_OK
 
@@ -178,7 +187,7 @@ def cmd_lift(args) -> int:
         lifted = lift_collection(db, target, bad.ops)
     except (DatabaseError, ValueError) as exc:
         raise CliError(str(exc))
-    _write_json(args.output, lifted.to_json_dict())
+    _write_json(args.output, lifted)
     print("lifted database written to %s" % args.output)
     return EXIT_OK
 
@@ -190,7 +199,7 @@ def cmd_harden(args) -> int:
         out = lift(db)
     except DatabaseError as exc:
         raise CliError(str(exc))
-    _write_json(args.output, out.to_json_dict())
+    _write_json(args.output, out)
     print("hardened database written to %s" % args.output)
     return EXIT_OK
 
@@ -203,7 +212,7 @@ def cmd_encode_3dct(args) -> int:
         db = encode_3dct(data["R"], data["C"], data["F"])
     except ValueError as exc:
         raise CliError(str(exc))
-    _write_json(args.output, db.to_json_dict())
+    _write_json(args.output, db)
     print("3DCT database written to %s" % args.output)
     return EXIT_OK
 

@@ -2,14 +2,15 @@
 
 Two bags are consistent iff their marginals on the shared attributes agree;
 a minimal two-bag witness is filled in by the northwest-corner rule, one
-shared-key group at a time. Collections over acyclic schemas glue their bags
-the same way, in one pass along a running-intersection order: each bag's
-overlap with the rows glued so far lies in its parent in the join tree, so
-the glue fails exactly when some bag disagrees with its parent, and the
-m - 1 parent links decide. All pairs are listed only to explain a no, and
-before the oracle on cyclic schemas. Every finished witness is checked
-exactly once. Also houses the mod-d counterexample generator, safe-deletion
-lifting, and the hardness-reduction instance transformations.
+shared-key group at a time. On an acyclic schema the join tree's m - 1
+(child, parent) links decide: the collection is globally consistent iff
+every bag agrees with its parent. Only then are the bags glued the same
+way, root first in link order: each bag's overlap with the rows glued so
+far lies in its parent, so the glue only builds. All pairs are listed only
+to explain a no, and before the oracle on cyclic schemas. Every finished
+witness is checked exactly once. Also houses the mod-d counterexample
+generator, safe-deletion lifting, and the hardness-reduction instance
+transformations.
 """
 from __future__ import annotations
 
@@ -112,24 +113,26 @@ def pairwise_consistent(r: Bag, s: Bag) -> bool:
 
 
 def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
-    """A witness with inclusion-minimal support, or None: the two-bag case
-    of :func:`_northwest_glue`. Each shared-key group is a balanced
-    transportation problem, and its northwest-corner support is a staircase
-    tree, which makes the witness a vertex of the transportation polytope:
-    no witness has a strictly smaller support, and it has at most
-    |supp r| + |supp s| - 1 rows.
+    """A witness with inclusion-minimal support, or None when the bags are
+    inconsistent: the two-bag case of :func:`_northwest_glue`. Each
+    shared-key group is a balanced transportation problem, and its
+    northwest-corner support is a staircase tree, which makes the witness a
+    vertex of the transportation polytope: no witness has a strictly
+    smaller support, and it has at most |supp r| + |supp s| - 1 rows.
     """
+    if not pairwise_consistent(r, s):
+        return None
     witness = _northwest_glue((r, s))
     # re-verify before handing out
-    if witness is not None and (witness.marginal(r.schema) != r
-                                or witness.marginal(s.schema) != s):
+    if witness.marginal(r.schema) != r or witness.marginal(s.schema) != s:
         raise AssertionError("constructed an invalid two-bag witness")
     return witness
 
 
-def _northwest_glue(bags) -> Optional[Bag]:
-    """Glue the bags, in order, onto one growing list of (row, mult) pairs,
-    or None when a bag and the rows so far disagree on a shared marginal.
+def _northwest_glue(bags) -> Bag:
+    """Glue the bags, in order, onto one growing list of (row, mult) pairs.
+    Each bag must agree with the rows so far on their shared marginal; the
+    callers check that first, and check the result exactly.
 
     Each step groups both sides by their value on the shared attributes,
     fills every group by the northwest-corner rule (every left row of a
@@ -154,10 +157,7 @@ def _northwest_glue(bags) -> Optional[Bag]:
         for row, mult in cells:
             groups.setdefault(key(row), ([], []))[0].append([row, mult])
         for row, mult in sorted(bag.entries.items()):
-            group = groups.get(bag_key(row))
-            if group is None:
-                return None
-            group[1].append([new_cells(row), mult])
+            groups[bag_key(row)][1].append([new_cells(row), mult])
         cells = []
         for left, right in groups.values():
             i = j = 0
@@ -171,10 +171,6 @@ def _northwest_glue(bags) -> Optional[Bag]:
                     i += 1
                 if not rcell[1]:
                     j += 1
-            # each step empties a cell, so both sides run out together iff
-            # they carry equal mass
-            if i < len(left) or j < len(right):
-                return None
         for k in new:
             at[bag.schema[k]] = len(at)
     schema = make_schema(at)
@@ -211,15 +207,28 @@ def inconsistent_pairs(db: BagDatabase, _marginal=None) -> list:
     return out
 
 
+def _linked_witness(db: BagDatabase, tree, marginal) -> Optional[Bag]:
+    """The acyclic decider: None when a bag disagrees with its join-tree
+    parent on their shared attributes, else the bags glued root first in
+    link order, checked exactly."""
+    edges = db.hypergraph.edges
+    for child, parent in tree.links:
+        shared = edges[child] & edges[parent]
+        if marginal(child, shared) != marginal(parent, shared):
+            return None
+    return _checked_global_witness(_northwest_glue(
+        db.bags[:1] + tuple(db.bags[child] for child, _ in tree.links)), db)
+
+
 def acyclic_global_witness(db: BagDatabase) -> Optional[Bag]:
-    """Witness by northwest-corner gluing along a running-intersection
-    order; None iff some pair is inconsistent, which the glue itself finds."""
-    order = db.hypergraph.running_intersection_order()
-    if order is None:
+    """Witness by northwest-corner gluing along the join tree; None iff
+    some bag disagrees with its parent, that is, iff some pair is
+    inconsistent."""
+    tree = db.hypergraph.join_tree()
+    if tree is None:
         raise CyclicHypergraphError(
             "schema is cyclic; use the oracle path instead")
-    witness = _northwest_glue([db.bags[idx] for idx, _ in order])
-    return None if witness is None else _checked_global_witness(witness, db)
+    return _linked_witness(db, tree, _marginal_memo(db.bags))
 
 
 def _checked_global_witness(witness: Bag, db: BagDatabase) -> Bag:
@@ -229,40 +238,25 @@ def _checked_global_witness(witness: Bag, db: BagDatabase) -> Bag:
     return witness
 
 
-def _parent_links_agree(db: BagDatabase, order, marginal) -> bool:
-    """Whether every bag of the running-intersection order agrees with its
-    parent, the bag at its witness slot, on their shared attributes."""
-    edges = db.hypergraph.edges
-    for idx, slot in order[1:]:
-        parent = order[slot][0]
-        shared = edges[idx] & edges[parent]
-        if marginal(idx, shared) != marginal(parent, shared):
-            return False
-    return True
-
-
 def global_consistent(db: BagDatabase, mode: str = "auto",
                       budget: Optional[OracleBudget] = None) -> ConsistencyReport:
     """Classify the schema once. On an acyclic schema the join tree's
-    parent links decide: if every bag agrees with its parent, the glue
-    answers yes with a chained witness; otherwise all pairs are listed to
-    explain the no, reusing the links' marginals. A cyclic schema lists
-    all pairs first: an inconsistent one answers no, else the oracle
-    decides."""
+    parent links decide: if every bag agrees with its parent, the answer
+    is yes with a glued witness; otherwise all pairs are listed to explain
+    the no, reusing the links' marginals. A cyclic schema lists all pairs
+    first: an inconsistent one answers no, else the oracle decides."""
     if mode not in ("auto", "oracle"):
         raise ValueError("mode must be 'auto' or 'oracle'")
-    order = db.hypergraph.running_intersection_order()
+    tree = db.hypergraph.join_tree()
     marginal = _marginal_memo(db.bags)
-    if order is not None and _parent_links_agree(db, order, marginal):
-        witness = _northwest_glue([db.bags[idx] for idx, _ in order])
-        if witness is None:  # cannot happen when every link agrees
-            raise AssertionError("chaining failed on a consistent collection")
-        return ConsistencyReport((), GLOBAL_YES,
-                                 _checked_global_witness(witness, db))
+    if tree is not None:
+        witness = _linked_witness(db, tree, marginal)
+        if witness is not None:
+            return ConsistencyReport((), GLOBAL_YES, witness)
     bad_pairs = tuple(inconsistent_pairs(db, marginal))
     if bad_pairs:
         return ConsistencyReport(bad_pairs, GLOBAL_NO)
-    if order is not None:  # a disagreeing link is an inconsistent pair
+    if tree is not None:  # a disagreeing link is an inconsistent pair
         raise AssertionError("a parent link disagrees, but no pair does")
     join_bound = 1
     for bag in db.bags:

@@ -13,7 +13,11 @@ from bagconsist.cli import run
 from bagconsist.hypergraph import cycle_hypergraph, path_hypergraph
 from bagconsist.consistency import tseitin_counterexample
 
-from conftest import cyclic_variants, random_acyclic_schema
+from conftest import (
+    cyclic_variants,
+    random_acyclic_database,
+    random_acyclic_schema,
+)
 
 
 def _write(path, data):
@@ -128,6 +132,28 @@ def test_witness_verb(tmp_path, capsys):
     out_file = tmp_path / "w.json"
     assert run(["witness", "--db", f, "-o", str(out_file)]) == 0
     assert out_file.exists()
+    # both verbs decide on the join tree's parent links: the same witness
+    # file for a yes, exit 1 for a copy with one multiplicity bumped
+    rng = random.Random(0x3B)
+    checked = 0
+    while checked < 20:
+        db = random_acyclic_database(rng)
+        if len(db.bags) < 2 or not db.bags[0]:
+            continue
+        checked += 1
+        f = _write(tmp_path / "db.json", db.to_json_dict())
+        by_global = tmp_path / "global.json"
+        assert run(["witness", "--db", f, "-o", str(out_file)]) == 0
+        assert run(["global", "--db", f, "--witness", str(by_global)]) == 0
+        assert out_file.read_bytes() == by_global.read_bytes()
+        first = db.bags[0]
+        row = min(first.entries)
+        bumped = Bag(first.schema,
+                     {**first.entries, row: first.entries[row] + 1})
+        f = _write(tmp_path / "bumped.json", BagDatabase(
+            db.hypergraph, (bumped,) + db.bags[1:]).to_json_dict())
+        assert run(["witness", "--db", f, "-o", str(out_file)]) == 1
+        assert run(["global", "--db", f]) == 1
     capsys.readouterr()
 
 
@@ -187,6 +213,56 @@ def test_harden_verb(tmp_path, capsys):
                 "-o", str(out_file)]) == 0
     assert run(["global", "--db", str(out_file), "--oracle"]) == 1
     capsys.readouterr()
+
+
+# the longest multiplicity that str() and int() take by default
+_BIG = "9" * 4300
+
+
+def _big_bag(schema, rows):
+    return {"schema": schema,
+            "tuples": [{"values": dict(zip(schema, row)), "mult": _BIG}
+                       for row in rows]}
+
+
+def _big_db(edges, rows):
+    return {"hypergraph": {"vertices": sorted({a for e in edges for a in e}),
+                           "edges": edges},
+            "bags": [_big_bag(e, r) for e, r in zip(edges, rows)]}
+
+
+_TRIANGLE = [["A1", "A2"], ["A2", "A3"], ["A1", "A3"]]
+
+
+@pytest.mark.parametrize("argv, db", [
+    # the new closing bag holds the sum of the two rows sharing A1
+    (["harden", "--to", "cycle"],
+     _big_db(_TRIANGLE, [[("0", "0")], [("0", "0")],
+                         [("0", "0"), ("0", "1")]])),
+    # A1 takes two values, so bag 0's new row (A2, A3) = ("1", "0"),
+    # absent from it, gets 2 * _BIG
+    (["harden", "--to", "clique"],
+     _big_db([["A2", "A3"], ["A1", "A3"], ["A1", "A2"]],
+             [[("0", "0")], [("0", "0"), ("1", "0")],
+              [("0", "0"), ("0", "1")]])),
+    # the refilled {A1} bag is the marginal of the {A1, A2} bag
+    (["lift", "--schema", "TARGET"],
+     _big_db(_TRIANGLE, [[("0", "0"), ("0", "1")], [("0", "0")],
+                         [("0", "0")]])),
+], ids=["harden-cycle", "harden-clique", "lift"])
+def test_output_multiplicity_past_digit_limit_exits_2(tmp_path, capsys,
+                                                     argv, db):
+    target = _write(tmp_path / "target.json",
+                    {"vertices": ["A1", "A2", "A3", "A4"],
+                     "edges": _TRIANGLE + [["A1", "A4"]]})
+    out_file = tmp_path / "out.json"
+    argv = [target if a == "TARGET" else a for a in argv]
+    assert run(argv + ["--db", _write(tmp_path / "db.json", db),
+                       "-o", str(out_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+    assert not out_file.exists()
 
 
 def test_encode_3dct_verb(tmp_path, capsys):

@@ -258,17 +258,24 @@ def test_inconsistent_pairs_matches_naive_loop():
             seen[ok] += 1
             if not ok:
                 naive.append((i, j))
-            # the witness builder decides consistency by its own grouping
+            # the witness builder answers None exactly on inconsistent pairs
             assert (minimal_two_bag_witness(bags[i], bags[j]) is None) == (not ok)
         assert inconsistent_pairs(db) == naive
     assert seen[True] > 100 and seen[False] > 100
 
 
-def test_glue_decides_exactly_when_a_pair_disagrees():
-    """Along a running-intersection order the glue fails iff some pair of
-    bags is inconsistent, and ``global_consistent`` reports what a check of
-    every pair reports, on consistent databases, on ones with one unit
-    added to a bag, and on ones with a unit of mass moved inside one bag
+def _glue_must_not_run(bags):
+    raise AssertionError("glued an inconsistent collection")
+
+
+def test_glue_decides_exactly_when_a_pair_disagrees(monkeypatch):
+    """The glue never decides: the join tree's parent links answer no iff
+    some pair of bags is inconsistent, before any glue, and
+    ``global_consistent`` reports what a check of every pair reports. On a
+    no, ``acyclic_global_witness``, ``global_consistent`` and
+    ``minimal_two_bag_witness`` on each inconsistent pair answer with a
+    glue that raises. Cases: consistent databases, ones with one unit
+    added to a bag, and ones with a unit of mass moved inside one bag
     (same totals, so only a shared marginal can tell)."""
     rng = random.Random(0x61E)
     moved = {True: 0, False: 0}
@@ -291,15 +298,21 @@ def test_glue_decides_exactly_when_a_pair_disagrees():
         elif change == 2:
             bags[k] = _move_one_unit(rng, bags[k])
         db = BagDatabase(db.hypergraph, tuple(bags))
-        witness = acyclic_global_witness(db)
         pairs = inconsistent_pairs(db)
         bad = bool(pairs)
+        with monkeypatch.context() as patched:
+            if bad:
+                patched.setattr(consistency, "_northwest_glue",
+                                _glue_must_not_run)
+            witness = acyclic_global_witness(db)
+            # global lists every pair for a no: the same report as
+            # checking every pair first
+            report = global_consistent(db).to_json_dict()
+            for i, j in pairs:
+                assert minimal_two_bag_witness(bags[i], bags[j]) is None
         assert (witness is None) == bad
         if witness is not None:
             assert check_witness(witness, db)
-        # global decides on the parent links and lists every pair for a no:
-        # the same report as checking every pair first
-        report = global_consistent(db).to_json_dict()
         assert report.pop("witness", None) == (
             None if bad else witness.to_json_dict())
         assert report == {
