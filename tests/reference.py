@@ -1,11 +1,12 @@
 """Test-only reference implementations.
 
-``reference_search`` is the oracle's depth-first search as it was written
-before its per-node cost was cut: a ``pending`` count per constraint row,
-updated on every placement and undo, an ``assignment`` array beside the
-value stack, and the bounds set by a ``push`` closure. The production
-search must visit the same nodes in the same order and return the same
-answers, so the tests compare the two at many node budgets.
+``reference_search`` is the oracle's earlier depth-first search: join rows
+in canonical order, values from high to low within the bounds the
+remaining demands allow, a ``pending`` count per constraint row, updated on
+every placement and undo, and the bounds set by a ``push`` closure. The
+production search branches fail-first and visits other nodes, so the tests
+compare answers: wherever neither exhausts its budget, both find a witness
+or both prove there is none, and both enumerate the same set of witnesses.
 
 ``reference_lift`` and ``reference_replay_ops`` replay safe deletions as
 they did before the replay named edges by their original index: a copy of
@@ -87,7 +88,9 @@ def reference_search(db, budget, want_all):
         if all(d == 0 for d in demands):
             return [Bag(sys_.union_schema, {})]
         return []
-    if any(d > 0 and c == 0 for d, c in zip(demands, sys_.incident)):
+    starts = sys_.starts
+    incident = [b - a for a, b in zip(starts, starts[1:])]
+    if any(d > 0 and c == 0 for d, c in zip(demands, incident)):
         return []
     totals = {sum(bag.entries.values()) for bag in db.bags}
     if len(totals) > 1:
@@ -95,11 +98,12 @@ def reference_search(db, budget, want_all):
 
     cap = max(demands, default=0)
     n = len(sys_.join_rows)
-    # per join row: the constraint rows it touches (the slack is not used)
-    row_tuples = [[r for r, _ in hit] for hit in sys_.slack]
+    # per join row: the constraint rows it touches
+    width = sys_.width
+    row_tuples = [sys_.hits[p * width:(p + 1) * width] for p in range(n)]
     rem = list(demands)
     # per constraint row: how many join rows at position >= p still touch it
-    pending = list(sys_.incident)
+    pending = incident
     assignment = [0] * n
     solutions = []
     nodes = 0

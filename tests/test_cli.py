@@ -103,9 +103,9 @@ def test_global_budget_exhaustion(tmp_path, capsys):
     # cyclic instance with a non-trivial search tree and a tiny node budget
     h = Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]])
     db = BagDatabase(h, (
-        Bag(("A", "B"), {(a, b): 1 for a in "01" for b in "01"}),
-        Bag(("B", "C"), {(a, b): 1 for a in "01" for b in "01"}),
-        Bag(("A", "C"), {(a, b): 1 for a in "01" for b in "01"}),
+        Bag(("A", "B"), {(a, b): 1 for a in "012" for b in "012"}),
+        Bag(("B", "C"), {(a, b): 1 for a in "012" for b in "012"}),
+        Bag(("A", "C"), {(a, b): 1 for a in "012" for b in "012"}),
     ))
     f = _write(tmp_path / "db.json", db.to_json_dict())
     code = run(["global", "--db", f, "--oracle", "--budget-nodes", "1"])

@@ -19,7 +19,8 @@ from bagconsist import (
 )
 from bagconsist import oracle
 from bagconsist.bags import SchemaMismatchError
-from bagconsist.consistency import _pad_with_default
+from bagconsist.consistency import _pad_with_default, tseitin_counterexample
+from bagconsist.hypergraph import clique_complement_hypergraph, cycle_hypergraph
 
 from conftest import (
     database_of,
@@ -206,21 +207,35 @@ def _feasible_3dct(n, seed, density):
     return encode_3dct(*_margins(t))
 
 
+def _dense_3dct(n, seed, max_cell):
+    """The margins of a seeded random table over X, Y, Z with cells in
+    0..max_cell: a feasible 3DCT instance."""
+    rng = random.Random(seed)
+    t = [[[rng.randint(0, max_cell) for _ in range(n)] for _ in range(n)]
+         for _ in range(n)]
+    return encode_3dct(*_margins(t))
+
+
 # (database, nodes to the first witness or proof of none, nodes to
-# enumerate every witness); a change to the search's node accounting,
-# pruning or value order moves these counts
+# enumerate every witness or None where there are too many); a change to the
+# search's node accounting, propagation, branching or value order moves
+# these counts
 _NODE_COUNTS = {
     "paper-pair": (lambda: pair_database(
         Bag(("A", "B"), {("1", "2"): 1, ("2", "2"): 1}),
-        Bag(("B", "C"), {("2", "1"): 1, ("2", "2"): 1})), 4, 15),
-    "witness-family-4": (lambda: pair_database(*witness_family(4)), 12, 145),
-    "3dct-n3": (lambda: _feasible_3dct(3, 3, 0.5), 34, 143),
-    "3dct-n4": (lambda: _feasible_3dct(4, 4, 0.25), 47, 161),
-    # pairwise consistent (one unit of F moved around a 2x2 cycle), infeasible
+        Bag(("B", "C"), {("2", "1"): 1, ("2", "2"): 1})), 1, 2),
+    "witness-family-4": (lambda: pair_database(*witness_family(4)), 3, 14),
+    "3dct-n3": (lambda: _feasible_3dct(3, 3, 0.5), 2, 6),
+    "3dct-n4": (lambda: _feasible_3dct(4, 4, 0.25), 3, 4),
+    # pairwise consistent (one unit of F moved around a 2x2 cycle),
+    # infeasible; propagation refutes it before any branch
     "3dct-infeasible": (lambda: encode_3dct(
         [[2, 1, 2], [0, 3, 0], [1, 1, 1]],
         [[0, 2, 1], [1, 2, 1], [2, 1, 1]],
-        [[2, 2, 1], [0, 1, 2], [1, 1, 1]]), 25, 25),
+        [[2, 2, 1], [0, 1, 2], [1, 1, 1]]), 0, 0),
+    # this seed's count also moves when the free join rows' room check is
+    # left out of the propagation
+    "3dct-dense-n7": (lambda: _dense_3dct(7, 6, 3), 219, None),
 }
 
 
@@ -230,8 +245,12 @@ def test_node_counts_pinned(make, first, every):
     db = make()
     for search, nodes in ((solve_feasibility, first),
                           (enumerate_witnesses, every)):
-        assert search(db, OracleBudget(max_nodes=nodes)) is not EXHAUSTED
-        assert search(db, OracleBudget(max_nodes=nodes - 1)) is EXHAUSTED
+        if nodes is None:
+            continue
+        # the smallest budget is one node, so a count of 0 is checked there
+        assert search(db, OracleBudget(max_nodes=max(nodes, 1))) is not EXHAUSTED
+        if nodes > 1:
+            assert search(db, OracleBudget(max_nodes=nodes - 1)) is EXHAUSTED
 
 
 def _perturbed_3dct(rng, n):
@@ -261,31 +280,66 @@ def _first(sols):
     return sols[0] if sols else None
 
 
+# positions among 300 seed-808 instances with n = 2..5 where the reference
+# DFS spends 10^6 nodes without an answer
+_DFS_EXHAUSTS = (161, 212, 298)
+
+
 def test_search_matches_reference():
-    """The search visits the same nodes in the same order as the
-    reference DFS: at every node budget it gives the same EXHAUSTED, None
-    or witness, and the same witness list in the same order."""
+    """The search branches fail-first, so it visits other nodes than the
+    reference DFS; it must give the same answers. Wherever neither
+    exhausts, both find a witness or both prove there is none, and both
+    enumerate the same set of witnesses, each once and each passing the
+    exact check. The search also decides the instances the DFS exhausts
+    on and refutes the Tseitin databases on C_5 and H_4."""
     rng = random.Random(808)
-    seen = set()
+    # enumerating costs the search far more per node than the DFS
+    budget = OracleBudget(max_nodes=10 ** 3)
+    ref_budget = OracleBudget(max_nodes=10 ** 4)
+    seen = {}
     for _ in range(120):
         db = _perturbed_3dct(rng, rng.randint(2, 4))
-        for nodes in (1, 2, 3, 5, 10, 30, 100, 10 ** 3, 10 ** 4):
-            budget = OracleBudget(max_nodes=nodes)
-            first = solve_feasibility(db, budget)
-            assert first == _first(reference_search(db, budget, False))
-            assert (enumerate_witnesses(db, budget)
-                    == reference_search(db, budget, True))
-            seen.add("witness" if isinstance(first, Bag) else repr(first))
-    assert seen == {"EXHAUSTED", "None", "witness"}
+        first = solve_feasibility(db)
+        assert first is None or check_witness(first, db)
+        ref_first = _first(reference_search(db, ref_budget, False))
+        if ref_first is not EXHAUSTED:
+            assert (first is None) == (ref_first is None)
+            kind = "none" if first is None else "witness"
+            seen[kind] = seen.get(kind, 0) + 1
+        every = enumerate_witnesses(db, budget)
+        if every is not EXHAUSTED:
+            assert len(set(every)) == len(every)
+            assert all(check_witness(w, db) for w in every)
+            if every:
+                assert first in every
+            else:
+                assert first is None
+            ref_every = reference_search(db, ref_budget, True)
+            if ref_every is not EXHAUSTED:
+                assert set(every) == set(ref_every)
+                seen["enumerated"] = seen.get("enumerated", 0) + 1
+    assert min(seen.values()) >= 5 and len(seen) == 3
+
+    rng = random.Random(808)
+    for k in range(max(_DFS_EXHAUSTS) + 1):
+        db = _perturbed_3dct(rng, rng.randint(2, 5))
+        if k in _DFS_EXHAUSTS:
+            assert reference_search(
+                db, OracleBudget(max_nodes=10 ** 5), False) is EXHAUSTED
+            w = solve_feasibility(db)
+            assert isinstance(w, Bag) and check_witness(w, db)
+
+    for h in (cycle_hypergraph(5), clique_complement_hypergraph(4)):
+        assert solve_feasibility(tseitin_counterexample(h)) is None
 
 
 def test_seconds_budget_stops_the_search():
-    """A dense n = 7 table outlasts 0.1 s of search (more than 15 s to a
-    witness on a 2-vCPU VM); the clock check inside the search loop ends it
+    """Enumerating the witnesses of a dense n = 7 table outlasts 0.1 s (it
+    has astronomically many); the clock check at every search node ends it
     long before the node budget would."""
     db = _feasible_3dct(7, 0, 0.7)
     start = time.monotonic()
-    assert solve_feasibility(
+    assert enumerate_witnesses(
         db, OracleBudget(max_nodes=10 ** 9, max_seconds=0.1)) is EXHAUSTED
     assert time.monotonic() - start < 2
 
