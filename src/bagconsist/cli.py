@@ -3,12 +3,18 @@
 Exit codes: 0 = positive answer (consistent / acyclic), 1 = negative answer,
 2 = usage or I/O error, 3 = resource exhausted (oracle budget, or a cyclic
 instance too large for the auto mode).
+
+Reports on stdout and the files the verbs write are
+``json.dumps(data, indent=2, sort_keys=True)`` text plus a newline. ``run``
+may be called any number of times in one process; it builds the argument
+parser on its first call and reuses it.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .consistency import (
     BagDatabase,
@@ -69,7 +75,51 @@ def _load_schema(path: str) -> Hypergraph:
 
 
 def _json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, written here
+    because ``indent`` makes ``json`` fall back to its pure-Python encoder:
+    strings and keys go through the C string encoder, numbers through
+    ``json.dumps``, and the layout is built in one list."""
+    parts: list = []
+    _put_json(data, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _put_json(value, newline: str, parts: list) -> None:
+    """Append ``value``'s JSON text to ``parts``; ``newline`` is the line
+    break and indent of the line that ``value`` starts on."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _put_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _put_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(value))
 
 
 def _write_json(path: str, obj) -> None:
@@ -301,10 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first ``run`` call
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -12,9 +12,11 @@ undoes placements. A node is one value tried at a branch point, so
 ``OracleBudget.max_nodes`` stops the search at the same node on every run,
 unless ``max_seconds`` (checked at every node) trips first. The clock
 starts before the join, which stops at ``max_join_support`` + 1 rows and
-checks the clock every 1,024 rows. A node costs far more than a step of a
-plain depth-first walk (about 40 against 0.5 microseconds on a dense
-7 x 7 x 7 table), so a run that spends its node budget takes longer.
+checks the clock every 1,024 rows; the clock is read again after the
+join's rows are sorted, after the incidence lists are built and after the
+first propagation. A node costs far more than a step of a plain
+depth-first walk (about 40 against 0.5 microseconds on a dense 7 x 7 x 7
+table), so a run that spends its node budget takes longer.
 Exponential in the worst case by design: this module exists to certify
 small instances and to cross-check every other decision path.
 """
@@ -111,12 +113,14 @@ def _support_join(db, budget: OracleBudget, deadline: float):
 def _build_system(db, budget: OracleBudget,
                   deadline: float) -> Union[_System, _Exhausted]:
     """Join the supports and set up the marginal-equation rows, or
-    EXHAUSTED when the join outgrows the budget."""
+    EXHAUSTED when the join outgrows the budget or the deadline passes."""
     union_schema = tuple(sorted({a for bag in db.bags for a in bag.schema}))
     joined = _support_join(db, budget, deadline)
     if joined is EXHAUSTED:
         return EXHAUSTED
     join_rows = [] if joined is None else joined.rows()
+    if time.monotonic() > deadline:
+        return EXHAUSTED
 
     demands = []
     index = []  # per bag: support row -> constraint row
@@ -142,6 +146,8 @@ def _build_system(db, budget: OracleBudget,
         for r in hits[j * width:(j + 1) * width]:
             users[fill[r]] = j
             fill[r] += 1
+    if time.monotonic() > deadline:
+        return EXHAUSTED
     return _System(union_schema, join_rows, demands, width, hits, starts,
                    users)
 
@@ -227,6 +233,8 @@ def _search(db, budget: OracleBudget, want_all: bool):
     if not settle(list(rows)):
         return solutions
     max_nodes, clock = budget.max_nodes, time.monotonic
+    if clock() > deadline:
+        return EXHAUSTED
     # one frame per branch point: [join row, lowest value, highest value,
     # even share, next value up, next value down, trail mark]
     frames = []

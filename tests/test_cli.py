@@ -5,10 +5,10 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bagconsist import Bag, BagDatabase, Hypergraph
+from bagconsist import Bag, BagDatabase, Hypergraph, cli
 from bagconsist.cli import run
 from bagconsist.hypergraph import cycle_hypergraph, path_hypergraph
 from bagconsist.consistency import tseitin_counterexample
@@ -382,6 +382,66 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, verb, flag):
     assert "Traceback" not in err
 
 
+# -- output text and parser reuse ------------------------------------------
+
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\x80\xe9\u2028\ud800\U0001f600 aZ')
+                | st.characters(), max_size=5)
+_WRITER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([0, 1, -1])
+    | st.integers() | st.integers(-10 ** 4000, 10 ** 4000) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_WRITER_VALUES)
+@example([True, 1, False, 0, None, [], {}, ()])
+@example({"a": {"": [(), {}]}, "\u00e9": (True, 1), "\x00\"\\": False})
+def test_json_text_matches_indented_dumps(value):
+    assert cli._json_text(value) == json.dumps(
+        value, indent=2, sort_keys=True) + "\n"
+
+
+def _captured_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_answers_as_a_fresh_one(tmp_path, triangle_db_file,
+                                              monkeypatch):
+    """Calls made one after another through the parser that the first call
+    builds answer exactly as each call does through a freshly built one:
+    no flag or default carries over from one call to the next."""
+    acyclic = _write(tmp_path / "acyclic.json",
+                     random_acyclic_database(random.Random(7)).to_json_dict())
+    # the default budget decides it; ten nodes would not
+    full = {(a, b): 1 for a in "01234" for b in "01234"}
+    cyclic = _write(tmp_path / "cyclic.json", BagDatabase(
+        Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]]),
+        (Bag(("A", "B"), full), Bag(("B", "C"), full),
+         Bag(("A", "C"), full))).to_json_dict())
+    calls = [
+        ["global", "--oracle", "--budget-nodes", "5", "--db", acyclic,
+         "--bogus"],
+        ["--help"],
+        ["global", "--oracle", "--budget-nodes", "10", "--db",
+         triangle_db_file],
+        ["global", "--db", acyclic],
+        ["global", "--db", cyclic],
+    ]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_captured_run(argv))
+    assert [code for code, _, _ in fresh] == [2, 0, 1, 0, 0]
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [_captured_run(argv) for argv in calls] == fresh
+
+
 # -- mutation fuzz ---------------------------------------------------------
 
 _JSON_VALUES = st.recursive(
@@ -471,10 +531,8 @@ def test_mutated_input_keeps_exit_codes(tmp_path_factory, c4_schema, argv,
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(_mutated_text(data, valid))
     argv = [c4_schema if a == "C4_SCHEMA" else a for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv + [str(path)])
+    code, _, err = _captured_run(argv + [str(path)])
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 2:
-        assert "error:" in err.getvalue()
+        assert "error:" in err

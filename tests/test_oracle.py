@@ -344,6 +344,34 @@ def test_seconds_budget_stops_the_search():
     assert time.monotonic() - start < 2
 
 
+def test_deadline_checked_after_the_join(monkeypatch):
+    """A deadline that passes once the join is done ends the search before
+    the marginal-equation system is built, so before any search node."""
+    passed = []
+    support_join, system = oracle._support_join, oracle._System
+
+    def join_then_pass(*args):
+        joined = support_join(*args)
+        passed.append(True)
+        return joined
+
+    def clock():
+        return 10.0 ** 9 if passed else 0.0
+
+    built = []
+
+    def counting_system(*args):
+        built.append(True)
+        return system(*args)
+
+    monkeypatch.setattr(oracle, "_support_join", join_then_pass)
+    monkeypatch.setattr(oracle, "_System", counting_system)
+    monkeypatch.setattr(oracle.time, "monotonic", clock)
+    db = _dense_3dct(7, 6, 3)
+    assert solve_feasibility(db, OracleBudget(max_seconds=1)) is EXHAUSTED
+    assert passed and not built
+
+
 def test_verify_bounds_paper_example(paper_pair):
     r, s = paper_pair
     db = pair_database(r, s)
