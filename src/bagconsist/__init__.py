@@ -15,7 +15,6 @@ from .bags import (
     SchemaMismatchError,
     SizeNorms,
     make_schema,
-    project_row,
 )
 from .consistency import (
     BagDatabase,
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bag", "BagFormatError", "SchemaMismatchError", "SizeNorms",
-    "make_schema", "project_row",
+    "make_schema",
     "BagDatabase", "ConsistencyReport", "CyclicHypergraphError",
     "DatabaseError", "acyclic_global_witness",
     "clique_hardness_lift", "cycle_hardness_lift", "encode_3dct",

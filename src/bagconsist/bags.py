@@ -172,7 +172,7 @@ class Bag:
 
     def support(self) -> "Bag":
         """Same support, all multiplicities clamped to 1 (a relation)."""
-        return Bag(self.schema, {row: 1 for row in self.entries})
+        return Bag._trusted(self.schema, dict.fromkeys(self.entries, 1))
 
     def contained_in(self, other: "Bag") -> bool:
         """Bag containment: every multiplicity bounded by the other's."""
@@ -294,17 +294,6 @@ def _json_cell(value, item) -> str:
 def _is_name_list(data) -> bool:
     """True iff parsed JSON is a list of strings (attribute names)."""
     return isinstance(data, list) and all(isinstance(a, str) for a in data)
-
-
-def project_row(schema: tuple[str, ...], row: Row, attrs: Iterable[str]) -> Row:
-    """Project a single row onto a sub-schema; the empty sub-schema yields
-    the empty tuple."""
-    z = make_schema(attrs)
-    pos = {a: i for i, a in enumerate(schema)}
-    missing = [a for a in z if a not in pos]
-    if missing:
-        raise SchemaMismatchError("attributes %r not in schema %r" % (missing, schema))
-    return tuple(row[pos[a]] for a in z)
 
 
 @dataclass(frozen=True)

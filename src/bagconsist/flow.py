@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bags import Bag, Row, project_row
+from .bags import Bag, Row, _row_key
 
 KERNEL = "python"
 
@@ -75,11 +75,10 @@ def build_network(r: Bag, s: Bag) -> FlowNetwork:
     joined = r.support().join(s.support())
     lpos = {row: i for i, row in enumerate(left)}
     rpos = {row: i for i, row in enumerate(right)}
-    middles = []
-    for jrow in joined.rows():
-        li = lpos[project_row(joined.schema, jrow, r.schema)]
-        ri = rpos[project_row(joined.schema, jrow, s.schema)]
-        middles.append((li, ri, jrow))
+    rkey = _row_key(joined._positions(r.schema))
+    skey = _row_key(joined._positions(s.schema))
+    middles = [(lpos[rkey(jrow)], rpos[skey(jrow)], jrow)
+               for jrow in joined.rows()]
     return FlowNetwork(
         left_schema=r.schema,
         right_schema=s.schema,

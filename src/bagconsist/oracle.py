@@ -1,22 +1,23 @@
 """Ground-truth integer-feasibility solver for witness systems.
 
-Solves the marginal-equation system over the join of the supports (one
-unknown per join row, one equation per bag row) by a complete fail-first
-search. After each placement it propagates on the rows touched: a row with
-nothing left sets its free join rows to 0, a row with one free join row
-sets it, and a row below 0, short with nothing free, or wanting more than
-its free join rows' upper bounds fails the branch. It branches on the row
-with the fewest free join rows, at its free join row with the smallest
-upper bound, trying values nearest the row's even share first; a trail
+Solves the marginal-equation system over the join of the supports: one
+unknown per join row, one equation (constraint row) per bag row. The
+system is held as two incidence lists: per bag, a column mapping each join
+row to its constraint row, and per constraint row, its join rows in
+ascending order. A complete fail-first search solves it. After each
+placement it propagates on the rows touched: a row with nothing left sets
+its free join rows to 0, a row with one free join row sets it, and a row
+below 0, short with nothing free, or wanting more than its free join rows'
+upper bounds fails the branch. It branches on the row with the fewest free
+join rows, at its free join row with the smallest upper bound, and steps
+through that join row's values nearest the row's even share first; a trail
 undoes placements. A node is one value tried at a branch point, so
 ``OracleBudget.max_nodes`` stops the search at the same node on every run,
 unless ``max_seconds`` (checked at every node) trips first. The clock
 starts before the join, which stops at ``max_join_support`` + 1 rows and
 checks the clock every 1,024 rows; the clock is read again after the
 join's rows are sorted, after the incidence lists are built and after the
-first propagation. A node costs far more than a step of a plain
-depth-first walk (about 40 against 0.5 microseconds on a dense 7 x 7 x 7
-table), so a run that spends its node budget takes longer.
+first propagation.
 Exponential in the worst case by design: this module exists to certify
 small instances and to cross-check every other decision path.
 """
@@ -83,10 +84,8 @@ class _System:
     union_schema: tuple
     join_rows: list                 # candidate witness rows, canonical order
     demands: list                   # one per constraint row
-    width: int                      # constraint rows per join row: one per bag
-    hits: list                      # join row j: hits[j * width:(j + 1) * width]
-    starts: list                    # constraint row r: the join rows
-    users: list                     #   users[starts[r]:starts[r + 1]], ascending
+    columns: list                   # per bag: join row -> its constraint row
+    users: list                     # per constraint row: its join rows, ascending
 
 
 def _support_join(db, budget: OracleBudget, deadline: float):
@@ -95,7 +94,7 @@ def _support_join(db, budget: OracleBudget, deadline: float):
     passes: no step builds more than that many rows plus one."""
     joined = None
     for bag in db.bags:
-        rel = Bag._trusted(bag.schema, dict.fromkeys(bag.entries, 1))
+        rel = bag.support()
         if joined is not None:
             schema, rows = joined._join_rows(rel)
             entries: dict = {}
@@ -122,34 +121,36 @@ def _build_system(db, budget: OracleBudget,
     if time.monotonic() > deadline:
         return EXHAUSTED
 
-    demands = []
-    index = []  # per bag: support row -> constraint row
-    for bag in db.bags:
-        index.append({r: len(demands) + k for k, r in enumerate(bag.rows())})
-        demands.extend(bag.entries[r] for r in bag.rows())
-
+    # one constraint row per bag row, in each bag's canonical order, and
     # each bag's attribute positions in a join row (over the union schema)
     at = {a: k for k, a in enumerate(union_schema)}
-    cols = [(index[i], _row_key([at[a] for a in bag.schema]))
-            for i, bag in enumerate(db.bags)]
-    hits = [rows[col(jrow)] for jrow in join_rows for rows, col in cols]
-    # the transpose, as offsets into one flat list of join rows
-    width = len(db.bags)
-    starts = [0] * (len(demands) + 1)
-    for r in hits:
-        starts[r + 1] += 1
-    for r in range(len(demands)):
-        starts[r + 1] += starts[r]
-    fill = starts[:-1]
-    users = [0] * len(hits)
-    for j in range(len(join_rows)):
-        for r in hits[j * width:(j + 1) * width]:
-            users[fill[r]] = j
-            fill[r] += 1
+    demands = []
+    columns = []
+    for bag in db.bags:
+        rows = bag.rows()
+        index = {r: len(demands) + k for k, r in enumerate(rows)}
+        demands.extend(map(bag.entries.__getitem__, rows))
+        key = _row_key([at[a] for a in bag.schema])
+        columns.append([index[key(jrow)] for jrow in join_rows])
+    users = [[] for _ in demands]
+    for j, hit in enumerate(zip(*columns)):
+        for r in hit:
+            users[r].append(j)
     if time.monotonic() > deadline:
         return EXHAUSTED
-    return _System(union_schema, join_rows, demands, width, hits, starts,
-                   users)
+    return _System(union_schema, join_rows, demands, columns, users)
+
+
+def _values(lb: int, ub: int, share: int):
+    """The values lb..ub, nearest ``share`` first, the higher on a tie."""
+    up, down = max(share, lb), min(share - 1, ub)
+    while up <= ub or down >= lb:
+        if up <= ub and (down < lb or up - share <= share - down):
+            yield up
+            up += 1
+        else:
+            yield down
+            down -= 1
 
 
 def _search(db, budget: OracleBudget, want_all: bool):
@@ -160,17 +161,16 @@ def _search(db, budget: OracleBudget, want_all: bool):
     sys_ = _build_system(db, budget, deadline)
     if sys_ is EXHAUSTED:
         return EXHAUSTED
-    demands, starts = sys_.demands, sys_.starts
+    demands, columns, users = sys_.demands, sys_.columns, sys_.users
     if not demands:  # no bag has a row: the empty bag is the witness
         return [Bag(sys_.union_schema, {})]
     # every demand is positive, so a row no join row touches cannot be met;
     # each join row adds once to every bag's total, so the totals must agree
-    free = [b - a for a, b in zip(starts, starts[1:])]
+    free = list(map(len, users))
     if (0 in free
             or len({sum(bag.entries.values()) for bag in db.bags}) > 1):
         return []
 
-    width, hits, users = sys_.width, sys_.hits, sys_.users
     rem = list(demands)
     value: list = [None] * len(sys_.join_rows)  # None while free
     trail = []  # the join rows placed, in order
@@ -178,24 +178,25 @@ def _search(db, budget: OracleBudget, want_all: bool):
     def place(j, v, touched):
         value[j] = v
         trail.append(j)
-        hit = hits[j * width:(j + 1) * width]
-        for r in hit:
+        for col in columns:
+            r = col[j]
             rem[r] -= v
             free[r] -= 1
-        touched.extend(hit)
+            touched.append(r)
 
     def undo(mark):
         while len(trail) > mark:
             j = trail.pop()
             v = value[j]
             value[j] = None
-            for r in hits[j * width:(j + 1) * width]:
+            for col in columns:
+                r = col[j]
                 rem[r] += v
                 free[r] += 1
 
     def upper(j):
         """The most join row j can take: its smallest remaining demand."""
-        return min([rem[r] for r in hits[j * width:(j + 1) * width]])
+        return min([rem[col[j]] for col in columns])
 
     def settle(touched):
         """Propagate from the touched constraint rows: a row with nothing
@@ -215,7 +216,7 @@ def _search(db, budget: OracleBudget, want_all: bool):
                 continue
             if d and k > 1:
                 room = 0
-                for j in users[starts[r]:starts[r + 1]]:
+                for j in users[r]:
                     if value[j] is None:
                         room += upper(j)
                         if room >= d:
@@ -223,7 +224,7 @@ def _search(db, budget: OracleBudget, want_all: bool):
                 else:
                     return False
                 continue
-            for j in users[starts[r]:starts[r + 1]]:
+            for j in users[r]:
                 if value[j] is None:
                     place(j, d, touched)
         return True
@@ -235,8 +236,8 @@ def _search(db, budget: OracleBudget, want_all: bool):
     max_nodes, clock = budget.max_nodes, time.monotonic
     if clock() > deadline:
         return EXHAUSTED
-    # one frame per branch point: [join row, lowest value, highest value,
-    # even share, next value up, next value down, trail mark]
+    # one frame per branch point: (join row, its values left to try, the
+    # trail's length before them)
     frames = []
     nodes = 0
     while True:
@@ -255,26 +256,17 @@ def _search(db, budget: OracleBudget, want_all: bool):
             r = min(itertools.compress(rows, map(k.__eq__, free)),
                     key=rem.__getitem__)
             d = rem[r]
-            ubs = [(upper(j), j) for j in users[starts[r]:starts[r + 1]]
-                   if value[j] is None]
+            ubs = [(upper(j), j) for j in users[r] if value[j] is None]
             ub, j = min(ubs)
             lb = max(0, d - sum(u for u, _ in ubs) + ub)
-            share = (2 * d + k) // (2 * k)
-            frames.append([j, lb, ub, share, max(share, lb),
-                           min(share - 1, ub), len(trail)])
-        # try the next value of the innermost branch point that has one,
-        # nearest the even share first, the higher value on a tie
+            frames.append((j, _values(lb, ub, (2 * d + k) // (2 * k)),
+                           len(trail)))
+        # try the next value of the innermost branch point that has one
         while frames:
-            frame = frames[-1]
-            j, lb, ub, share, up, down, mark = frame
+            j, values, mark = frames[-1]
             undo(mark)
-            if up <= ub and (down < lb or up - share <= share - down):
-                v = up
-                frame[4] = up + 1
-            elif down >= lb:
-                v = down
-                frame[5] = down - 1
-            else:
+            v = next(values, None)
+            if v is None:
                 frames.pop()
                 continue
             nodes += 1

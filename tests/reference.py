@@ -88,8 +88,7 @@ def reference_search(db, budget, want_all):
         if all(d == 0 for d in demands):
             return [Bag(sys_.union_schema, {})]
         return []
-    starts = sys_.starts
-    incident = [b - a for a, b in zip(starts, starts[1:])]
+    incident = [len(u) for u in sys_.users]
     if any(d > 0 and c == 0 for d, c in zip(demands, incident)):
         return []
     totals = {sum(bag.entries.values()) for bag in db.bags}
@@ -99,8 +98,7 @@ def reference_search(db, budget, want_all):
     cap = max(demands, default=0)
     n = len(sys_.join_rows)
     # per join row: the constraint rows it touches
-    width = sys_.width
-    row_tuples = [sys_.hits[p * width:(p + 1) * width] for p in range(n)]
+    row_tuples = list(zip(*sys_.columns))
     rem = list(demands)
     # per constraint row: how many join rows at position >= p still touch it
     pending = incident

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bagconsist import Bag, BagFormatError, SchemaMismatchError, make_schema, project_row
+from bagconsist import Bag, BagFormatError, SchemaMismatchError, make_schema
 from bagconsist.bags import _json_cell
 
 
@@ -79,6 +79,7 @@ def test_join_disjoint_schemas_is_cross_product():
 def test_support_and_containment():
     b = Bag(("A",), {("x",): 5, ("y",): 1})
     assert b.support().entries == {("x",): 1, ("y",): 1}
+    assert b.support().schema == b.schema
     assert b.support().contained_in(b)
     assert not b.contained_in(b.support())
 
@@ -117,10 +118,6 @@ def test_json_rejects_malformed():
     with pytest.raises(BagFormatError):
         Bag.from_json_dict({"schema": ["A"],
                             "tuples": [{"values": {"B": "1"}, "mult": "1"}]})
-
-
-def test_project_row():
-    assert project_row(("A", "B", "C"), ("1", "2", "3"), ["C", "A"]) == ("1", "3")
 
 
 def _random_bag(rng, schema, rows):

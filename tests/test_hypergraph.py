@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from bagconsist import Hypergraph, HypergraphError, SafeDeletionOp, find_bad_witness, replay_ops
+from bagconsist import (
+    Hypergraph, HypergraphError, JoinTree, SafeDeletionOp, find_bad_witness,
+    replay_ops,
+)
 from bagconsist import hypergraph
 from bagconsist.cli import run
 from bagconsist.hypergraph import (
@@ -12,6 +15,7 @@ from bagconsist.hypergraph import (
     SHAPE_CLIQUE_COMPLEMENT,
     SHAPE_CYCLE,
     VERTEX_DELETION,
+    _matches_shape,
     _mcs_certificate,
     clique_complement_hypergraph,
     cycle_hypergraph,
@@ -219,6 +223,46 @@ def test_join_tree_validity():
             assert tree.is_valid()
             seen += 1
     assert seen > 20
+
+
+def _edges(*names):
+    return tuple(frozenset(e) for e in names)
+
+
+_PATH = _edges("AB", "BC", "CD")
+_FORK = _edges("AB", "C", "A")
+
+
+@pytest.mark.parametrize("nodes,links,valid", [
+    (_PATH, ((1, 0), (2, 1)), True),
+    (_PATH, ((1, 0),), False),                      # too few links
+    (_PATH, ((1, 0), (2, 1), (2, 0)), False),       # too many
+    (_PATH, ((1, 1), (2, 1)), False),               # a self-link
+    (_PATH, ((1, 0), (0, 1)), False),               # a link twice
+    (_PATH, ((1, 0), (1, 0)), False),
+    # three links, but the fourth edge hangs on none of them
+    (_edges("AB", "BC", "AC", "CD"), ((1, 0), (2, 1), (0, 2)), False),
+    (_FORK, ((1, 0), (2, 0)), True),
+    # A is held by edges 0 and 2, which meet only through edge 1
+    (_FORK, ((1, 0), (2, 1)), False),
+], ids=["path", "few-links", "many-links", "self-link", "reversed-duplicate",
+        "duplicate", "disconnected", "fork", "holders-disconnected"])
+def test_join_tree_is_valid(nodes, links, valid):
+    assert JoinTree(nodes, links).is_valid() is valid
+
+
+@pytest.mark.parametrize("edges,shape", [
+    (_edges("A", "B"), SHAPE_CLIQUE_COMPLEMENT),            # H_2
+    (_edges("ABC", "ABD", "ACD"), SHAPE_CLIQUE_COMPLEMENT),  # H_4 less BCD
+    (_edges("AB", "BC", "AC"), SHAPE_CYCLE),                # C_3
+    (_edges("AB", "BC", "CD", "AD", "AC"), SHAPE_CYCLE),    # C_4 + chord
+    (_edges("ABC", "CD", "AD", "AB"), SHAPE_CYCLE),         # a 3-edge
+    (_edges("AB", "BC", "AC", "AD"), SHAPE_CYCLE),          # A of degree 3
+    (_edges("AB", "BC", "AC", "DE", "EF", "DF"), SHAPE_CYCLE),  # 2 triangles
+], ids=["H2", "H4-missing-edge", "C3", "C4-chord", "non-binary",
+        "degree-3", "two-triangles"])
+def test_matches_shape_rejects_other_shapes(edges, shape):
+    assert not _matches_shape(list(edges), set().union(*edges), shape)
 
 
 def test_running_intersection_order_property():

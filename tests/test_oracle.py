@@ -372,6 +372,37 @@ def test_deadline_checked_after_the_join(monkeypatch):
     assert passed and not built
 
 
+def test_deadline_checked_after_the_first_propagation(monkeypatch):
+    """A deadline that passes while the first propagation runs (once the
+    system is built, no clock is read until it is done) ends the search
+    before its first branch point, so before any search node."""
+    passed = []
+    system, values = oracle._System, oracle._values
+
+    def system_then_pass(*args):
+        built = system(*args)
+        passed.append(True)
+        return built
+
+    def clock():
+        return 10.0 ** 9 if passed else 0.0
+
+    nodes = []
+
+    def counting_values(*args):
+        for v in values(*args):
+            nodes.append(v)
+            yield v
+
+    monkeypatch.setattr(oracle, "_System", system_then_pass)
+    monkeypatch.setattr(oracle, "_values", counting_values)
+    monkeypatch.setattr(oracle.time, "monotonic", clock)
+    # propagation alone does not decide this table: it takes 219 nodes
+    db = _dense_3dct(7, 6, 3)
+    assert solve_feasibility(db, OracleBudget(max_seconds=1)) is EXHAUSTED
+    assert passed and not nodes
+
+
 def test_verify_bounds_paper_example(paper_pair):
     r, s = paper_pair
     db = pair_database(r, s)
