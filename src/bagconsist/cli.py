@@ -5,17 +5,22 @@ Exit codes: 0 = positive answer (consistent / acyclic), 1 = negative answer,
 instance too large for the auto mode).
 
 Reports on stdout and the files the verbs write are
-``json.dumps(data, indent=2, sort_keys=True)`` text plus a newline. ``run``
-may be called any number of times in one process; it builds the argument
-parser on its first call and reuses it.
+``json.dumps(data, indent=2, sort_keys=True)`` text plus a newline, with
+every bag in ``data`` as its ``to_json_dict()``: a bag is written through
+one text template per schema, filled once per row. Input files are decoded
+and parsed with the cyclic GC off, and the caller's GC state is restored.
+``run`` may be called any number of times in one process; it builds the
+argument parser on its first call and reuses it.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from json.encoder import encode_basestring_ascii
 
+from .bags import Bag
 from .consistency import (
     BagDatabase,
     CyclicHypergraphError,
@@ -60,25 +65,36 @@ def _load_json(path: str):
         raise CliError("malformed JSON in %s: %s" % (path, exc))
 
 
-def _load_db(path: str) -> BagDatabase:
+def _load(path: str, cls, what: str):
+    """``cls.from_json_dict`` of the JSON in ``path``, decoded and parsed
+    with the cyclic GC off (the parse tree holds no reference cycles, so
+    its passes would find nothing); the caller's GC state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return BagDatabase.from_json_dict(_load_json(path))
+        return cls.from_json_dict(_load_json(path))
     except ValueError as exc:
-        raise CliError("invalid database in %s: %s" % (path, exc))
+        raise CliError("invalid %s in %s: %s" % (what, path, exc))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_db(path: str) -> BagDatabase:
+    return _load(path, BagDatabase, "database")
 
 
 def _load_schema(path: str) -> Hypergraph:
-    try:
-        return Hypergraph.from_json_dict(_load_json(path))
-    except ValueError as exc:
-        raise CliError("invalid hypergraph in %s: %s" % (path, exc))
+    return _load(path, Hypergraph, "hypergraph")
 
 
 def _json_text(data) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, written here
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, with every
+    ``Bag`` in ``data`` written as its ``to_json_dict()``. Written here
     because ``indent`` makes ``json`` fall back to its pure-Python encoder:
-    strings and keys go through the C string encoder, numbers through
-    ``json.dumps``, and the layout is built in one list."""
+    strings and keys go through the C string encoder, ints through
+    ``int.__repr__``, bags through :func:`_put_bag`, and the layout is
+    built in one list."""
     parts: list = []
     _put_json(data, "\n", parts)
     parts.append("\n")
@@ -118,17 +134,51 @@ def _put_json(value, newline: str, parts: list) -> None:
             _put_json(item, inner, parts)
             sep = "," + inner
         parts.append(newline + "]")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, Bag):
+        _put_bag(value, newline, parts)
     else:
         parts.append(json.dumps(value))
 
 
-def _write_json(path: str, obj) -> None:
-    """Write ``obj.to_json_dict()`` to ``path``, or nothing when it does
-    not serialise."""
+def _put_bag(bag: Bag, newline: str, parts: list) -> None:
+    """Append the JSON text of ``bag.to_json_dict()`` to ``parts``, as
+    :func:`_put_json` would. A tuple's text is built once per schema, with
+    the encoded attribute names in place and ``%`` doubled; each row fills
+    it with one ``%`` over its multiplicity and its encoded cells, in
+    ``sorted(entries.items())`` order."""
+    enc = encode_basestring_ascii
+    i1 = newline + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    names = list(map(enc, bag.schema))
+    row = _block(['"mult": "%s"', '"values": ' + _block(
+        [n.replace("%", "%%") + ": %s" for n in names], i3, "{}")], i2, "{}")
+    parts.append(_block([
+        '"schema": ' + _block(names, i1, "[]"),
+        '"tuples": ' + _block([row % (mult, *map(enc, cells)) for cells, mult
+                               in sorted(bag.entries.items())], i1, "[]"),
+    ], newline, "{}"))
+
+
+def _block(items: list, newline: str, brackets: str) -> str:
+    """The indented JSON list or object (by ``brackets``) of the item texts
+    ``items``, opened on the line whose break and indent is ``newline``."""
+    if not items:
+        return brackets
+    inner = newline + "  "
+    return (brackets[0] + inner + ("," + inner).join(items) + newline
+            + brackets[1])
+
+
+def _write_json(path: str, data) -> None:
+    """Write ``data``'s :func:`_json_text` to ``path``, or nothing when it
+    does not serialise."""
     try:
-        text = _json_text(obj.to_json_dict())
+        text = _json_text(data)
     except ValueError:
-        # str() refuses ints past sys.get_int_max_str_digits() digits; the
+        # an int past sys.get_int_max_str_digits() digits has no text; the
         # parser refuses such inputs, but lift and harden sum them
         raise CliError("cannot write %s: a multiplicity has too many digits"
                        % path)
@@ -192,7 +242,7 @@ def cmd_global(args) -> int:
         print("globally inconsistent")
     else:
         print("unknown (cyclic schema beyond oracle scope)")
-    _emit(report.to_json_dict())
+    _emit(report._json_layout())
     if args.witness and report.witness is not None:
         _write_json(args.witness, report.witness)
     if report.global_status == GLOBAL_YES:
@@ -221,7 +271,7 @@ def cmd_counterexample(args) -> int:
         raise CliError("--n must be at least 3")
     maker = cycle_hypergraph if args.shape == "cycle" else clique_complement_hypergraph
     db = tseitin_counterexample(maker(args.n))
-    _write_json(args.output, db)
+    _write_json(args.output, db._json_layout())
     print("counterexample written to %s" % args.output)
     return EXIT_OK
 
@@ -237,7 +287,7 @@ def cmd_lift(args) -> int:
         lifted = lift_collection(db, target, bad.ops)
     except (DatabaseError, ValueError) as exc:
         raise CliError(str(exc))
-    _write_json(args.output, lifted)
+    _write_json(args.output, lifted._json_layout())
     print("lifted database written to %s" % args.output)
     return EXIT_OK
 
@@ -249,7 +299,7 @@ def cmd_harden(args) -> int:
         out = lift(db)
     except DatabaseError as exc:
         raise CliError(str(exc))
-    _write_json(args.output, out)
+    _write_json(args.output, out._json_layout())
     print("hardened database written to %s" % args.output)
     return EXIT_OK
 
@@ -262,7 +312,7 @@ def cmd_encode_3dct(args) -> int:
         db = encode_3dct(data["R"], data["C"], data["F"])
     except ValueError as exc:
         raise CliError(str(exc))
-    _write_json(args.output, db)
+    _write_json(args.output, db._json_layout())
     print("3DCT database written to %s" % args.output)
     return EXIT_OK
 
@@ -274,7 +324,7 @@ def cmd_enumerate(args) -> int:
         print("oracle budget exhausted")
         return EXIT_EXHAUSTED
     _emit({"count": len(result),
-           "witnesses": [w.to_json_dict() for w in result]})
+           "witnesses": result})
     return EXIT_OK if result else EXIT_NEGATIVE
 
 

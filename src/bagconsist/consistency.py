@@ -66,8 +66,15 @@ class BagDatabase:
                     % (bag.schema, sorted(edge)))
 
     def to_json_dict(self) -> dict:
+        out = self._json_layout()
+        out["bags"] = [bag.to_json_dict() for bag in self.bags]
+        return out
+
+    def _json_layout(self) -> dict:
+        """``to_json_dict`` with the bags left ``Bag`` objects, for writers
+        that write bags themselves."""
         return {"hypergraph": self.hypergraph.to_json_dict(),
-                "bags": [bag.to_json_dict() for bag in self.bags]}
+                "bags": list(self.bags)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BagDatabase":
@@ -91,6 +98,14 @@ class ConsistencyReport:
         return not self.inconsistent_pairs
 
     def to_json_dict(self) -> dict:
+        out = self._json_layout()
+        if "witness" in out:
+            out["witness"] = self.witness.to_json_dict()
+        return out
+
+    def _json_layout(self) -> dict:
+        """``to_json_dict`` with the witness left a ``Bag``, for writers
+        that write bags themselves."""
         out = {
             "pairwise": {"consistent": self.pairwise_ok,
                          "inconsistent_pairs": [list(p) for p in
@@ -99,7 +114,7 @@ class ConsistencyReport:
             "oracle_exhausted": self.oracle_exhausted,
         }
         if self.witness is not None:
-            out["witness"] = self.witness.to_json_dict()
+            out["witness"] = self.witness
         return out
 
 

@@ -16,7 +16,8 @@ undoes placements. A node is one value tried at a branch point, so
 unless ``max_seconds`` (checked at every node) trips first. The clock
 starts before the join, which stops at ``max_join_support`` + 1 rows and
 checks the clock every 1,024 rows; the clock is read again after the
-join's rows are sorted, after the incidence lists are built and after the
+join's rows are sorted, after each bag's column, every 4,096 join rows
+while the per-row lists are filled, and every 4,096 constraint rows of the
 first propagation.
 Exponential in the worst case by design: this module exists to certify
 small instances and to cross-check every other decision path.
@@ -132,12 +133,16 @@ def _build_system(db, budget: OracleBudget,
         demands.extend(map(bag.entries.__getitem__, rows))
         key = _row_key([at[a] for a in bag.schema])
         columns.append([index[key(jrow)] for jrow in join_rows])
+        if time.monotonic() > deadline:
+            return EXHAUSTED
     users = [[] for _ in demands]
-    for j, hit in enumerate(zip(*columns)):
-        for r in hit:
-            users[r].append(j)
-    if time.monotonic() > deadline:
-        return EXHAUSTED
+    hits = enumerate(zip(*columns))
+    for _ in range(0, len(join_rows), 4096):
+        for j, hit in itertools.islice(hits, 4096):
+            for r in hit:
+                users[r].append(j)
+        if time.monotonic() > deadline:
+            return EXHAUSTED
     return _System(union_schema, join_rows, demands, columns, users)
 
 
@@ -231,11 +236,14 @@ def _search(db, budget: OracleBudget, want_all: bool):
 
     rows = range(len(demands))
     solutions: list[Bag] = []
-    if not settle(list(rows)):
-        return solutions
     max_nodes, clock = budget.max_nodes, time.monotonic
-    if clock() > deadline:
-        return EXHAUSTED
+    # the first propagation runs over every constraint row, the last first,
+    # and reads the clock after each 4,096 of them
+    for stop in range(len(demands), 0, -4096):
+        if not settle(list(rows[max(0, stop - 4096):stop])):
+            return solutions
+        if clock() > deadline:
+            return EXHAUSTED
     # one frame per branch point: (join row, its values left to try, the
     # trail's length before them)
     frames = []

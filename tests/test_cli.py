@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -10,8 +11,19 @@ from hypothesis import strategies as st
 
 from bagconsist import Bag, BagDatabase, Hypergraph, cli
 from bagconsist.cli import run
-from bagconsist.hypergraph import cycle_hypergraph, path_hypergraph
-from bagconsist.consistency import tseitin_counterexample
+from bagconsist.hypergraph import (
+    cycle_hypergraph,
+    find_bad_witness,
+    path_hypergraph,
+)
+from bagconsist.consistency import (
+    acyclic_global_witness,
+    cycle_hardness_lift,
+    encode_3dct,
+    global_consistent,
+    lift_collection,
+    tseitin_counterexample,
+)
 
 from conftest import (
     cyclic_variants,
@@ -402,6 +414,181 @@ _WRITER_VALUES = st.recursive(
 def test_json_text_matches_indented_dumps(value):
     assert cli._json_text(value) == json.dumps(
         value, indent=2, sort_keys=True) + "\n"
+
+
+# names and cells that the bag writer's row template must escape: % in
+# every form, quotes, backslashes, control characters, non-ASCII text and
+# lone surrogates
+_BAG_TEXT = (st.text(st.sampled_from('%s()x"\\/\x00\x1f\x7f\xe9\u2028\ud800'
+                                     '\U0001f600') | st.characters(),
+                     max_size=6)
+             | st.sampled_from(["%", "%s", "%(x)s", "%%", "%d", "%(", "%%s"]))
+# 1-bit, 128-bit and 4,000-digit multiplicities
+_BAG_MULTS = (st.just(1) | st.integers(2 ** 127, 2 ** 128 - 1)
+              | st.integers(10 ** 3999, 10 ** 4000 - 1))
+
+
+@st.composite
+def _bags(draw):
+    """A bag of up to three attributes: with none it is empty or holds the
+    one row ``()``."""
+    names = draw(st.lists(_BAG_TEXT.filter(bool), unique=True, max_size=3))
+    rows = st.tuples(*[_BAG_TEXT] * len(names))
+    return Bag(names, draw(st.dictionaries(rows, _BAG_MULTS, max_size=4)))
+
+
+def _nested_bags(depth):
+    """Bags at ``depth`` levels of lists and objects, next to other JSON
+    values."""
+    if not depth:
+        return _bags()
+    inner = _nested_bags(depth - 1)
+    return (st.lists(inner | _TEXT | st.integers(), min_size=1, max_size=3)
+            | st.dictionaries(_TEXT, inner, min_size=1, max_size=3))
+
+
+def _plain(value):
+    """``value`` with every bag replaced by its ``to_json_dict()``."""
+    if isinstance(value, Bag):
+        return value.to_json_dict()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 3).flatmap(_nested_bags))
+@example(Bag((), {}))
+@example(Bag((), {(): 2 ** 128 - 1}))
+@example([Bag(("%",), {("%s",): 1, ("%(x)s",): 10 ** 3999})])
+@example({"w": Bag(('a"%s\\', "\ud800"), {("\x00", "\xe9"): 3}), "x": 1})
+def test_bag_text_matches_indented_dumps(value):
+    assert cli._json_text(value) == json.dumps(
+        _plain(value), indent=2, sort_keys=True) + "\n"
+
+
+def _dumps(obj):
+    return json.dumps(obj.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _odd_path_db(big):
+    """A consistent path database whose attribute names and cells need
+    escaping, with 41-digit multiplicities when ``big``."""
+    a, b, c = "A%s", 'B"\\%', "C\xe9%(x)s"
+    m = 10 ** 40 if big else 1
+    return BagDatabase(Hypergraph([a, b, c], [[a, b], [b, c]]), (
+        Bag((a, b), {("%d", "x"): m, ("\ud800", "x"): 1}),
+        Bag((b, c), {("x", "%%"): m, ("x", "\n"): 1})))
+
+
+def test_verbs_write_bags_as_indented_dumps(tmp_path, capsys):
+    """Every verb that writes a bag, to stdout or to a file, writes
+    exactly ``json.dumps`` of its ``to_json_dict()`` with ``indent=2`` and
+    sorted keys, plus a newline."""
+    db = _odd_path_db(big=True)
+    db_file = _write(tmp_path / "db.json", db.to_json_dict())
+    out = tmp_path / "out.json"
+
+    report = global_consistent(db)
+    assert report.witness is not None
+    assert run(["global", "--db", db_file, "--witness", str(out)]) == 0
+    assert capsys.readouterr().out == "globally consistent\n" + _dumps(report)
+    assert out.read_text() == _dumps(report.witness)
+
+    assert run(["witness", "--db", db_file, "-o", str(out)]) == 0
+    assert out.read_text() == _dumps(acyclic_global_witness(db))
+
+    assert run(["counterexample", "--shape", "cycle", "--n", "4",
+                "-o", str(out)]) == 0
+    assert out.read_text() == _dumps(tseitin_counterexample(
+        cycle_hypergraph(4)))
+
+    cex = BagDatabase.from_json_dict(json.loads(out.read_text()))
+    assert run(["harden", "--db", str(out), "--to", "cycle",
+                "-o", str(tmp_path / "hard.json")]) == 0
+    assert (tmp_path / "hard.json").read_text() == _dumps(
+        cycle_hardness_lift(cex))
+
+    target = Hypergraph(["A", "B", "C", "D"],
+                        [["A", "B"], ["B", "C"], ["A", "C"], ["C", "D"]])
+    tri = BagDatabase(
+        Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]]),
+        (Bag(("A", "B"), {("%s", "0"): 3}), Bag(("B", "C"), {("0", '"'): 3}),
+         Bag(("A", "C"), {("%s", '"'): 3})))
+    assert run(["lift", "--db", _write(tmp_path / "tri.json",
+                                       tri.to_json_dict()),
+                "--schema", _write(tmp_path / "target.json",
+                                   target.to_json_dict()),
+                "-o", str(out)]) == 0
+    assert out.read_text() == _dumps(lift_collection(
+        tri, target, find_bad_witness(target).ops))
+
+    tables = {"R": [[2, 1], [0, 3]], "C": [[1, 2], [2, 1]],
+              "F": [[3, 0], [1, 2]]}
+    assert run(["encode-3dct", "--tables", _write(tmp_path / "tables.json",
+                                                  tables),
+                "-o", str(out)]) == 0
+    assert out.read_text() == _dumps(encode_3dct(
+        tables["R"], tables["C"], tables["F"]))
+
+    capsys.readouterr()
+    small = _odd_path_db(big=False)
+    assert run(["enumerate", "--db", _write(tmp_path / "small.json",
+                                            small.to_json_dict())]) == 0
+    witnesses = cli.enumerate_witnesses(small)
+    assert len(witnesses) == 2
+    assert capsys.readouterr().out == json.dumps(
+        {"count": 2, "witnesses": [w.to_json_dict() for w in witnesses]},
+        indent=2, sort_keys=True) + "\n"
+
+
+_GC_INPUTS = {
+    "db-valid": (["pairwise", "--db"], json.dumps(_VALID_DB), 0),
+    "db-malformed": (["pairwise", "--db"], "{not json", 2),
+    "db-invalid": (["global", "--db"],
+                   json.dumps(_malformed(("bags", 0, "tuples"), 7)), 2),
+    "db-missing": (["global", "--db"], None, 2),
+    "schema-valid": (["classify", "--schema"],
+                     json.dumps(path_hypergraph(3).to_json_dict()), 0),
+    "schema-invalid": (["classify", "--schema"],
+                       json.dumps({"vertices": ["A"], "edges": 1}), 2),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv,text,code", list(_GC_INPUTS.values()),
+                         ids=list(_GC_INPUTS))
+def test_run_restores_the_gc_state(tmp_path, capsys, monkeypatch, argv, text,
+                                   code, enabled):
+    """Input files are decoded and parsed with the cyclic GC off, and
+    ``run`` leaves the GC as its caller had it, whatever the exit."""
+    path = tmp_path / "in.json"
+    if text is not None:
+        path.write_text(text)
+    during = []
+    for cls in (BagDatabase, Hypergraph):
+        def parse(data, _parse=cls.from_json_dict):
+            during.append(gc.isenabled())
+            return _parse(data)
+        monkeypatch.setattr(cls, "from_json_dict", parse)
+    was = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert run(argv + [str(path)]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+    assert not any(during)
+    capsys.readouterr()
 
 
 def _captured_run(argv):

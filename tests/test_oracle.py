@@ -372,10 +372,38 @@ def test_deadline_checked_after_the_join(monkeypatch):
     assert passed and not built
 
 
+def test_deadline_checked_while_the_incidence_lists_are_built(monkeypatch):
+    """A deadline that passes while the first bag's column is built ends
+    the search before the next bag's column, so before the system is
+    whole."""
+    keys = []
+    row_key, system = oracle._row_key, oracle._System
+
+    def counting_row_key(positions):
+        keys.append(positions)
+        return row_key(positions)
+
+    def clock():
+        return 10.0 ** 9 if keys else 0.0
+
+    built = []
+
+    def counting_system(*args):
+        built.append(True)
+        return system(*args)
+
+    monkeypatch.setattr(oracle, "_row_key", counting_row_key)
+    monkeypatch.setattr(oracle, "_System", counting_system)
+    monkeypatch.setattr(oracle.time, "monotonic", clock)
+    db = _dense_3dct(7, 6, 3)
+    assert solve_feasibility(db, OracleBudget(max_seconds=1)) is EXHAUSTED
+    assert len(keys) == 1 and not built
+
+
 def test_deadline_checked_after_the_first_propagation(monkeypatch):
-    """A deadline that passes while the first propagation runs (once the
-    system is built, no clock is read until it is done) ends the search
-    before its first branch point, so before any search node."""
+    """A deadline that passes once the system is built ends the search at
+    the first propagation's first clock read, before its first branch
+    point, so before any search node."""
     passed = []
     system, values = oracle._System, oracle._values
 
