@@ -7,7 +7,9 @@ are the log-based size norms, which are reporting-only.
 Every per-row key (a marginal's group, a join's bucket and merged row, a
 parsed JSON row) comes from one C-level getter built by :func:`_row_key`,
 not from a per-row generator; the marginal on the empty sub-schema is the
-total mass, summed without a pass over the rows.
+total mass, summed without a pass over the rows. A serialized bag is
+parsed in one loop that checks, converts and deduplicates each tuple where
+it occurs, so the first fault in tuple order is the one reported.
 """
 from __future__ import annotations
 
@@ -207,6 +209,11 @@ class Bag:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Bag":
+        """The bag of ``{"schema": [...], "tuples": [{"values": {...},
+        "mult": "..."}, ...]}``, read in one loop over the tuples: the first
+        fault in tuple order is the error raised. Cells are strings, or
+        numbers taken as their text; null, booleans, lists and objects are
+        not accepted."""
         if not isinstance(data, dict) or "schema" not in data or "tuples" not in data:
             raise BagFormatError("bag JSON needs 'schema' and 'tuples'")
         if not _is_name_list(data["schema"]):
@@ -217,67 +224,37 @@ class Bag:
             schema = make_schema(data["schema"])
         except SchemaMismatchError as exc:
             raise BagFormatError(str(exc)) from exc
-        tuples = data["tuples"]
-        cells = _json_row_parser(schema)
+        keys = set(schema)
+        get = _row_key(schema)
         seen: dict[Row, int] = {}
-        try:
-            for item in tuples:
-                row = cells(item)
-                mult_s = item.get("mult")
-                try:
-                    mult = int(str(mult_s))
-                except (TypeError, ValueError):
-                    raise BagFormatError("bad multiplicity %r" % (mult_s,))
-                if mult <= 0:
-                    raise BagFormatError(
-                        "multiplicity must be positive, got %r for %r"
-                        % (mult, row))
-                seen[row] = mult
-        except BagFormatError:
-            # a duplicate up to the bad tuple is the first error
-            _raise_first_duplicate(tuples, cells, item)
-            raise
-        if len(seen) != len(tuples):
-            _raise_first_duplicate(tuples, cells)
+        for count, item in enumerate(data["tuples"]):
+            values = item.get("values") if isinstance(item, dict) else None
+            if not isinstance(values, dict) or values.keys() != keys:
+                raise BagFormatError(
+                    "tuple %r does not match schema %r" % (item, schema))
+            row = get(values)
+            try:
+                "".join(row)  # every cell is a string: one C-level check
+            except TypeError:
+                row = tuple(v if v.__class__ is str else _json_cell(v, item)
+                            for v in row)
+            mult_s = item.get("mult")
+            try:
+                mult = int(str(mult_s))
+            except (TypeError, ValueError):
+                mult = None
+            # the row is stored before its multiplicity is checked, so a
+            # repeat is reported first; seen stops growing at a repeat
+            seen[row] = mult
+            if len(seen) == count:
+                raise BagFormatError("duplicate tuple %r" % (row,))
+            if mult is None:
+                raise BagFormatError("bad multiplicity %r" % (mult_s,))
+            if mult <= 0:
+                raise BagFormatError(
+                    "multiplicity must be positive, got %r for %r"
+                    % (mult, row))
         return cls._trusted(schema, seen)
-
-
-def _json_row_parser(schema: tuple[str, ...]) -> Callable:
-    """The parser of one JSON tuple's row: its cells in schema order, each
-    a string. Numbers are accepted as their text; null, booleans, lists and
-    objects are not."""
-    keys = set(schema)
-    get = _row_key(schema)
-
-    def cells(item) -> Row:
-        values = item.get("values") if isinstance(item, dict) else None
-        if not isinstance(values, dict) or values.keys() != keys:
-            raise BagFormatError(
-                "tuple %r does not match schema %r" % (item, schema))
-        row = get(values)
-        try:
-            "".join(row)  # every cell is a string: one C-level check
-            return row
-        except TypeError:
-            return tuple(v if v.__class__ is str else _json_cell(v, item)
-                         for v in row)
-    return cells
-
-
-def _raise_first_duplicate(tuples: list, cells: Callable, last=None) -> None:
-    """Raise for the first row that repeats an earlier one, looking no
-    further than the tuple ``last`` (whose row may not parse)."""
-    rows = set()
-    for item in tuples:
-        try:
-            row = cells(item)
-        except BagFormatError:
-            return
-        if row in rows:
-            raise BagFormatError("duplicate tuple %r" % (row,))
-        if item is last:
-            return
-        rows.add(row)
 
 
 def _json_cell(value, item) -> str:

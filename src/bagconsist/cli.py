@@ -7,8 +7,10 @@ instance too large for the auto mode).
 Reports on stdout and the files the verbs write are
 ``json.dumps(data, indent=2, sort_keys=True)`` text plus a newline, with
 every bag in ``data`` as its ``to_json_dict()``: a bag is written through
-one text template per schema, filled once per row. Input files are decoded
-and parsed with the cyclic GC off, and the caller's GC state is restored.
+one text template per schema, filled once per row. A verb writes its file
+before it prints anything, so a failed write leaves stdout empty. Input
+files are decoded and parsed with the cyclic GC off, and the caller's GC
+state is restored.
 ``run`` may be called any number of times in one process; it builds the
 argument parser on its first call and reuses it.
 """
@@ -68,7 +70,8 @@ def _load_json(path: str):
 def _load(path: str, cls, what: str):
     """``cls.from_json_dict`` of the JSON in ``path``, decoded and parsed
     with the cyclic GC off (the parse tree holds no reference cycles, so
-    its passes would find nothing); the caller's GC state is restored."""
+    its passes would find nothing); the caller's GC state is restored, and
+    a GC turned back on collects its young generation at once."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -78,6 +81,9 @@ def _load(path: str, cls, what: str):
     finally:
         if enabled:
             gc.enable()
+            # the pass over every object the parse made would otherwise
+            # run at the next allocation, inside whatever follows the load
+            gc.collect(0)
 
 
 def _load_db(path: str) -> BagDatabase:
@@ -236,6 +242,9 @@ def cmd_global(args) -> int:
     db = _load_db(args.db)
     mode = "oracle" if args.oracle else "auto"
     report = global_consistent(db, mode=mode, budget=_budget(args))
+    # the witness is written first, so a failed write prints no report
+    if args.witness and report.witness is not None:
+        _write_json(args.witness, report.witness)
     if report.global_status == GLOBAL_YES:
         print("globally consistent")
     elif report.global_status == GLOBAL_NO:
@@ -243,8 +252,6 @@ def cmd_global(args) -> int:
     else:
         print("unknown (cyclic schema beyond oracle scope)")
     _emit(report._json_layout())
-    if args.witness and report.witness is not None:
-        _write_json(args.witness, report.witness)
     if report.global_status == GLOBAL_YES:
         return EXIT_OK
     if report.global_status == GLOBAL_NO:

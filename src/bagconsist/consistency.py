@@ -14,6 +14,7 @@ transformations.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -198,14 +199,7 @@ def _northwest_glue(bags) -> Bag:
 def _marginal_memo(bags):
     """``marginal(i, shared)``: bag i's marginal on the attribute set
     ``shared``, computed once per (bag, set)."""
-    memo: dict = {}
-
-    def marginal(i, shared):
-        out = memo.get((i, shared))
-        if out is None:
-            out = memo[i, shared] = bags[i].marginal(shared)
-        return out
-    return marginal
+    return functools.cache(lambda i, shared: bags[i].marginal(shared))
 
 
 def inconsistent_pairs(db: BagDatabase, _marginal=None) -> list:

@@ -253,6 +253,19 @@ def test_parser_matches_reference():
             errors.add(expected[1].split()[0])
     # every kind of error came up
     assert errors == {"duplicate", "tuple", "cell", "bad", "multiplicity"}
+    # the first fault in tuple order is reported: a repeated row before its
+    # own multiplicity, and a repeat and a malformed tuple in the order met
+    row = {"values": {"A": "1"}, "mult": "2"}
+    malformed = {"values": {"B": "1"}, "mult": "1"}
+    for tuples, first in [
+            ([row, {**row, "mult": "x"}], "duplicate tuple"),
+            ([row, {**row, "mult": "0"}], "duplicate tuple"),
+            ([row, row, malformed], "duplicate tuple"),
+            ([row, malformed, row], "tuple {'values': {'B'")]:
+        data = {"schema": ["A"], "tuples": tuples}
+        expected = _outcome(_reference_from_json_dict, data)
+        assert expected[1].startswith(first)
+        assert _outcome(Bag.from_json_dict, data) == expected, data
     # a duplicate still names its row
     row = {"values": {"A": "1", "B": 2}, "mult": "1"}
     with pytest.raises(BagFormatError, match=r"duplicate tuple \('1', '2'\)"):

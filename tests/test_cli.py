@@ -111,6 +111,21 @@ def test_global_acyclic_writes_witness(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_global_unwritable_witness_prints_nothing(tmp_path, capsys):
+    """A witness that cannot be written is an I/O error: exit 2 with an
+    error message and no report on stdout."""
+    h = path_hypergraph(3)
+    db = BagDatabase(h, (Bag(("A1", "A2"), {("0", "0"): 2}),
+                         Bag(("A2", "A3"), {("0", "1"): 2})))
+    f = _write(tmp_path / "db.json", db.to_json_dict())
+    out_file = tmp_path / "missing" / "w.json"
+    assert run(["global", "--db", f, "--witness", str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
 def test_global_budget_exhaustion(tmp_path, capsys):
     # cyclic instance with a non-trivial search tree and a tiny node budget
     h = Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]])
