@@ -6,10 +6,10 @@ are the log-based size norms, which are reporting-only.
 
 Every per-row key (a marginal's group, a join's bucket and merged row, a
 parsed JSON row) comes from one C-level getter built by :func:`_row_key`,
-not from a per-row generator; the marginal on the empty sub-schema is the
-total mass, summed without a pass over the rows. A serialized bag is
-parsed in one loop that checks, converts and deduplicates each tuple where
-it occurs, so the first fault in tuple order is the one reported.
+and rows are summed per key in one loop, :func:`_summed`, which marginals
+and the witness check share; the marginal on the empty sub-schema is the
+total mass, summed without a pass over the rows. A serialized bag is parsed
+in one loop, so the first fault in tuple order is the one reported.
 """
 from __future__ import annotations
 
@@ -32,6 +32,14 @@ def _row_key(positions) -> Callable:
         (p,) = positions
         return lambda row: (row[p],)
     return lambda row: ()
+
+
+def _summed(key: Callable, entries: Mapping[Row, int]) -> dict:
+    """The multiplicities of ``entries`` summed per ``key(row)``."""
+    out: dict[Row, int] = {}
+    for k, mult in zip(map(key, entries), entries.values()):
+        out[k] = out.get(k, 0) + mult
+    return out
 
 
 class SchemaMismatchError(ValueError):
@@ -72,7 +80,9 @@ class Bag:
             if len(row) != width:
                 raise SchemaMismatchError(
                     "row %r does not fit schema %r" % (row, self.schema))
-            mult = int(mult)
+            if mult.__class__ is not int:  # refuses bools, floats and strs
+                raise ValueError("multiplicity %r for %r is not an int"
+                                 % (mult, row))
             if mult < 0:
                 raise ValueError("negative multiplicity for %r" % (row,))
             if mult:
@@ -139,10 +149,7 @@ class Bag:
         entries = self.entries
         if not idx:
             return Bag._trusted(z, {(): sum(entries.values())} if entries else {})
-        out: dict[Row, int] = {}
-        for key, mult in zip(map(_row_key(idx), entries), entries.values()):
-            out[key] = out.get(key, 0) + mult
-        return Bag._trusted(z, out)
+        return Bag._trusted(z, _summed(_row_key(idx), entries))
 
     def join(self, other: "Bag") -> "Bag":
         """Bag join: support is the join of the supports, multiplicities
@@ -213,7 +220,7 @@ class Bag:
         "mult": "..."}, ...]}``, read in one loop over the tuples: the first
         fault in tuple order is the error raised. Cells are strings, or
         numbers taken as their text; null, booleans, lists and objects are
-        not accepted."""
+        not accepted. A multiplicity is a string of ASCII digits."""
         if not isinstance(data, dict) or "schema" not in data or "tuples" not in data:
             raise BagFormatError("bag JSON needs 'schema' and 'tuples'")
         if not _is_name_list(data["schema"]):
@@ -239,9 +246,10 @@ class Bag:
                 row = tuple(v if v.__class__ is str else _json_cell(v, item)
                             for v in row)
             mult_s = item.get("mult")
-            try:
-                mult = int(str(mult_s))
-            except (TypeError, ValueError):
+            try:  # ASCII digits only: bytes.isdigit() reads no other; a
+                # non-str has no encode, a surrogate or too many digits fail
+                mult = int(mult_s) if mult_s.encode().isdigit() else None
+            except (AttributeError, ValueError):
                 mult = None
             # the row is stored before its multiplicity is checked, so a
             # repeat is reported first; seen stops growing at a repeat
@@ -251,9 +259,8 @@ class Bag:
             if mult is None:
                 raise BagFormatError("bad multiplicity %r" % (mult_s,))
             if mult <= 0:
-                raise BagFormatError(
-                    "multiplicity must be positive, got %r for %r"
-                    % (mult, row))
+                raise BagFormatError("multiplicity must be positive, got %r "
+                                     "for %r" % (mult, row))
         return cls._trusted(schema, seen)
 
 

@@ -151,13 +151,15 @@ def _northwest_glue(bags) -> Bag:
     callers check that first, and check the result exactly.
 
     Each step groups both sides by their value on the shared attributes,
-    fills every group by the northwest-corner rule (every left row of a
-    group joins every right row of it; each bag's rows come in canonical
-    order, the rows so far in the order they were made) and appends the
-    bag's new attributes to each row. Rows are permuted into schema order
-    once, at the end. Along a running-intersection order each step is a
-    minimal two-bag witness, so the result has at most
-    sum |supp B_i| - (m - 1) rows. No bags glue to the empty bag.
+    keeping the rows so far as the immutable pairs they are, and fills
+    every group by one northwest-corner merge: the left rows in order
+    against one iterator over the right rows, the two masses left in two
+    counters (each bag's rows come in canonical order, the rows so far in
+    the order they were made). Each cell appends the bag's new attributes
+    to its left row. Rows are permuted into schema order once, at the end.
+    Along a running-intersection order each step is a minimal two-bag
+    witness, so the result has at most sum |supp B_i| - (m - 1) rows. No
+    bags glue to the empty bag.
     """
     if not bags:
         return Bag((), {})
@@ -170,23 +172,22 @@ def _northwest_glue(bags) -> Bag:
         new = [k for k, a in enumerate(bag.schema) if a not in at]
         new_cells = _row_key(new)
         groups: dict = {}
-        for row, mult in cells:
-            groups.setdefault(key(row), ([], []))[0].append([row, mult])
+        for cell in cells:
+            groups.setdefault(key(cell[0]), ([], []))[0].append(cell)
         for row, mult in sorted(bag.entries.items()):
-            groups[bag_key(row)][1].append([new_cells(row), mult])
+            groups[bag_key(row)][1].append((new_cells(row), mult))
         cells = []
         for left, right in groups.values():
-            i = j = 0
-            while i < len(left) and j < len(right):
-                lcell, rcell = left[i], right[j]
-                mult = min(lcell[1], rcell[1])
-                cells.append((lcell[0] + rcell[0], mult))
-                lcell[1] -= mult
-                rcell[1] -= mult
-                if not lcell[1]:
-                    i += 1
-                if not rcell[1]:
-                    j += 1
+            right = iter(right)
+            rmass = 0
+            for lrow, lmass in left:
+                while lmass:
+                    if not rmass:
+                        rrow, rmass = next(right)
+                    mult = min(lmass, rmass)
+                    cells.append((lrow + rrow, mult))
+                    lmass -= mult
+                    rmass -= mult
         for k in new:
             at[bag.schema[k]] = len(at)
     schema = make_schema(at)

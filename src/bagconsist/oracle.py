@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .bags import Bag, SchemaMismatchError, _row_key
+from .bags import Bag, SchemaMismatchError, _row_key, _summed
 
 
 class _Exhausted:
@@ -61,23 +61,15 @@ class OracleBudget:
 def check_witness(w: Bag, db) -> bool:
     """True iff the bag's marginals reproduce every bag of the database:
     per bag, the witness's rows are summed through one getter of the bag's
-    attribute positions and compared with the bag's entries exactly."""
-    union = set()
-    for bag in db.bags:
-        union |= set(bag.schema)
+    attribute positions, by the loop ``Bag.marginal`` uses, and compared
+    with the bag's entries exactly."""
+    union = set().union(*(bag.schema for bag in db.bags))
     if set(w.schema) != union:
         raise SchemaMismatchError(
             "witness schema %r != union schema %r" % (w.schema, tuple(sorted(union))))
     at = {a: k for k, a in enumerate(w.schema)}
-    rows, mults = w.entries.keys(), w.entries.values()
-    for bag in db.bags:
-        pick = _row_key([at[a] for a in bag.schema])
-        sums: dict = {}
-        for key, mult in zip(map(pick, rows), mults):
-            sums[key] = sums.get(key, 0) + mult
-        if sums != bag.entries:
-            return False
-    return True
+    return all(_summed(_row_key([at[a] for a in bag.schema]), w.entries)
+               == bag.entries for bag in db.bags)
 
 
 @dataclass

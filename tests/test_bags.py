@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import re
+import sys
 
 import pytest
 
@@ -23,6 +25,13 @@ def test_constructor_sums_duplicates_and_drops_zeros():
     assert len(b) == 0 and not b
     with pytest.raises(ValueError):
         Bag(("A",), {("x",): -1})
+
+
+@pytest.mark.parametrize("mult", [2.7, 2.0, "3", True, False, None])
+def test_constructor_takes_only_int_multiplicities(mult):
+    # int() would hold 2.7 as 2, and "3" and True as 3 and 1
+    with pytest.raises(ValueError, match="is not an int"):
+        Bag(("A",), {("x",): mult})
 
 
 def test_values_coerced_to_strings():
@@ -174,7 +183,9 @@ def test_join_matches_nested_loop():
 
 def _reference_from_json_dict(data):
     """The parser's tuple loop before row keys came from one getter: one
-    generator per row, and a duplicate caught where it occurs."""
+    generator per row, and a duplicate caught where it occurs. A
+    multiplicity is a string that a regular expression of ASCII digits
+    matches, and that ``int`` reads within its digit limit."""
     if not isinstance(data, dict) or "schema" not in data or "tuples" not in data:
         raise BagFormatError("bag JSON needs 'schema' and 'tuples'")
     if not (isinstance(data["schema"], list)
@@ -198,10 +209,10 @@ def _reference_from_json_dict(data):
         if row in seen:
             raise BagFormatError("duplicate tuple %r" % (row,))
         mult_s = item.get("mult")
-        try:
-            mult = int(str(mult_s))
-        except (TypeError, ValueError):
+        if not (isinstance(mult_s, str) and re.fullmatch("[0-9]+", mult_s)
+                and len(mult_s) <= sys.get_int_max_str_digits()):
             raise BagFormatError("bad multiplicity %r" % (mult_s,))
+        mult = int(mult_s)
         if mult <= 0:
             raise BagFormatError(
                 "multiplicity must be positive, got %r for %r" % (mult, row))
@@ -210,7 +221,13 @@ def _reference_from_json_dict(data):
 
 
 _CELLS = ["0", "1", "x", 0, 1, 2.5, True, None, [1], {"a": 1}]
-_MULTS = ["1", "3", str(2 ** 127 + 5), "0", "-1", "2.5", None, 4]
+# the first three are valid; then zero, and forms that int(str(...)) reads
+# but the ASCII-digit grammar does not: a sign, spaces, an underscore,
+# other scripts' digits and JSON numbers, digits past int's limit, and a
+# lone surrogate
+_MULTS = ["1", "3", str(2 ** 127 + 5), "0", "00", "-1", "+3", " 7 ", "7\n",
+          "1_0", "\u0663", "\uff17", "2.5", "", None, 4, 5, True, "9" * 4301,
+          "\ud800"]
 
 
 def _outcome(parse, data):
@@ -263,6 +280,15 @@ def test_parser_matches_reference():
             ([row, row, malformed], "duplicate tuple"),
             ([row, malformed, row], "tuple {'values': {'B'")]:
         data = {"schema": ["A"], "tuples": tuples}
+        expected = _outcome(_reference_from_json_dict, data)
+        assert expected[1].startswith(first)
+        assert _outcome(Bag.from_json_dict, data) == expected, data
+    # every multiplicity past the first three is refused, each on its own
+    for mult in _MULTS[3:]:
+        data = {"schema": ["A"],
+                "tuples": [{"values": {"A": "x"}, "mult": mult}]}
+        first = "multiplicity must be positive" if mult in ("0", "00") \
+            else "bad multiplicity"
         expected = _outcome(_reference_from_json_dict, data)
         assert expected[1].startswith(first)
         assert _outcome(Bag.from_json_dict, data) == expected, data

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import random
 
@@ -310,6 +311,75 @@ def test_enumerate_verb(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 2
 
 
+def test_enumerate_budget_exhaustion(tmp_path, capsys):
+    h = Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]])
+    full = {(a, b): 1 for a in "012" for b in "012"}
+    db = BagDatabase(h, tuple(Bag(sorted(e), full) for e in h.edges))
+    f = _write(tmp_path / "db.json", db.to_json_dict())
+    assert run(["enumerate", "--db", f, "--budget-nodes", "1"]) == 3
+    assert capsys.readouterr() == ("oracle budget exhausted\n", "")
+
+
+def _assert_usage_error(argv, out_file, capsys, message):
+    assert run(argv + ["-o", str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: %s\n" % message
+    assert not out_file.exists()
+
+
+def test_lift_verb_rejects_a_database_off_the_reduced_schema(tmp_path,
+                                                              capsys):
+    # the target reduces to a triangle; the database is over a path
+    target = Hypergraph(["A", "B", "C", "D"],
+                        [["A", "B"], ["B", "C"], ["A", "C"], ["C", "D"]])
+    path = Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"]])
+    db = BagDatabase(path, (Bag(("A", "B"), {("0", "0"): 1}),
+                            Bag(("B", "C"), {("0", "0"): 1})))
+    _assert_usage_error(
+        ["lift", "--db", _write(tmp_path / "db.json", db.to_json_dict()),
+         "--schema", _write(tmp_path / "target.json", target.to_json_dict())],
+        tmp_path / "lifted.json", capsys,
+        "replaying ops on the target hypergraph does not yield the "
+        "database's hypergraph")
+
+
+@pytest.mark.parametrize("to, shape", [("cycle", "C"), ("clique", "H")])
+def test_harden_verb_rejects_other_schemas(tmp_path, capsys, to, shape):
+    db = BagDatabase(path_hypergraph(3),
+                     (Bag(("A1", "A2"), {("0", "0"): 1}),
+                      Bag(("A2", "A3"), {("0", "0"): 1})))
+    _assert_usage_error(
+        ["harden", "--db", _write(tmp_path / "db.json", db.to_json_dict()),
+         "--to", to], tmp_path / "hard.json", capsys,
+        "input must be a database over %s_2 (n >= 3)" % shape)
+
+
+def test_counterexample_needs_three_vertices(tmp_path, capsys):
+    _assert_usage_error(["counterexample", "--shape", "cycle", "--n", "2"],
+                        tmp_path / "cex.json", capsys,
+                        "--n must be at least 3")
+
+
+def test_empty_database_has_the_empty_witness(tmp_path, capsys):
+    f = _write(tmp_path / "db.json",
+               {"hypergraph": {"vertices": [], "edges": []}, "bags": []})
+    empty = {"schema": [], "tuples": []}
+    by_global, by_witness = tmp_path / "global.json", tmp_path / "w.json"
+    assert run(["global", "--db", f, "--witness", str(by_global)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("globally consistent\n")
+    assert json.loads(out.split("\n", 1)[1]) == {
+        "global": "yes", "oracle_exhausted": False, "witness": empty,
+        "pairwise": {"consistent": True, "inconsistent_pairs": []}}
+    assert run(["witness", "--db", f, "-o", str(by_witness)]) == 0
+    capsys.readouterr()
+    for path in (by_global, by_witness):
+        assert path.read_text() == _dumps(Bag((), {}))
+    assert run(["enumerate", "--db", f]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 1,
+                                                    "witnesses": [empty]}
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run(["classify", "--schema", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -353,9 +423,17 @@ def _malformed(path, value):
     # "nan" and "inf" on the shared attribute they would answer "no"
     _malformed(("bags", 0, "tuples", 0, "values", "B"), float("nan")),
     _malformed(("bags", 0, "tuples", 0, "values", "B"), float("inf")),
+] + [
+    # a multiplicity is a string of ASCII digits, past zero and within
+    # int's digit limit
+    _malformed(("bags", 0, "tuples", 0, "mult"), mult) for mult in (
+        "0", "-1", "+3", " 7 ", "1_0", "\u0663", "", None, 5, "9" * 4301,
+        "\ud800")
 ], ids=["tuples-as-lists", "edges-5", "tuples-7", "null-value",
         "bool-value", "list-value", "object-value", "nan-value",
-        "inf-value"])
+        "inf-value", "zero-mult", "negative-mult", "signed-mult",
+        "spaced-mult", "underscored-mult", "arabic-indic-mult", "empty-mult",
+        "null-mult", "number-mult", "too-long-mult", "surrogate-mult"])
 def test_malformed_database_exits_2(tmp_path, capsys, verb, data):
     f = _write(tmp_path / "db.json", data)
     argv = [verb, "--db", f]
@@ -415,7 +493,8 @@ _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\x80\xe9\u2028\ud800\U0001f600 
                 | st.characters(), max_size=5)
 _WRITER_VALUES = st.recursive(
     st.none() | st.booleans() | st.sampled_from([0, 1, -1])
-    | st.integers() | st.integers(-10 ** 4000, 10 ** 4000) | _TEXT,
+    | st.integers() | st.integers(-10 ** 4000, 10 ** 4000) | _TEXT
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(_TEXT, inner, max_size=4),
@@ -426,6 +505,7 @@ _WRITER_VALUES = st.recursive(
 @given(_WRITER_VALUES)
 @example([True, 1, False, 0, None, [], {}, ()])
 @example({"a": {"": [(), {}]}, "\u00e9": (True, 1), "\x00\"\\": False})
+@example([0.5, -0.0, 1e308, 5e-324, math.nan, math.inf, -math.inf])
 def test_json_text_matches_indented_dumps(value):
     assert cli._json_text(value) == json.dumps(
         value, indent=2, sort_keys=True) + "\n"
