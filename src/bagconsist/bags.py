@@ -8,8 +8,11 @@ Every per-row key (a marginal's group, a join's bucket and merged row, a
 parsed JSON row) comes from one C-level getter built by :func:`_row_key`,
 and rows are summed per key in one loop, :func:`_summed`, which marginals
 and the witness check share; the marginal on the empty sub-schema is the
-total mass, summed without a pass over the rows. A serialized bag is parsed
-in one loop, so the first fault in tuple order is the one reported.
+total mass, summed without a pass over the rows. A serialized bag whose
+tuples are all well formed, with string cells, is accepted by a few C-level
+passes over its whole tuple list; any other list is read by one loop over
+the tuples, which converts numeric cells and reports the first fault in
+tuple order.
 """
 from __future__ import annotations
 
@@ -52,8 +55,8 @@ class BagFormatError(ValueError):
 
 def make_schema(attrs: Iterable[str]) -> tuple[str, ...]:
     """Normalize a collection of attribute names into a sorted schema."""
-    attrs = [str(a) for a in attrs]
-    if any(not a for a in attrs):
+    attrs = list(map(str, attrs))
+    if not all(attrs):
         raise SchemaMismatchError("attribute names must be non-empty")
     if len(set(attrs)) != len(attrs):
         raise SchemaMismatchError("duplicate attribute names: %r" % (attrs,))
@@ -71,7 +74,7 @@ class Bag:
 
     def __init__(self, schema: Iterable[str],
                  entries: Union[Mapping[Row, int], Iterable[tuple[Row, int]]] = ()):
-        object.__setattr__(self, "schema", make_schema(schema))
+        _set_schema(self, make_schema(schema))
         items = entries.items() if isinstance(entries, Mapping) else entries
         acc: dict[Row, int] = {}
         width = len(self.schema)
@@ -87,7 +90,7 @@ class Bag:
                 raise ValueError("negative multiplicity for %r" % (row,))
             if mult:
                 acc[row] = acc.get(row, 0) + mult
-        object.__setattr__(self, "entries", acc)
+        _set_entries(self, acc)
 
     @classmethod
     def _trusted(cls, schema: tuple[str, ...], entries: dict[Row, int]) -> "Bag":
@@ -96,8 +99,8 @@ class Bag:
         are: for results of operations on bags, which are valid by
         construction."""
         bag = object.__new__(cls)
-        object.__setattr__(bag, "schema", schema)
-        object.__setattr__(bag, "entries", entries)
+        _set_schema(bag, schema)
+        _set_entries(bag, entries)
         return bag
 
     def __setattr__(self, name, value):
@@ -217,51 +220,110 @@ class Bag:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Bag":
         """The bag of ``{"schema": [...], "tuples": [{"values": {...},
-        "mult": "..."}, ...]}``, read in one loop over the tuples: the first
-        fault in tuple order is the error raised. Cells are strings, or
-        numbers taken as their text; null, booleans, lists and objects are
-        not accepted. A multiplicity is a string of ASCII digits."""
+        "mult": "..."}, ...]}``. Cells are strings, or numbers taken as
+        their text; null, booleans, lists and objects are not accepted. A
+        multiplicity is a string of ASCII digits. A few C-level passes over
+        the whole list (:func:`_entries_at_once`) accept the common case:
+        every cell a string and no fault anywhere. Any other list is read
+        by one loop over the tuples (:func:`_entries_by_tuple`), which
+        converts numeric cells and raises the first fault in tuple order."""
         if not isinstance(data, dict) or "schema" not in data or "tuples" not in data:
             raise BagFormatError("bag JSON needs 'schema' and 'tuples'")
         if not _is_name_list(data["schema"]):
             raise BagFormatError("bag schema must be a list of attribute names")
-        if not isinstance(data["tuples"], list):
+        tuples = data["tuples"]
+        if not isinstance(tuples, list):
             raise BagFormatError("bag 'tuples' must be a list")
         try:
             schema = make_schema(data["schema"])
         except SchemaMismatchError as exc:
             raise BagFormatError(str(exc)) from exc
-        keys = set(schema)
         get = _row_key(schema)
-        seen: dict[Row, int] = {}
-        for count, item in enumerate(data["tuples"]):
-            values = item.get("values") if isinstance(item, dict) else None
-            if not isinstance(values, dict) or values.keys() != keys:
-                raise BagFormatError(
-                    "tuple %r does not match schema %r" % (item, schema))
-            row = get(values)
-            try:
-                "".join(row)  # every cell is a string: one C-level check
-            except TypeError:
-                row = tuple(v if v.__class__ is str else _json_cell(v, item)
-                            for v in row)
-            mult_s = item.get("mult")
-            try:  # ASCII digits only: bytes.isdigit() reads no other; a
-                # non-str has no encode, a surrogate or too many digits fail
-                mult = int(mult_s) if mult_s.encode().isdigit() else None
-            except (AttributeError, ValueError):
-                mult = None
-            # the row is stored before its multiplicity is checked, so a
-            # repeat is reported first; seen stops growing at a repeat
-            seen[row] = mult
-            if len(seen) == count:
-                raise BagFormatError("duplicate tuple %r" % (row,))
-            if mult is None:
-                raise BagFormatError("bad multiplicity %r" % (mult_s,))
-            if mult <= 0:
-                raise BagFormatError("multiplicity must be positive, got %r "
-                                     "for %r" % (mult, row))
-        return cls._trusted(schema, seen)
+        entries = _entries_at_once(get, len(schema), tuples)
+        if entries is None:
+            entries = _entries_by_tuple(schema, get, tuples)
+        return cls._trusted(schema, entries)
+
+
+# the slots' own setters, which bypass the __setattr__ that keeps bags
+# immutable
+_set_schema = Bag.schema.__set__
+_set_entries = Bag.entries.__set__
+
+_values = itemgetter("values")
+_mult = itemgetter("mult")
+
+
+def _entries_at_once(get: Callable, width: int, tuples: list):
+    """The entries of ``tuples`` when every item is a dict whose "values"
+    is a dict of exactly the schema's attributes (``get`` finds each, and
+    there are ``width`` of them), every cell is a string, every "mult" a
+    string of ASCII digits naming a positive int, and no row repeats; None
+    otherwise, which leaves the list to :func:`_entries_by_tuple`. What
+    this accepts, the loop accepts too, with the same entries. Each check
+    is one C-level pass over the whole list. Items and values must be
+    exact dicts before a getter runs on them, so no subclass's
+    ``__missing__`` runs."""
+    try:
+        if not {dict}.issuperset(map(type, tuples)):
+            return None
+        values = list(map(_values, tuples))
+        if not ({dict}.issuperset(map(type, values))
+                and {width}.issuperset(map(len, values))):
+            return None
+        rows = list(map(get, values))
+        "".join(map("".join, rows))  # every cell is a string
+        mults = list(map(_mult, tuples))
+        # exact strings, so that encode is the one the loop calls; ASCII
+        # digits only, as in the loop; int refuses an empty string and too
+        # many digits
+        if not ({str}.issuperset(map(type, mults))
+                and "".join(mults).encode().isdigit()):
+            return None
+        seen = dict(zip(rows, map(int, mults)))
+    except (KeyError, TypeError, ValueError):
+        return None
+    # fewer entries than tuples: a repeated row; a false value: a zero
+    if len(seen) != len(tuples) or not all(seen.values()):
+        return None
+    return seen
+
+
+def _entries_by_tuple(schema: tuple[str, ...], get: Callable,
+                      tuples: list) -> dict:
+    """The entries of ``tuples``, read in one loop that checks, converts
+    and deduplicates each tuple where it occurs: the first fault in tuple
+    order is the error raised."""
+    keys = set(schema)
+    seen: dict[Row, int] = {}
+    for count, item in enumerate(tuples):
+        values = item.get("values") if isinstance(item, dict) else None
+        if not isinstance(values, dict) or values.keys() != keys:
+            raise BagFormatError(
+                "tuple %r does not match schema %r" % (item, schema))
+        row = get(values)
+        try:
+            "".join(row)  # every cell is a string: one C-level check
+        except TypeError:
+            row = tuple(v if v.__class__ is str else _json_cell(v, item)
+                        for v in row)
+        mult_s = item.get("mult")
+        try:  # ASCII digits only: bytes.isdigit() reads no other; a
+            # non-str has no encode, a surrogate or too many digits fail
+            mult = int(mult_s) if mult_s.encode().isdigit() else None
+        except (AttributeError, ValueError):
+            mult = None
+        # the row is stored before its multiplicity is checked, so a
+        # repeat is reported first; seen stops growing at a repeat
+        seen[row] = mult
+        if len(seen) == count:
+            raise BagFormatError("duplicate tuple %r" % (row,))
+        if mult is None:
+            raise BagFormatError("bad multiplicity %r" % (mult_s,))
+        if mult <= 0:
+            raise BagFormatError("multiplicity must be positive, got %r "
+                                 "for %r" % (mult, row))
+    return seen
 
 
 def _json_cell(value, item) -> str:
@@ -277,7 +339,13 @@ def _json_cell(value, item) -> str:
 
 def _is_name_list(data) -> bool:
     """True iff parsed JSON is a list of strings (attribute names)."""
-    return isinstance(data, list) and all(isinstance(a, str) for a in data)
+    if not isinstance(data, list):
+        return False
+    try:
+        "".join(data)  # every name is a string: one C-level check
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

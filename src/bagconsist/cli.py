@@ -326,7 +326,11 @@ def cmd_encode_3dct(args) -> int:
 
 def cmd_enumerate(args) -> int:
     db = _load_db(args.db)
-    result = enumerate_witnesses(db, _budget(args))
+    budget = _budget(args)
+    try:
+        result = enumerate_witnesses(db, budget)
+    except ValueError as exc:  # a database with no bags
+        raise CliError(str(exc))
     if result is EXHAUSTED:
         print("oracle budget exhausted")
         return EXIT_EXHAUSTED

@@ -61,7 +61,8 @@ class BagDatabase:
         if len(bags) != len(self.hypergraph.edges):
             raise DatabaseError("need exactly one bag per hyperedge")
         for bag, edge in zip(bags, self.hypergraph.edges):
-            if bag.schema != tuple(sorted(edge)):
+            # a bag's schema is sorted and names no attribute twice
+            if frozenset(bag.schema) != edge:
                 raise DatabaseError(
                     "bag schema %r does not match edge %r"
                     % (bag.schema, sorted(edge)))
@@ -84,7 +85,7 @@ class BagDatabase:
         if not isinstance(data["bags"], list):
             raise DatabaseError("database 'bags' must be a list")
         return cls(Hypergraph.from_json_dict(data["hypergraph"]),
-                   tuple(Bag.from_json_dict(b) for b in data["bags"]))
+                   tuple(map(Bag.from_json_dict, data["bags"])))
 
 
 @dataclass(frozen=True)

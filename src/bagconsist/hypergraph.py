@@ -39,8 +39,8 @@ class Hypergraph:
     __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Iterable[str]]):
-        vs = tuple(sorted({str(v) for v in vertices}))
-        es = tuple(frozenset(str(v) for v in e) for e in edges)
+        vs = tuple(sorted(set(map(str, vertices))))
+        es = tuple(frozenset(map(str, e)) for e in edges)
         vset = set(vs)
         if "" in vset:
             raise HypergraphError("vertex names must be non-empty")

@@ -291,7 +291,12 @@ def solve_feasibility(db, budget: Optional[OracleBudget] = None
 
 def enumerate_witnesses(db, budget: Optional[OracleBudget] = None
                         ) -> Union[list, _Exhausted]:
-    """All distinct witnesses, by complete enumeration, each re-checked."""
+    """All distinct witnesses, by complete enumeration, each re-checked.
+    A database with no bags is refused with ValueError: every bag over the
+    empty schema is a witness of it, so its witnesses are infinitely many."""
+    if not db.bags:
+        raise ValueError("a database with no bags has infinitely many "
+                         "witnesses: every bag over the empty schema")
     sols = _search(db, budget or OracleBudget(), want_all=True)
     if sols is not EXHAUSTED and not all(check_witness(w, db) for w in sols):
         raise AssertionError("enumerated an invalid witness")

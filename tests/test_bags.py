@@ -3,10 +3,12 @@ import math
 import random
 import re
 import sys
+from collections import defaultdict
 
 import pytest
 
-from bagconsist import Bag, BagFormatError, SchemaMismatchError, make_schema
+from bagconsist import (
+    Bag, BagFormatError, SchemaMismatchError, bags, make_schema)
 from bagconsist.bags import _json_cell
 
 
@@ -296,3 +298,130 @@ def test_parser_matches_reference():
     row = {"values": {"A": "1", "B": 2}, "mult": "1"}
     with pytest.raises(BagFormatError, match=r"duplicate tuple \('1', '2'\)"):
         Bag.from_json_dict({"schema": ["A", "B"], "tuples": [row, row]})
+
+
+def _distinct_rows(rng, width, n):
+    """``n`` distinct rows of ``width`` string cells."""
+    domain = [5000, 5000, 100, 30, 10][width]
+    rows = set()
+    while len(rows) < n:
+        rows.add(tuple(str(rng.randrange(domain)) for _ in range(width)))
+    return sorted(rows, key=lambda _: rng.random())
+
+
+def _tuples(schema, rows, mults):
+    return [{"values": dict(zip(schema, row)), "mult": mult}
+            for row, mult in zip(rows, mults)]
+
+
+# (kind, detail): every non-string cell and bad multiplicity the tests
+# draw, a row repeated with valid, zero and bad multiplicities, faults in
+# the shape of a tuple, and numeric cells
+_LONG_FAULTS = ([("cell", c) for c in _CELLS[3:]]
+                + [("mult", m) for m in _MULTS[3:]]
+                + [("duplicate", m) for m in _MULTS[:6]]
+                + [(kind, None) for kind in (
+                    "missing key", "extra key", "not a dict", "no values",
+                    "no mult", "numeric cells")])
+
+
+def test_faults_deep_in_long_bags_match_reference():
+    """Bags of 200-2,000 rows with one fault at a random position, after a
+    long valid prefix, against the reference loop: each non-string cell of
+    ``_CELLS`` and bad multiplicity of ``_MULTS``, a missing or an extra
+    key, a repeated row (with valid, zero and bad multiplicities), an item
+    that is not a dict, a missing "values" or "mult", and valid bags with
+    numeric cells. A bag over no attributes holds one row, so it is one
+    tuple long (two with a repeat), and has no cell to spoil or key to
+    drop."""
+    rng = random.Random(0x6E)
+    kinds = set()
+    for width in (0, 1, 2, 4):
+        for kind, detail in _LONG_FAULTS:
+            if not width and kind in ("cell", "missing key"):
+                continue
+            schema = ["A", "B", "C", "D"][:width]
+            rng.shuffle(schema)
+            n = rng.randrange(200, 2001) if width else 1
+            rows = _distinct_rows(rng, width, n)
+            tuples = _tuples(schema, rows,
+                             [rng.choice(_MULTS[:3]) for _ in rows])
+            at = rng.randrange(n)
+            item = tuples[at]
+            if kind == "cell":
+                item["values"][rng.choice(schema)] = detail
+            elif kind == "mult":
+                item["mult"] = detail
+            elif kind == "missing key":
+                del item["values"][rng.choice(schema)]
+            elif kind == "extra key":
+                item["values"]["E"] = "1"
+            elif kind == "duplicate":
+                tuples.insert(rng.randrange(at + 1, n + 1),
+                              {**item, "mult": detail})
+            elif kind == "not a dict":
+                tuples[at] = rng.choice([[item], "x", None, 3])
+            elif kind == "no values":
+                del item["values"]
+            elif kind == "no mult":
+                del item["mult"]
+            else:  # numbers that no string cell reads as: still valid
+                for i in rng.sample(range(n), min(n, 20)):
+                    for a in tuples[i]["values"]:
+                        tuples[i]["values"][a] = rng.choice(
+                            [10 ** 6 + i, i + 0.5])
+            data = {"schema": schema, "tuples": tuples}
+            expected = _outcome(_reference_from_json_dict, data)
+            assert _outcome(Bag.from_json_dict, data) == expected, \
+                (width, kind, detail, at)
+            kinds.add(expected[1].split()[0] if isinstance(expected, tuple)
+                      else "valid")
+    assert kinds == {"duplicate", "tuple", "cell", "bad", "multiplicity",
+                     "valid"}
+
+
+def test_well_formed_bags_skip_the_tuple_loop(monkeypatch):
+    """Well-formed bags are accepted by the C-level passes alone: with the
+    per-tuple loop made to fail, they still parse to the same bag."""
+    rng = random.Random(0x6F)
+    cases = []
+    for width in (1, 2, 4):
+        schema = ["A", "B", "C", "D"][:width]
+        rng.shuffle(schema)
+        rows = _distinct_rows(rng, width, 1000)
+        cases.append((schema, _tuples(schema, rows,
+                                      [rng.choice(_MULTS[:3]) for _ in rows])))
+    cases.append(([], [{"values": {}, "mult": str(2 ** 127 + 5)}]))
+    expected = [_reference_from_json_dict({"schema": s, "tuples": t})
+                for s, t in cases]
+
+    def loop(schema, get, tuples):
+        raise AssertionError("the per-tuple loop ran")
+
+    monkeypatch.setattr(bags, "_entries_by_tuple", loop)
+    for (schema, tuples), bag in zip(cases, expected):
+        assert Bag.from_json_dict({"schema": schema, "tuples": tuples}) == bag
+    # a numeric cell still needs the loop
+    with pytest.raises(AssertionError, match="the per-tuple loop ran"):
+        Bag.from_json_dict({"schema": ["A"], "tuples": [
+            {"values": {"A": 1}, "mult": "1"}]})
+
+
+def test_subclassed_inputs_are_left_to_the_loop():
+    """The passes take only exact dicts and string multiplicities: a dict
+    subclass's ``__missing__`` never runs (the input stays unchanged), and
+    a multiplicity's own ``encode`` is the one the loop calls."""
+    class Mult(str):
+        def encode(self, *args):
+            return b"x"
+
+    for schema, item, error in [
+            ([], defaultdict(dict, mult="1"), "tuple"),
+            (["A"], {"values": defaultdict(str), "mult": "1"}, "tuple"),
+            (["A"], {"values": {"A": "1"}, "mult": Mult("3")},
+             "bad multiplicity")]:
+        data = {"schema": schema, "tuples": [item]}
+        before = repr(data)
+        with pytest.raises(BagFormatError, match=error):
+            Bag.from_json_dict(data)
+        assert repr(data) == before

@@ -375,9 +375,11 @@ def test_empty_database_has_the_empty_witness(tmp_path, capsys):
     capsys.readouterr()
     for path in (by_global, by_witness):
         assert path.read_text() == _dumps(Bag((), {}))
-    assert run(["enumerate", "--db", f]) == 0
-    assert json.loads(capsys.readouterr().out) == {"count": 1,
-                                                    "witnesses": [empty]}
+    # with no bags, every bag over the empty schema is a witness
+    assert run(["enumerate", "--db", f]) == 2
+    assert capsys.readouterr() == (
+        "", "error: a database with no bags has infinitely many witnesses: "
+        "every bag over the empty schema\n")
 
 
 def test_usage_errors(tmp_path, capsys):

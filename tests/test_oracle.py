@@ -155,6 +155,19 @@ def test_empty_database():
     assert w is not None and len(w) == 0
 
 
+def test_enumerate_refuses_a_database_with_no_bags():
+    """With no bags, every bag over the empty schema is a witness, so the
+    enumeration is refused; with bags that are all empty, the empty bag is
+    the one witness."""
+    none = BagDatabase(Hypergraph([], []), ())
+    with pytest.raises(ValueError, match="infinitely many witnesses"):
+        enumerate_witnesses(none)
+    assert solve_feasibility(none) == Bag((), {})
+    empty = BagDatabase(Hypergraph(["A", "B"], [["A"], ["A", "B"]]),
+                        (Bag(("A",), {}), Bag(("A", "B"), {})))
+    assert enumerate_witnesses(empty) == [Bag(("A", "B"), {})]
+
+
 def test_budget_exhaustion_returns_sentinel():
     r, s = witness_family(5)
     db = pair_database(r, s)
