@@ -1,13 +1,14 @@
 """Consistency of bag (multiset) databases.
 
-Decides pairwise and global consistency (on acyclic schemas, by the join
-tree's parent links), builds small witnesses over acyclic schemas by gluing
-northwest-corner two-bag witnesses, classifies schema hypergraphs, and
-generates counterexample and hardness-reduction instances. A brute-force
-integer-feasibility oracle decides small cyclic instances and cross-checks
-the rest. The max-flow characterisation of two-bag consistency is a test
-reference in ``bagconsist.flow``; only ``KERNEL``, the name of its Dinic
-kernel (always ``"python"``), is re-exported here.
+Decides pairwise consistency, and global consistency through one decider,
+``global_consistent``: on acyclic schemas the join tree's parent links
+decide and the witness is glued from northwest-corner two-bag witnesses; a
+brute-force integer-feasibility oracle decides small cyclic instances and
+cross-checks the rest in the tests. Also classifies schema hypergraphs and
+generates counterexample and hardness-reduction instances. The max-flow
+characterisation of two-bag consistency is a test reference in
+``bagconsist.flow``; only ``KERNEL``, the name of its Dinic kernel (always
+``"python"``), is re-exported here.
 """
 from .bags import (
     Bag,
@@ -19,9 +20,7 @@ from .bags import (
 from .consistency import (
     BagDatabase,
     ConsistencyReport,
-    CyclicHypergraphError,
     DatabaseError,
-    acyclic_global_witness,
     clique_hardness_lift,
     cycle_hardness_lift,
     encode_3dct,
@@ -60,8 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bag", "BagFormatError", "SchemaMismatchError", "SizeNorms",
     "make_schema",
-    "BagDatabase", "ConsistencyReport", "CyclicHypergraphError",
-    "DatabaseError", "acyclic_global_witness",
+    "BagDatabase", "ConsistencyReport", "DatabaseError",
     "clique_hardness_lift", "cycle_hardness_lift", "encode_3dct",
     "global_consistent", "inconsistent_pairs", "lift_collection",
     "minimal_two_bag_witness", "pairwise_consistent",

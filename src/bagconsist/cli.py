@@ -2,7 +2,8 @@
 
 Exit codes: 0 = positive answer (consistent / acyclic), 1 = negative answer,
 2 = usage or I/O error, 3 = resource exhausted (oracle budget, or a cyclic
-instance too large for the auto mode).
+instance too large for the auto mode; ``global`` and ``witness`` name
+which on their first line).
 
 Reports on stdout and the files the verbs write are
 ``json.dumps(data, indent=2, sort_keys=True)`` text plus a newline, with
@@ -25,11 +26,9 @@ from json.encoder import encode_basestring_ascii
 from .bags import Bag
 from .consistency import (
     BagDatabase,
-    CyclicHypergraphError,
     DatabaseError,
     GLOBAL_NO,
     GLOBAL_YES,
-    acyclic_global_witness,
     clique_hardness_lift,
     cycle_hardness_lift,
     encode_3dct,
@@ -249,6 +248,8 @@ def cmd_global(args) -> int:
         print("globally consistent")
     elif report.global_status == GLOBAL_NO:
         print("globally inconsistent")
+    elif report.oracle_exhausted:
+        print("unknown (oracle budget exhausted)")
     else:
         print("unknown (cyclic schema beyond oracle scope)")
     _emit(report._json_layout())
@@ -257,20 +258,6 @@ def cmd_global(args) -> int:
     if report.global_status == GLOBAL_NO:
         return EXIT_NEGATIVE
     return EXIT_EXHAUSTED
-
-
-def cmd_witness(args) -> int:
-    db = _load_db(args.db)
-    try:
-        witness = acyclic_global_witness(db)
-    except CyclicHypergraphError as exc:
-        raise CliError(str(exc))
-    if witness is None:
-        print("no witness: some pair is inconsistent")
-        return EXIT_NEGATIVE
-    _write_json(args.output, witness)
-    print("witness written to %s" % args.output)
-    return EXIT_OK
 
 
 def cmd_counterexample(args) -> int:
@@ -372,10 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(p)
     p.set_defaults(func=cmd_global)
 
-    p = sub.add_parser("witness", help="global witness over an acyclic schema")
+    # global --witness under another name, in auto mode
+    p = sub.add_parser("witness", help="global consistency, writing the "
+                                       "witness (same as global --witness)")
     p.add_argument("--db", required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_witness)
+    p.add_argument("-o", "--output", dest="witness", metavar="OUT",
+                   required=True)
+    p.set_defaults(func=cmd_global, oracle=False, budget_nodes=None,
+                   budget_seconds=None)
 
     p = sub.add_parser("counterexample",
                        help="pairwise-consistent, globally inconsistent instance")

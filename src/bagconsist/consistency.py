@@ -2,15 +2,16 @@
 
 Two bags are consistent iff their marginals on the shared attributes agree;
 a minimal two-bag witness is filled in by the northwest-corner rule, one
-shared-key group at a time. On an acyclic schema the join tree's m - 1
-(child, parent) links decide: the collection is globally consistent iff
-every bag agrees with its parent. Only then are the bags glued the same
-way, root first in link order: each bag's overlap with the rows glued so
-far lies in its parent, so the glue only builds. All pairs are listed only
-to explain a no, and before the oracle on cyclic schemas. Every finished
-witness is checked exactly once. Also houses the mod-d counterexample
-generator, safe-deletion lifting, and the hardness-reduction instance
-transformations.
+shared-key group at a time. ``global_consistent`` is the one decider of
+global consistency, on every schema. On an acyclic schema the join tree's
+m - 1 (child, parent) links decide: the collection is globally consistent
+iff every bag agrees with its parent. Only then are the bags glued the
+same way, root first in link order: each bag's overlap with the rows glued
+so far lies in its parent, so the glue only builds. All pairs are listed
+only to explain a no, and before the oracle on cyclic schemas. Every
+finished witness is checked exactly once. Also houses the mod-d
+counterexample generator, safe-deletion lifting, and the hardness-reduction
+instance transformations.
 """
 from __future__ import annotations
 
@@ -31,10 +32,6 @@ from .hypergraph import (
     cycle_hypergraph,
 )
 from .oracle import EXHAUSTED, OracleBudget, check_witness, solve_feasibility
-
-
-class CyclicHypergraphError(ValueError):
-    """Raised when an acyclic-only algorithm receives a cyclic schema."""
 
 
 class DatabaseError(ValueError):
@@ -218,70 +215,45 @@ def inconsistent_pairs(db: BagDatabase, _marginal=None) -> list:
     return out
 
 
-def _linked_witness(db: BagDatabase, tree, marginal) -> Optional[Bag]:
-    """The acyclic decider: None when a bag disagrees with its join-tree
-    parent on their shared attributes, else the bags glued root first in
-    link order, checked exactly."""
-    edges = db.hypergraph.edges
-    for child, parent in tree.links:
-        shared = edges[child] & edges[parent]
-        if marginal(child, shared) != marginal(parent, shared):
-            return None
-    return _checked_global_witness(_northwest_glue(
-        db.bags[:1] + tuple(db.bags[child] for child, _ in tree.links)), db)
-
-
-def acyclic_global_witness(db: BagDatabase) -> Optional[Bag]:
-    """Witness by northwest-corner gluing along the join tree; None iff
-    some bag disagrees with its parent, that is, iff some pair is
-    inconsistent."""
-    tree = db.hypergraph.join_tree()
-    if tree is None:
-        raise CyclicHypergraphError(
-            "schema is cyclic; use the oracle path instead")
-    return _linked_witness(db, tree, _marginal_memo(db.bags))
-
-
-def _checked_global_witness(witness: Bag, db: BagDatabase) -> Bag:
-    # re-verify every yes witness before handing it out
-    if not check_witness(witness, db):
-        raise AssertionError("constructed an invalid global witness")
-    return witness
-
-
 def global_consistent(db: BagDatabase, mode: str = "auto",
                       budget: Optional[OracleBudget] = None) -> ConsistencyReport:
     """Classify the schema once. On an acyclic schema the join tree's
     parent links decide: if every bag agrees with its parent, the answer
-    is yes with a glued witness; otherwise all pairs are listed to explain
-    the no, reusing the links' marginals. A cyclic schema lists all pairs
-    first: an inconsistent one answers no, else the oracle decides."""
+    is yes with the bags glued root first in link order; otherwise all
+    pairs are listed to explain the no, reusing the links' marginals. A
+    cyclic schema lists all pairs first: an inconsistent one answers no,
+    else the oracle decides. Every yes witness, glued or found by the
+    oracle, is checked exactly before it goes out."""
     if mode not in ("auto", "oracle"):
         raise ValueError("mode must be 'auto' or 'oracle'")
+    edges = db.hypergraph.edges
     tree = db.hypergraph.join_tree()
     marginal = _marginal_memo(db.bags)
-    if tree is not None:
-        witness = _linked_witness(db, tree, marginal)
-        if witness is not None:
-            return ConsistencyReport((), GLOBAL_YES, witness)
-    bad_pairs = tuple(inconsistent_pairs(db, marginal))
-    if bad_pairs:
-        return ConsistencyReport(bad_pairs, GLOBAL_NO)
-    if tree is not None:  # a disagreeing link is an inconsistent pair
-        raise AssertionError("a parent link disagrees, but no pair does")
-    join_bound = 1
-    for bag in db.bags:
-        join_bound *= max(len(bag), 1)
-    if mode == "oracle" or join_bound <= AUTO_ORACLE_SUPPORT_LIMIT:
-        result = solve_feasibility(db, budget)
-        if result is EXHAUSTED:
-            return ConsistencyReport(bad_pairs, GLOBAL_UNKNOWN,
-                                     oracle_exhausted=True)
-        if result is None:
+    if tree is not None and all(
+            marginal(child, shared := edges[child] & edges[parent])
+            == marginal(parent, shared) for child, parent in tree.links):
+        witness = _northwest_glue(
+            db.bags[:1] + tuple(db.bags[child] for child, _ in tree.links))
+    else:
+        bad_pairs = tuple(inconsistent_pairs(db, marginal))
+        if bad_pairs:
             return ConsistencyReport(bad_pairs, GLOBAL_NO)
-        return ConsistencyReport(bad_pairs, GLOBAL_YES,
-                                 _checked_global_witness(result, db))
-    return ConsistencyReport(bad_pairs, GLOBAL_UNKNOWN)
+        if tree is not None:  # a disagreeing link is an inconsistent pair
+            raise AssertionError("a parent link disagrees, but no pair does")
+        join_bound = 1
+        for bag in db.bags:
+            join_bound *= max(len(bag), 1)
+        if mode == "auto" and join_bound > AUTO_ORACLE_SUPPORT_LIMIT:
+            return ConsistencyReport((), GLOBAL_UNKNOWN)
+        witness = solve_feasibility(db, budget)
+        if witness is EXHAUSTED:
+            return ConsistencyReport((), GLOBAL_UNKNOWN,
+                                     oracle_exhausted=True)
+        if witness is None:
+            return ConsistencyReport((), GLOBAL_NO)
+    if not check_witness(witness, db):
+        raise AssertionError("constructed an invalid global witness")
+    return ConsistencyReport((), GLOBAL_YES, witness)
 
 
 # -- counterexample generator ----------------------------------------------

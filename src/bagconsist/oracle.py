@@ -13,12 +13,13 @@ join rows, at its free join row with the smallest upper bound, and steps
 through that join row's values nearest the row's even share first; a trail
 undoes placements. A node is one value tried at a branch point, so
 ``OracleBudget.max_nodes`` stops the search at the same node on every run,
-unless ``max_seconds`` (checked at every node) trips first. The clock
-starts before the join, which stops at ``max_join_support`` + 1 rows and
-checks the clock every 1,024 rows; the clock is read again after the
-join's rows are sorted, after each bag's column, every 4,096 join rows
-while the per-row lists are filled, and every 4,096 constraint rows of the
-first propagation.
+unless ``max_seconds`` (checked at every node) trips first. An
+enumeration also stops once the witnesses it holds pass
+``max_join_support`` rows in all. The clock starts before the join, which
+stops at ``max_join_support`` + 1 rows and checks the clock every 1,024
+rows; the clock is read again after the join's rows are sorted, after each
+bag's column, every 4,096 join rows while the per-row lists are filled,
+and every 4,096 constraint rows of the first propagation.
 Exponential in the worst case by design: this module exists to certify
 small instances and to cross-check every other decision path.
 """
@@ -153,7 +154,8 @@ def _values(lb: int, ub: int, share: int):
 def _search(db, budget: OracleBudget, want_all: bool):
     """Complete fail-first search over join-row multiplicities: the
     solutions found (the first one only, unless ``want_all``), or
-    EXHAUSTED."""
+    EXHAUSTED, also once the solutions held pass ``max_join_support`` rows
+    in all."""
     deadline = time.monotonic() + budget.max_seconds
     sys_ = _build_system(db, budget, deadline)
     if sys_ is EXHAUSTED:
@@ -228,6 +230,7 @@ def _search(db, budget: OracleBudget, want_all: bool):
 
     rows = range(len(demands))
     solutions: list[Bag] = []
+    stored = 0  # rows of the solutions held
     max_nodes, clock = budget.max_nodes, time.monotonic
     # the first propagation runs over every constraint row, the last first,
     # and reads the clock after each 4,096 of them
@@ -252,6 +255,9 @@ def _search(db, budget: OracleBudget, want_all: bool):
                 row: m for row, m in zip(sys_.join_rows, value) if m}))
             if not want_all:
                 return solutions
+            stored += len(solutions[-1])
+            if stored > budget.max_join_support:
+                return EXHAUSTED
         else:
             r = min(itertools.compress(rows, map(k.__eq__, free)),
                     key=rem.__getitem__)
@@ -291,8 +297,9 @@ def solve_feasibility(db, budget: Optional[OracleBudget] = None
 
 def enumerate_witnesses(db, budget: Optional[OracleBudget] = None
                         ) -> Union[list, _Exhausted]:
-    """All distinct witnesses, by complete enumeration, each re-checked.
-    A database with no bags is refused with ValueError: every bag over the
+    """All distinct witnesses, by complete enumeration, each re-checked,
+    or EXHAUSTED; the witnesses held count against ``max_join_support``
+    rows. A database with no bags is refused with ValueError: every bag over the
     empty schema is a witness of it, so its witnesses are infinitely many."""
     if not db.bags:
         raise ValueError("a database with no bags has infinitely many "

@@ -15,11 +15,11 @@ from bagconsist import (
     Bag,
     BagDatabase,
     Hypergraph,
-    acyclic_global_witness,
     check_witness,
     clique_hardness_lift,
     cycle_hardness_lift,
     enumerate_witnesses,
+    global_consistent,
     minimal_two_bag_witness,
     pairwise_consistent,
     solve_feasibility,
@@ -129,7 +129,7 @@ def test_criterion_05_local_to_global_acyclic():
     for _ in range(200):
         db = random_acyclic_database(rng, max_edges=5, max_edge_size=4,
                                      max_mult=8)
-        w = acyclic_global_witness(db)
+        w = global_consistent(db).witness
         assert w is not None
         assert check_witness(w, db)
         assert len(w) <= sum(len(bag) for bag in db.bags)
@@ -190,7 +190,7 @@ def test_criterion_08_binary_size_scaling():
         Bag(tuple(sorted(e)), {(a, b): mult for a in "01" for b in "01"})
         for e in h.edges)
     db = BagDatabase(h, bags)
-    w = acyclic_global_witness(db)
+    w = global_consistent(db).witness
     elapsed = time.monotonic() - start
     assert w is not None
     assert check_witness(w, db)

@@ -18,7 +18,6 @@ from bagconsist.hypergraph import (
     path_hypergraph,
 )
 from bagconsist.consistency import (
-    acyclic_global_witness,
     cycle_hardness_lift,
     encode_3dct,
     global_consistent,
@@ -138,7 +137,10 @@ def test_global_budget_exhaustion(tmp_path, capsys):
     f = _write(tmp_path / "db.json", db.to_json_dict())
     code = run(["global", "--db", f, "--oracle", "--budget-nodes", "1"])
     assert code == 3
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    # the first line says the oracle ran out, as the JSON does
+    assert out.startswith("unknown (oracle budget exhausted)\n")
+    assert json.loads(out.split("\n", 1)[1])["oracle_exhausted"] is True
 
 
 @pytest.mark.parametrize("verb", [["global", "--oracle"], ["enumerate"]],
@@ -185,9 +187,62 @@ def test_witness_verb(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_witness_verb_rejects_cyclic(triangle_db_file, capsys):
-    assert run(["witness", "--db", triangle_db_file, "-o", "/dev/null"]) == 2
-    capsys.readouterr()
+def _triangle_of(full):
+    """The AB, BC and AC marginals of a bag over A, B, C: a database over
+    the triangle."""
+    h = Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]])
+    return BagDatabase(h, tuple(full.marginal(sorted(e)) for e in h.edges))
+
+
+# each case's exit code and first line on stdout
+_WITNESS_PARITY = {
+    "acyclic-yes": (0, "globally consistent"),
+    "acyclic-no": (1, "globally inconsistent"),
+    "cyclic-yes": (0, "globally consistent"),
+    "triangle-no": (1, "globally inconsistent"),
+    # pairwise consistent, with a join bound above the auto-mode cutoff
+    "auto-cutoff": (3, "unknown (cyclic schema beyond oracle scope)"),
+    "empty": (0, "globally consistent"),
+    "malformed": (2, ""),
+}
+
+
+@pytest.mark.parametrize("case", list(_WITNESS_PARITY))
+def test_witness_verb_is_global_with_witness(tmp_path, capsys,
+                                             triangle_relations, case):
+    """``witness -o W`` is ``global --witness W`` under another name: the
+    same stdout, stderr, exit code and witness file, cyclic schemas
+    included."""
+    code, first_line = _WITNESS_PARITY[case]
+    path_db = BagDatabase(path_hypergraph(3), (
+        Bag(("A1", "A2"), {("0", "0"): 2, ("1", "0"): 1}),
+        Bag(("A2", "A3"), {("0", "1"): 2, ("0", "0"): 1})))
+    f = tmp_path / "db.json"
+    if case == "malformed":
+        f.write_text('{"hypergraph": ')
+    else:
+        _write(f, {
+            "acyclic-yes": path_db,
+            "acyclic-no": BagDatabase(path_db.hypergraph, (
+                path_db.bags[0], Bag(("A2", "A3"), {("1", "1"): 3}))),
+            "cyclic-yes": _triangle_of(Bag(("A", "B", "C"), {
+                ("0", "0", "0"): 2, ("1", "0", "1"): 1})),
+            "triangle-no": triangle_relations,
+            "auto-cutoff": _triangle_of(Bag(("A", "B", "C"), {
+                (str(i), str(i), str(i)): 1 for i in range(101)})),
+            "empty": BagDatabase(Hypergraph([], []), ()),
+        }[case].to_json_dict())
+    by_global, by_witness = tmp_path / "global.json", tmp_path / "w.json"
+    assert run(["global", "--db", str(f), "--witness", str(by_global)]) == code
+    expected = capsys.readouterr()
+    assert run(["witness", "--db", str(f), "-o", str(by_witness)]) == code
+    assert capsys.readouterr() == expected
+    assert expected.out.split("\n", 1)[0] == first_line
+    assert by_global.exists() == (code == 0)
+    if code == 0:
+        assert by_witness.read_bytes() == by_global.read_bytes()
+    else:
+        assert not by_witness.exists()
 
 
 def test_counterexample_then_global(tmp_path, capsys):
@@ -595,7 +650,7 @@ def test_verbs_write_bags_as_indented_dumps(tmp_path, capsys):
     assert out.read_text() == _dumps(report.witness)
 
     assert run(["witness", "--db", db_file, "-o", str(out)]) == 0
-    assert out.read_text() == _dumps(acyclic_global_witness(db))
+    assert out.read_text() == _dumps(report.witness)
 
     assert run(["counterexample", "--shape", "cycle", "--n", "4",
                 "-o", str(out)]) == 0

@@ -6,10 +6,8 @@ import pytest
 from bagconsist import (
     Bag,
     BagDatabase,
-    CyclicHypergraphError,
     DatabaseError,
     Hypergraph,
-    acyclic_global_witness,
     check_witness,
     clique_hardness_lift,
     cycle_hardness_lift,
@@ -112,22 +110,17 @@ def test_acyclic_global_witness_paper_chain():
         Bag(tuple(sorted(e)), {(a, b): 2 ** n for a in "01" for b in "01"})
         for e in h.edges)
     db = BagDatabase(h, bags)
-    w = acyclic_global_witness(db)
+    w = global_consistent(db).witness
     assert w is not None
     assert check_witness(w, db)
     assert len(w) <= sum(len(b) for b in bags)
-
-
-def test_acyclic_global_witness_rejects_cyclic(triangle_relations):
-    with pytest.raises(CyclicHypergraphError):
-        acyclic_global_witness(triangle_relations)
 
 
 def test_acyclic_global_witness_none_on_inconsistent():
     h = path_hypergraph(3)
     db = BagDatabase(h, (Bag(("A1", "A2"), {("0", "0"): 1}),
                          Bag(("A2", "A3"), {("1", "1"): 1})))
-    assert acyclic_global_witness(db) is None
+    assert global_consistent(db).witness is None
 
 
 def test_global_consistent_acyclic(rng):
@@ -209,20 +202,18 @@ def test_chained_witness_within_bound():
     for db in dbs:
         # consistent bags are all empty or all non-empty
         bound = max(0, sum(len(bag) for bag in db.bags) - (len(db.bags) - 1))
-        for w in (acyclic_global_witness(db), global_consistent(db).witness):
-            assert check_witness(w, db)
-            assert len(w) <= bound
+        w = global_consistent(db).witness
+        assert check_witness(w, db)
+        assert len(w) <= bound
 
 
 def test_chained_witness_rechecked(monkeypatch):
     """A chained yes goes out only after the exact witness check."""
     db = pair_database(Bag(("A", "B"), {("0", "0"): 1, ("1", "0"): 1}),
                        Bag(("B", "C"), {("0", "0"): 1, ("0", "1"): 1}))
-    assert check_witness(acyclic_global_witness(db), db)
+    assert check_witness(global_consistent(db).witness, db)
     wrong = Bag(("A", "B", "C"), {("0", "0", "0"): 2})
     monkeypatch.setattr(consistency, "_northwest_glue", lambda bags: wrong)
-    with pytest.raises(AssertionError):
-        acyclic_global_witness(db)
     with pytest.raises(AssertionError):
         global_consistent(db)
 
@@ -272,11 +263,11 @@ def test_glue_decides_exactly_when_a_pair_disagrees(monkeypatch):
     """The glue never decides: the join tree's parent links answer no iff
     some pair of bags is inconsistent, before any glue, and
     ``global_consistent`` reports what a check of every pair reports. On a
-    no, ``acyclic_global_witness``, ``global_consistent`` and
-    ``minimal_two_bag_witness`` on each inconsistent pair answer with a
-    glue that raises. Cases: consistent databases, ones with one unit
-    added to a bag, and ones with a unit of mass moved inside one bag
-    (same totals, so only a shared marginal can tell)."""
+    no, ``global_consistent`` and ``minimal_two_bag_witness`` on each
+    inconsistent pair answer with a glue that raises. Cases: consistent
+    databases, ones with one unit added to a bag, and ones with a unit of
+    mass moved inside one bag (same totals, so only a shared marginal can
+    tell)."""
     rng = random.Random(0x61E)
     moved = {True: 0, False: 0}
     for trial in range(600):
@@ -304,12 +295,12 @@ def test_glue_decides_exactly_when_a_pair_disagrees(monkeypatch):
             if bad:
                 patched.setattr(consistency, "_northwest_glue",
                                 _glue_must_not_run)
-            witness = acyclic_global_witness(db)
             # global lists every pair for a no: the same report as
             # checking every pair first
-            report = global_consistent(db).to_json_dict()
+            report = global_consistent(db)
             for i, j in pairs:
                 assert minimal_two_bag_witness(bags[i], bags[j]) is None
+        witness, report = report.witness, report.to_json_dict()
         assert (witness is None) == bad
         if witness is not None:
             assert check_witness(witness, db)

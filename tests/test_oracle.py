@@ -10,10 +10,10 @@ from bagconsist import (
     BagDatabase,
     Hypergraph,
     OracleBudget,
-    acyclic_global_witness,
     check_witness,
     encode_3dct,
     enumerate_witnesses,
+    global_consistent,
     solve_feasibility,
     verify_bounds,
 )
@@ -66,7 +66,7 @@ def test_check_witness_matches_reference():
             edges = random_acyclic_schema(rng, rng.randint(2, 20))
             db = database_of(edges, random_global_bag(
                 rng, {v for e in edges for v in e}, rng.randint(0, 8)))
-        w = acyclic_global_witness(db)
+        w = global_consistent(db).witness
         candidates = [w, _pad_with_default(w, "ZZ", "0")]
         if len(w.schema) > 1:
             candidates.append(w.marginal(w.schema[1:]))
@@ -344,6 +344,22 @@ def test_search_matches_reference():
 
     for h in (cycle_hypergraph(5), clique_complement_hypergraph(4)):
         assert solve_feasibility(tseitin_counterexample(h)) is None
+
+
+def test_join_support_budget_bounds_the_witnesses_held():
+    """An enumeration ends EXHAUSTED once the witnesses it holds pass
+    ``max_join_support`` rows in all, even when the join fits: this table
+    has a 125-row join and more witnesses than two seconds enumerate."""
+    db = _dense_3dct(5, 7, 2)
+    budget = OracleBudget(max_join_support=1000, max_seconds=2)
+    assert isinstance(solve_feasibility(db, budget), Bag)
+    tracemalloc.start()
+    try:
+        assert enumerate_witnesses(db, budget) is EXHAUSTED
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_seconds_budget_stops_the_search():
