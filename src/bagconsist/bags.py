@@ -5,10 +5,10 @@ All arithmetic is exact (Python ints); the only floating-point quantities
 are the log-based size norms, which are reporting-only.
 
 Every per-row key (a marginal's group, a join's bucket and merged row, a
-parsed JSON row) comes from one C-level getter built by :func:`_row_key`,
-and rows are summed per key in one loop, :func:`_summed`, which marginals
-and the witness check share; the marginal on the empty sub-schema is the
-total mass, summed without a pass over the rows. A serialized bag whose
+parsed JSON row) comes from one C-level getter built by :func:`_row_key`.
+Marginals are summed in one place, :func:`_summed`: ``Bag.marginal``, the
+witness check and the deciders hand it cell positions, and on none it
+gives the total mass without a pass over the rows. A serialized bag whose
 tuples are all well formed, with string cells, is accepted by a few C-level
 passes over its whole tuple list; any other list is read by one loop over
 the tuples, which converts numeric cells and reports the first fault in
@@ -37,10 +37,13 @@ def _row_key(positions) -> Callable:
     return lambda row: ()
 
 
-def _summed(key: Callable, entries: Mapping[Row, int]) -> dict:
-    """The multiplicities of ``entries`` summed per ``key(row)``."""
+def _summed(positions, entries: Mapping[Row, int]) -> dict:
+    """``entries``' multiplicities summed per row's cells at ``positions``;
+    on none, the total mass (``{}`` for no rows), with no pass over rows."""
+    if not positions:
+        return {(): sum(entries.values())} if entries else {}
     out: dict[Row, int] = {}
-    for k, mult in zip(map(key, entries), entries.values()):
+    for k, mult in zip(map(_row_key(positions), entries), entries.values()):
         out[k] = out.get(k, 0) + mult
     return out
 
@@ -148,11 +151,7 @@ class Bag:
         """The marginal over a sub-schema: agreeing rows have their
         multiplicities summed."""
         z = make_schema(attrs)
-        idx = self._positions(z)
-        entries = self.entries
-        if not idx:
-            return Bag._trusted(z, {(): sum(entries.values())} if entries else {})
-        return Bag._trusted(z, _summed(_row_key(idx), entries))
+        return Bag._trusted(z, _summed(self._positions(z), self.entries))
 
     def join(self, other: "Bag") -> "Bag":
         """Bag join: support is the join of the supports, multiplicities

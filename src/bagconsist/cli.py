@@ -50,6 +50,9 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
+# the most rows the counterexample verb builds
+COUNTEREXAMPLE_MAX_ROWS = 10 ** 6
+
 
 class CliError(Exception):
     """Usage or I/O problem; maps to exit code 2."""
@@ -261,10 +264,20 @@ def cmd_global(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.n < 3:
+    n = args.n
+    if n < 3:
         raise CliError("--n must be at least 3")
+    # m bags of k attributes, each attribute in d bags: d^(k - 1) rows per
+    # bag, multiplied up one factor at a time, so a huge n stops at once
+    m, d, k = (n, 2, 2) if args.shape == "cycle" else (n, n - 1, n - 1)
+    rows = m
+    for _ in range(k - 1):
+        rows *= d
+        if rows > COUNTEREXAMPLE_MAX_ROWS:
+            raise CliError("%s --n %d has %d * %d^%d rows, more than %d"
+                           % (args.shape, n, m, d, k - 1, COUNTEREXAMPLE_MAX_ROWS))
     maker = cycle_hypergraph if args.shape == "cycle" else clique_complement_hypergraph
-    db = tseitin_counterexample(maker(args.n))
+    db = tseitin_counterexample(maker(n))
     _write_json(args.output, db._json_layout())
     print("counterexample written to %s" % args.output)
     return EXIT_OK

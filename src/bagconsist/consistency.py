@@ -1,17 +1,18 @@
 """Consistency deciders and constructors for bag databases.
 
 Two bags are consistent iff their marginals on the shared attributes agree;
-a minimal two-bag witness is filled in by the northwest-corner rule, one
-shared-key group at a time. ``global_consistent`` is the one decider of
-global consistency, on every schema. On an acyclic schema the join tree's
-m - 1 (child, parent) links decide: the collection is globally consistent
-iff every bag agrees with its parent. Only then are the bags glued the
-same way, root first in link order: each bag's overlap with the rows glued
-so far lies in its parent, so the glue only builds. All pairs are listed
-only to explain a no, and before the oracle on cyclic schemas. Every
-finished witness is checked exactly once. Also houses the mod-d
-counterexample generator, safe-deletion lifting, and the hardness-reduction
-instance transformations.
+the deciders compare them as plain dicts, summed by ``bags._summed`` once
+per (bag, shared set), and build no ``Bag`` to compare. A minimal two-bag
+witness is filled in by the northwest-corner rule, one shared-key group at
+a time. ``global_consistent`` is the one decider of global consistency, on
+every schema. On an acyclic schema the join tree's m - 1 (child, parent)
+links decide: the collection is globally consistent iff every bag agrees
+with its parent. Only then are the bags glued the same way, root first in
+link order: each bag's overlap with the rows glued so far lies in its
+parent, so the glue only builds. All pairs are listed only to explain a
+no, and before the oracle on cyclic schemas. Every finished witness is
+checked exactly once. Also houses the mod-d counterexample generator,
+safe-deletion lifting, and the hardness-reduction instance transformations.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bags import Bag, _row_key, make_schema
+from .bags import Bag, _row_key, _summed, make_schema
 # unused here: the benchmark's tracer wraps these three names in this module
 from .flow import build_network, max_flow, suppress_middle_arc
 from .hypergraph import (
@@ -41,9 +42,6 @@ class DatabaseError(ValueError):
 GLOBAL_YES = "yes"
 GLOBAL_NO = "no"
 GLOBAL_UNKNOWN = "unknown-cyclic"
-
-# auto mode hands cyclic instances to the oracle only below this join bound
-AUTO_ORACLE_SUPPORT_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -122,8 +120,9 @@ class ConsistencyReport:
 def pairwise_consistent(r: Bag, s: Bag) -> bool:
     """Equal marginals on the shared attributes (total mass, when the
     schemas are disjoint)."""
-    shared = set(r.schema) & set(s.schema)
-    return r.marginal(shared) == s.marginal(shared)
+    marginal = _marginal_memo((r, s))
+    shared = frozenset(r.schema) & frozenset(s.schema)
+    return marginal(0, shared) == marginal(1, shared)
 
 
 def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
@@ -196,9 +195,10 @@ def _northwest_glue(bags) -> Bag:
 # -- collections -----------------------------------------------------------
 
 def _marginal_memo(bags):
-    """``marginal(i, shared)``: bag i's marginal on the attribute set
-    ``shared``, computed once per (bag, set)."""
-    return functools.cache(lambda i, shared: bags[i].marginal(shared))
+    """``marginal(i, shared)``: bag i's rows summed onto ``shared`` in its
+    sorted schema's order (so bags key a set alike), once per (bag, set)."""
+    return functools.cache(lambda i, shared: _summed(
+        [k for k, a in enumerate(bags[i].schema) if a in shared], bags[i].entries))
 
 
 def inconsistent_pairs(db: BagDatabase, _marginal=None) -> list:
@@ -222,10 +222,11 @@ def global_consistent(db: BagDatabase, mode: str = "auto",
     is yes with the bags glued root first in link order; otherwise all
     pairs are listed to explain the no, reusing the links' marginals. A
     cyclic schema lists all pairs first: an inconsistent one answers no,
-    else the oracle decides. Every yes witness, glued or found by the
-    oracle, is checked exactly before it goes out."""
+    else the oracle decides; auto mode calls it only if the bag sizes'
+    product fits ``budget.max_join_support``. Every yes is checked exactly."""
     if mode not in ("auto", "oracle"):
         raise ValueError("mode must be 'auto' or 'oracle'")
+    budget = budget or OracleBudget()
     edges = db.hypergraph.edges
     tree = db.hypergraph.join_tree()
     marginal = _marginal_memo(db.bags)
@@ -243,7 +244,7 @@ def global_consistent(db: BagDatabase, mode: str = "auto",
         join_bound = 1
         for bag in db.bags:
             join_bound *= max(len(bag), 1)
-        if mode == "auto" and join_bound > AUTO_ORACLE_SUPPORT_LIMIT:
+        if mode == "auto" and join_bound > budget.max_join_support:
             return ConsistencyReport((), GLOBAL_UNKNOWN)
         witness = solve_feasibility(db, budget)
         if witness is EXHAUSTED:

@@ -61,16 +61,16 @@ class OracleBudget:
 
 def check_witness(w: Bag, db) -> bool:
     """True iff the bag's marginals reproduce every bag of the database:
-    per bag, the witness's rows are summed through one getter of the bag's
-    attribute positions, by the loop ``Bag.marginal`` uses, and compared
-    with the bag's entries exactly."""
+    per bag, the witness's rows are summed onto the bag's attribute
+    positions by :func:`bags._summed`, which ``Bag.marginal`` calls too, and
+    compared with the bag's entries exactly."""
     union = set().union(*(bag.schema for bag in db.bags))
     if set(w.schema) != union:
         raise SchemaMismatchError(
             "witness schema %r != union schema %r" % (w.schema, tuple(sorted(union))))
     at = {a: k for k, a in enumerate(w.schema)}
-    return all(_summed(_row_key([at[a] for a in bag.schema]), w.entries)
-               == bag.entries for bag in db.bags)
+    return all(_summed([at[a] for a in bag.schema], w.entries) == bag.entries
+               for bag in db.bags)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from collections import defaultdict
 import pytest
 
 from bagconsist import (
-    Bag, BagFormatError, SchemaMismatchError, bags, make_schema)
+    Bag, BagFormatError, SchemaMismatchError, bags, consistency, make_schema)
 from bagconsist.bags import _json_cell
 
 
@@ -156,6 +156,36 @@ def test_marginal_matches_naive_sum():
     assert Bag((), {}).marginal([]).entries == {}
     assert Bag(("A",), {}).marginal([]).entries == {}
     assert bags[1].marginal([]).entries == {(): sum(bags[1].entries.values())}
+
+
+def test_marginal_table_matches_naive_sum():
+    """The deciders' marginal table on random databases: each bag summed
+    onto its shared set with every bag (itself included), a plain dict in
+    sorted-attribute order whatever the set's iteration order, against a
+    per-row sum and against ``Bag.marginal``; with empty bags, empty
+    shared sets, and bags of widths 0, 1 and 4."""
+    rng = random.Random(0x7AB)
+    seen = set()
+    for _ in range(40):
+        db = []
+        for _ in range(rng.randrange(1, 6)):
+            schema = tuple(sorted(rng.sample("ABCDEF", rng.choice((0, 1, 4)))))
+            db.append(_random_bag(rng, schema, rng.choice(
+                (0, 1, rng.randrange(2, 30)))))
+        table = consistency._marginal_memo(db)
+        for i, j in itertools.product(range(len(db)), repeat=2):
+            bag = db[i]
+            shared = frozenset(bag.schema) & frozenset(db[j].schema)
+            expected: dict = {}
+            for row, mult in bag.entries.items():
+                key = tuple(row[bag.schema.index(a)] for a in sorted(shared))
+                expected[key] = expected.get(key, 0) + mult
+            assert table(i, shared) == expected
+            assert bag.marginal(shared).entries == expected
+            seen.update([("width", len(bag.schema)), ("shared", len(shared)),
+                         ("rows", min(len(bag), 2))])
+    assert {("width", 0), ("width", 1), ("width", 4), ("shared", 0),
+            ("rows", 0), ("rows", 1), ("rows", 2)} <= seen
 
 
 def test_join_matches_nested_loop():

@@ -415,6 +415,40 @@ def test_counterexample_needs_three_vertices(tmp_path, capsys):
                         "--n must be at least 3")
 
 
+@pytest.mark.parametrize("shape, n, count", [
+    ("clique", 9, "9 * 8^7"),
+    ("cycle", 500001, "500001 * 2^1"),
+    ("clique", 10 ** 9, "1000000000 * 999999999^999999998"),
+])
+def test_counterexample_refuses_more_than_a_million_rows(tmp_path, capsys,
+                                                         shape, n, count):
+    """m bags of d^(k - 1) rows: n (n - 1)^(n - 2) on the clique
+    complement, 2n on the cycle. Past 10^6 rows the verb exits 2 before it
+    builds anything, a huge n included."""
+    _assert_usage_error(
+        ["counterexample", "--shape", shape, "--n", str(n)],
+        tmp_path / "cex.json", capsys,
+        "%s --n %d has %s rows, more than 1000000" % (shape, n, count))
+
+
+def test_counterexample_row_limit_is_inclusive(tmp_path, capsys,
+                                               monkeypatch):
+    """An instance of exactly the limit's rows is written, one row more is
+    refused: cycle --n 5 has 10 rows, clique --n 5 has 5 * 4^3 = 320."""
+    for shape, rows in (("cycle", 10), ("clique", 320)):
+        out_file = tmp_path / ("%s.json" % shape)
+        monkeypatch.setattr(cli, "COUNTEREXAMPLE_MAX_ROWS", rows - 1)
+        assert run(["counterexample", "--shape", shape, "--n", "5",
+                    "-o", str(out_file)]) == 2
+        assert not out_file.exists()
+        monkeypatch.setattr(cli, "COUNTEREXAMPLE_MAX_ROWS", rows)
+        assert run(["counterexample", "--shape", shape, "--n", "5",
+                    "-o", str(out_file)]) == 0
+        db = BagDatabase.from_json_dict(json.loads(out_file.read_text()))
+        assert sum(map(len, db.bags)) == rows
+    capsys.readouterr()
+
+
 def test_empty_database_has_the_empty_witness(tmp_path, capsys):
     f = _write(tmp_path / "db.json",
                {"hypergraph": {"vertices": [], "edges": []}, "bags": []})

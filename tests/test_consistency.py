@@ -8,6 +8,7 @@ from bagconsist import (
     BagDatabase,
     DatabaseError,
     Hypergraph,
+    OracleBudget,
     check_witness,
     clique_hardness_lift,
     cycle_hardness_lift,
@@ -133,6 +134,10 @@ def test_global_consistent_acyclic(rng):
 
 
 def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
+    """One join tree per call, and no (bag, shared set) marginal summed
+    twice, on the yes and on the no path: every marginal the deciders
+    compare is a plain dict from the one summing routine, and no
+    ``Bag.marginal`` call is made."""
     rng = random.Random(0x40)
     edges = random_acyclic_schema(rng, 40)
     db = database_of(edges, random_global_bag(
@@ -144,29 +149,45 @@ def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
         trees.append(self)
         return join_tree(self)
 
-    index = {id(bag): i for i, bag in enumerate(db.bags)}
     computed = []
     derived = []
+    summed = consistency._summed
+
+    def recording_summed(positions, entries):
+        i = index.get(id(entries))
+        if i is None:
+            derived.append(tuple(positions))
+        else:
+            schema = bags[i].schema
+            computed.append((i, frozenset(schema[k] for k in positions)))
+        return summed(positions, entries)
+
+    marginal_calls = []
     marginal = Bag.marginal
 
-    def recording_marginal(self, attrs):
-        if id(self) in index:
-            computed.append((index[id(self)], frozenset(attrs)))
-        else:
-            derived.append(frozenset(attrs))
+    def counting_marginal(self, attrs):
+        marginal_calls.append(attrs)
         return marginal(self, attrs)
 
-    monkeypatch.setattr(Hypergraph, "join_tree", counting_join_tree)
-    monkeypatch.setattr(Bag, "marginal", recording_marginal)
-    report = global_consistent(db)
-    monkeypatch.undo()
+    def decide(database):
+        monkeypatch.setattr(Hypergraph, "join_tree", counting_join_tree)
+        monkeypatch.setattr(consistency, "_summed", recording_summed)
+        monkeypatch.setattr(Bag, "marginal", counting_marginal)
+        try:
+            return global_consistent(database)
+        finally:
+            monkeypatch.undo()
+
+    bags = db.bags
+    index = {id(bag.entries): i for i, bag in enumerate(bags)}
+    report = decide(db)
     assert report.global_status == "yes"
     assert check_witness(report.witness, db)
     assert len(trees) == 1
     assert computed and len(computed) == len(set(computed))
-    # the chain builds no intermediate bags, and the exact check sums the
-    # witness's rows without going through Bag.marginal
-    assert derived == []
+    # the table sums only the database's own bags; the exact check sums
+    # the witness's rows outside it, and no Bag.marginal runs
+    assert derived == [] and marginal_calls == []
     # a no is classified once, lists the same pairs as the full pass, and
     # computes no (bag, shared set) marginal twice: the pair pass reuses
     # the parent links' marginals
@@ -175,17 +196,16 @@ def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
     bumped = Bag(first.schema, {**first.entries, row: first.entries[row] + 1})
     perturbed = BagDatabase(db.hypergraph, (bumped,) + db.bags[1:])
     expected = tuple(inconsistent_pairs(perturbed))
-    index = {id(bag): i for i, bag in enumerate(perturbed.bags)}
+    bags = perturbed.bags
+    index = {id(bag.entries): i for i, bag in enumerate(bags)}
     trees.clear()
     computed.clear()
-    monkeypatch.setattr(Hypergraph, "join_tree", counting_join_tree)
-    monkeypatch.setattr(Bag, "marginal", recording_marginal)
-    report = global_consistent(perturbed)
-    monkeypatch.undo()
+    report = decide(perturbed)
     assert report.global_status == "no" and report.witness is None
     assert expected and report.inconsistent_pairs == expected
     assert len(trees) == 1
     assert computed and len(computed) == len(set(computed))
+    assert derived == [] and marginal_calls == []
 
 
 def test_chained_witness_within_bound():
@@ -344,6 +364,34 @@ def test_global_consistent_auto_cutoff():
     # forcing the oracle decides it
     forced = global_consistent(db, mode="oracle")
     assert forced.global_status == "yes"
+
+
+def test_auto_cutoff_reads_the_join_support_budget(monkeypatch):
+    """Auto mode runs the oracle iff the product of the bag sizes is at
+    most ``max_join_support``: at k it decides, at k + 1 it answers
+    unknown without calling the oracle."""
+    h = Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]])
+    diag = Bag(("A", "B", "C"), {(str(i), str(i), str(i)): 1
+                                 for i in range(3)})
+    db = BagDatabase(h, tuple(diag.marginal(sorted(e)) for e in h.edges))
+    k = 3 ** 3
+    calls = []
+    solve = consistency.solve_feasibility
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(consistency, "solve_feasibility", counting_solve)
+    fits = global_consistent(db, budget=OracleBudget(max_join_support=k))
+    assert fits.global_status == "yes" and len(calls) == 1
+    over = global_consistent(db, budget=OracleBudget(max_join_support=k - 1))
+    assert over.global_status == "unknown-cyclic" and over.witness is None
+    assert not over.oracle_exhausted and len(calls) == 1
+    # oracle mode ignores the cutoff and spends the same budget
+    forced = global_consistent(db, mode="oracle",
+                               budget=OracleBudget(max_join_support=k - 1))
+    assert forced.global_status == "yes" and len(calls) == 2
 
 
 def test_global_consistent_rechecks_oracle_witness(monkeypatch):
