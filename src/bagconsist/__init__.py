@@ -8,13 +8,14 @@ cross-checks the rest in the tests. Also classifies schema hypergraphs and
 generates counterexample and hardness-reduction instances. The max-flow
 characterisation of two-bag consistency is a test reference in
 ``bagconsist.flow``; only ``KERNEL``, the name of its Dinic kernel (always
-``"python"``), is re-exported here.
+``"python"``), is re-exported here. The other checkers that only the
+tests call (join-tree validity, the sub-hypergraph on a vertex set, the
+witness-size bounds) live in ``tests/reference.py``.
 """
 from .bags import (
     Bag,
     BagFormatError,
     SchemaMismatchError,
-    SizeNorms,
     make_schema,
 )
 from .consistency import (
@@ -41,24 +42,19 @@ from .hypergraph import (
     clique_complement_hypergraph,
     cycle_hypergraph,
     find_bad_witness,
-    path_hypergraph,
-    replay_ops,
 )
 from .oracle import (
     EXHAUSTED,
-    BoundsReport,
     OracleBudget,
     check_witness,
     enumerate_witnesses,
     solve_feasibility,
-    verify_bounds,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bag", "BagFormatError", "SchemaMismatchError", "SizeNorms",
-    "make_schema",
+    "Bag", "BagFormatError", "SchemaMismatchError", "make_schema",
     "BagDatabase", "ConsistencyReport", "DatabaseError",
     "clique_hardness_lift", "cycle_hardness_lift", "encode_3dct",
     "global_consistent", "inconsistent_pairs", "lift_collection",
@@ -66,8 +62,8 @@ __all__ = [
     "tseitin_counterexample", "KERNEL",
     "BadWitness", "Hypergraph", "HypergraphError", "JoinTree",
     "SafeDeletionOp", "clique_complement_hypergraph", "cycle_hypergraph",
-    "find_bad_witness", "path_hypergraph", "replay_ops",
-    "EXHAUSTED", "BoundsReport", "OracleBudget", "check_witness",
-    "enumerate_witnesses", "solve_feasibility", "verify_bounds",
+    "find_bad_witness",
+    "EXHAUSTED", "OracleBudget", "check_witness", "enumerate_witnesses",
+    "solve_feasibility",
     "__version__",
 ]

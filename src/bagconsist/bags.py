@@ -1,8 +1,7 @@
 """Exact multiset (bag) relational algebra.
 
 Bags map tuples over a fixed schema to positive integer multiplicities.
-All arithmetic is exact (Python ints); the only floating-point quantities
-are the log-based size norms, which are reporting-only.
+All arithmetic is exact (Python ints).
 
 Every per-row key (a marginal's group, a join's bucket and merged row, a
 parsed JSON row) comes from one C-level getter built by :func:`_row_key`.
@@ -17,7 +16,6 @@ tuple order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
@@ -125,10 +123,6 @@ class Bag:
     def __bool__(self):
         return bool(self.entries)
 
-    def __call__(self, row: Row) -> int:
-        """Multiplicity of a row (0 when absent)."""
-        return self.entries.get(tuple(str(v) for v in row), 0)
-
     def __repr__(self):
         body = ", ".join("%r:%d" % (r, m) for r, m in sorted(self.entries.items()))
         return "Bag(%r, {%s})" % (list(self.schema), body)
@@ -184,26 +178,6 @@ class Bag:
     def support(self) -> "Bag":
         """Same support, all multiplicities clamped to 1 (a relation)."""
         return Bag._trusted(self.schema, dict.fromkeys(self.entries, 1))
-
-    def contained_in(self, other: "Bag") -> bool:
-        """Bag containment: every multiplicity bounded by the other's."""
-        if self.schema != other.schema:
-            raise SchemaMismatchError(
-                "cannot compare bags over %r and %r" % (self.schema, other.schema))
-        return all(m <= other.entries.get(row, 0)
-                   for row, m in self.entries.items())
-
-    # -- sizes -------------------------------------------------------------
-
-    def norms(self) -> "SizeNorms":
-        mults = list(self.entries.values())
-        return SizeNorms(
-            support_size=len(mults),
-            multiplicity_bound=max(mults, default=0),
-            multiplicity_size=max((math.log2(m + 1) for m in mults), default=0.0),
-            unary_size=sum(mults),
-            binary_size=sum(math.log2(m + 1) for m in mults),
-        )
 
     # -- serialization -----------------------------------------------------
 
@@ -345,18 +319,3 @@ def _is_name_list(data) -> bool:
     except TypeError:
         return False
     return True
-
-
-@dataclass(frozen=True)
-class SizeNorms:
-    """The five size measures of a bag.
-
-    ``unary_size`` is the total mass, ``binary_size`` the summed bit sizes
-    log2(m+1). The log-based fields are floats and are used only in bound
-    reports, never in decision procedures.
-    """
-    support_size: int
-    multiplicity_bound: int
-    multiplicity_size: float
-    unary_size: int
-    binary_size: float

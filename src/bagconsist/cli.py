@@ -8,10 +8,12 @@ which on their first line).
 Reports on stdout and the files the verbs write are
 ``json.dumps(data, indent=2, sort_keys=True)`` text plus a newline, with
 every bag in ``data`` as its ``to_json_dict()``: a bag is written through
-one text template per schema, filled once per row. A verb writes its file
-before it prints anything, so a failed write leaves stdout empty. Input
-files are decoded and parsed with the cyclic GC off, and the caller's GC
-state is restored.
+one text template per schema, filled once per row. A report goes to stdout
+part by part. A file's text is built whole before the file is opened, so
+text that does not serialise leaves no file; a verb writes its file before
+it prints anything, so a failed write leaves stdout empty. Input files are
+decoded and parsed with the cyclic GC off, and the caller's GC state is
+restored.
 ``run`` may be called any number of times in one process; it builds the
 argument parser on its first call and reuses it.
 """
@@ -104,54 +106,54 @@ def _json_text(data) -> str:
     ``int.__repr__``, bags through :func:`_put_bag`, and the layout is
     built in one list."""
     parts: list = []
-    _put_json(data, "\n", parts)
+    _put_json(data, "\n", parts.append)
     parts.append("\n")
     return "".join(parts)
 
 
-def _put_json(value, newline: str, parts: list) -> None:
-    """Append ``value``'s JSON text to ``parts``; ``newline`` is the line
-    break and indent of the line that ``value`` starts on."""
+def _put_json(value, newline: str, put) -> None:
+    """Pass ``value``'s JSON text to ``put``, part by part; ``newline`` is
+    the line break and indent of the line that ``value`` starts on."""
     if isinstance(value, str):
-        parts.append(encode_basestring_ascii(value))
+        put(encode_basestring_ascii(value))
     elif value is None:
-        parts.append("null")
+        put("null")
     elif value is True:
-        parts.append("true")
+        put("true")
     elif value is False:
-        parts.append("false")
+        put("false")
     elif isinstance(value, dict):
         if not value:
-            parts.append("{}")
+            put("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            parts.append(sep + encode_basestring_ascii(key) + ": ")
-            _put_json(item, inner, parts)
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _put_json(item, inner, put)
             sep = "," + inner
-        parts.append(newline + "}")
+        put(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            parts.append("[]")
+            put("[]")
             return
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
-            parts.append(sep)
-            _put_json(item, inner, parts)
+            put(sep)
+            _put_json(item, inner, put)
             sep = "," + inner
-        parts.append(newline + "]")
+        put(newline + "]")
     elif isinstance(value, int):
-        parts.append(int.__repr__(value))
+        put(int.__repr__(value))
     elif isinstance(value, Bag):
-        _put_bag(value, newline, parts)
+        _put_bag(value, newline, put)
     else:
-        parts.append(json.dumps(value))
+        put(json.dumps(value))
 
 
-def _put_bag(bag: Bag, newline: str, parts: list) -> None:
-    """Append the JSON text of ``bag.to_json_dict()`` to ``parts``, as
+def _put_bag(bag: Bag, newline: str, put) -> None:
+    """Pass the JSON text of ``bag.to_json_dict()`` to ``put``, as
     :func:`_put_json` would. A tuple's text is built once per schema, with
     the encoded attribute names in place and ``%`` doubled; each row fills
     it with one ``%`` over its multiplicity and its encoded cells, in
@@ -163,7 +165,7 @@ def _put_bag(bag: Bag, newline: str, parts: list) -> None:
     names = list(map(enc, bag.schema))
     row = _block(['"mult": "%s"', '"values": ' + _block(
         [n.replace("%", "%%") + ": %s" for n in names], i3, "{}")], i2, "{}")
-    parts.append(_block([
+    put(_block([
         '"schema": ' + _block(names, i1, "[]"),
         '"tuples": ' + _block([row % (mult, *map(enc, cells)) for cells, mult
                                in sorted(bag.entries.items())], i1, "[]"),
@@ -210,7 +212,11 @@ def _budget(args) -> OracleBudget:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(_json_text(obj))
+    """Write ``obj``'s :func:`_json_text` to ``sys.stdout`` part by part, so
+    the report's whole text is never held at once."""
+    write = sys.stdout.write
+    _put_json(obj, "\n", write)
+    write("\n")
 
 
 # -- verbs -----------------------------------------------------------------

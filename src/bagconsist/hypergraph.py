@@ -1,11 +1,12 @@
 """Schema hypergraphs and their structural classification.
 
 Covers chordality (maximum-cardinality search over the vertices),
-conformality (Gilmore's triple criterion), acyclicity and join trees by
-maximum cardinality search over the hyperedges, running intersection
-orderings taken from that search's pick order, and extraction of minimal
-non-chordal / non-conformal witness sets together with the safe-deletion
-sequences that expose them. Both searches pick from a lazy heap. The vertex
+conformality (Gilmore's triple criterion), join trees by maximum
+cardinality search over the hyperedges (a hypergraph is acyclic iff
+``join_tree()`` finds one), running intersection orderings taken from
+that search's pick order, and extraction of minimal non-chordal /
+non-conformal witness sets together with the safe-deletion sequences that
+expose them. Both searches pick from a lazy heap. The vertex
 search returns a certificate of badness: a chordless cycle, or a primal
 clique that no edge covers. Minimising a witness set reuses it, and searches
 again only when the vertex it deletes lies in the certificate. A
@@ -87,12 +88,6 @@ class Hypergraph:
         return Hypergraph(self.vertices, dict.fromkeys(
             e for e in self.edges if not any(e < f for f in self.edges)))
 
-    def induced(self, w: Iterable[str]) -> "Hypergraph":
-        w = {str(v) for v in w}
-        if not w <= set(self.vertices):
-            raise HypergraphError("W is not a subset of the vertex set")
-        return Hypergraph(w, filter(None, dict.fromkeys(e & w for e in self.edges)))
-
     # -- classification ----------------------------------------------------
 
     def is_chordal(self) -> bool:
@@ -110,10 +105,6 @@ class Hypergraph:
                     if not any(need <= f for f in edges):
                         return False
         return True
-
-    def is_acyclic(self) -> bool:
-        """Alpha-acyclicity: the hypergraph has a join tree."""
-        return self.join_tree() is not None
 
     def join_tree(self) -> Optional["JoinTree"]:
         """A join tree by maximum cardinality search over the edges
@@ -197,25 +188,6 @@ class JoinTree:
     earlier children lies in its parent."""
     nodes: tuple[Edge, ...]
     links: tuple[tuple[int, int], ...]
-
-    def is_valid(self) -> bool:
-        n = len(self.nodes)
-        if len(self.links) != max(n - 1, 0):
-            return False
-        adj: dict[int, set[int]] = {i: set() for i in range(n)}
-        for a, b in self.links:
-            if a == b or b in adj[a]:
-                return False
-            adj[a].add(b)
-            adj[b].add(a)
-        if n and not _connected(adj, set(range(n))):
-            return False
-        for v in {u for e in self.nodes for u in e}:
-            holders = {i for i in range(n) if v in self.nodes[i]}
-            sub = {i: adj[i] & holders for i in holders}
-            if not _connected(sub, holders):
-                return False
-        return True
 
     def running_intersection_order(self) -> list[tuple[int, Optional[int]]]:
         """An edge listing with the running intersection property, as
@@ -363,20 +335,11 @@ class SafeDeletionOp:
                 "cover": sorted(self.cover)}
 
 
-def replay_ops(h: Hypergraph, ops: Iterable[SafeDeletionOp]) -> Hypergraph:
-    """Replay a safe-deletion sequence with multiset edge tracking.
-
-    A vertex deletion shrinks each edge in place without deduplicating, so
-    the trailing covered-edge deletions of a witness sequence stay
-    applicable and the sequence is invertible (which database lifting
-    relies on).
-    """
-    vertices, edges, _ = _replay(h, ops)
-    return Hypergraph(vertices, [e for e in edges.values() if e])
-
-
 def _replay(h: Hypergraph, ops: Iterable[SafeDeletionOp]):
     """Run ops over ``h``'s edges, each named by its index in ``h.edges``.
+    A vertex deletion shrinks each edge in place without deduplicating, so
+    the trailing covered-edge deletions of a witness sequence stay
+    applicable and the sequence is invertible, which lifting relies on.
 
     Returns the vertices left, the edges left (index -> current vertex
     set, in index order) and one record per op: None for a vertex deletion,
@@ -544,14 +507,6 @@ def _matches_shape(edges: list[Edge], w: set, shape: str) -> bool:
 
 def _attr_names(n: int) -> list[str]:
     return ["A%d" % i for i in range(1, n + 1)]
-
-
-def path_hypergraph(n: int) -> Hypergraph:
-    """P_n: the path A1-A2-...-An as consecutive binary edges."""
-    if n < 2:
-        raise HypergraphError("P_n needs n >= 2")
-    vs = _attr_names(n)
-    return Hypergraph(vs, [[vs[i], vs[i + 1]] for i in range(n - 1)])
 
 
 def cycle_hypergraph(n: int) -> Hypergraph:

@@ -26,9 +26,8 @@ small instances and to cross-check every other decision path.
 from __future__ import annotations
 
 import itertools
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bags import Bag, SchemaMismatchError, _row_key, _summed
@@ -309,48 +308,3 @@ def enumerate_witnesses(db, budget: Optional[OracleBudget] = None
         raise AssertionError("enumerated an invalid witness")
     return sols
 
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """The witness-size inequalities, evaluated exactly (logs carry a
-    relative tolerance)."""
-    mult_bound: int
-    mult_bound_limit: int
-    support_size: int
-    unary_limit: int
-    binary_limit: float
-    mult_bound_ok: bool = field(init=False)
-    unary_ok: bool = field(init=False)
-    binary_ok: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mult_bound_ok",
-                           self.mult_bound <= self.mult_bound_limit)
-        object.__setattr__(self, "unary_ok",
-                           self.support_size <= self.unary_limit)
-        tol = 1e-9 * max(1.0, abs(self.binary_limit))
-        object.__setattr__(self, "binary_ok",
-                           self.support_size <= self.binary_limit + tol)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.mult_bound_ok and self.unary_ok and self.binary_ok
-
-
-def verify_bounds(db, w: Bag) -> BoundsReport:
-    """Evaluate the three witness-size bounds for a (minimal) witness.
-
-    The binary bound only holds for support-minimal witnesses; the caller
-    decides which flags are load-bearing.
-    """
-    if not check_witness(w, db):
-        raise ValueError("bag is not a witness for the database")
-    wn = w.norms()
-    norms = [bag.norms() for bag in db.bags]
-    return BoundsReport(
-        mult_bound=wn.multiplicity_bound,
-        mult_bound_limit=max((n.multiplicity_bound for n in norms), default=0),
-        support_size=wn.support_size,
-        unary_limit=sum(n.unary_size for n in norms),
-        binary_limit=math.fsum(n.binary_size for n in norms),
-    )

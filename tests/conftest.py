@@ -1,13 +1,30 @@
-"""Shared fixtures and random-instance generators, plus the acceptance
-summary hook (one PASS/FAIL line per criterion at the end of a run)."""
+"""Shared fixtures and random-instance generators, the path schema P_n and
+a safe-deletion replay, plus the acceptance summary hook (one PASS/FAIL
+line per criterion at the end of a run)."""
 import itertools
 import random
 import re
 
 import pytest
 
-from bagconsist import Bag, BagDatabase, Hypergraph
+from bagconsist import Bag, BagDatabase, Hypergraph, HypergraphError
 from bagconsist.flow import build_network, max_flow, suppress_middle_arc
+from bagconsist.hypergraph import _attr_names, _replay
+
+
+def path_hypergraph(n: int) -> Hypergraph:
+    """P_n: the path A1-A2-...-An as consecutive binary edges."""
+    if n < 2:
+        raise HypergraphError("P_n needs n >= 2")
+    vs = _attr_names(n)
+    return Hypergraph(vs, [[vs[i], vs[i + 1]] for i in range(n - 1)])
+
+
+def replay_ops(h: Hypergraph, ops) -> Hypergraph:
+    """The hypergraph a safe-deletion sequence leaves of ``h``: the
+    vertices and the non-empty edges that ``hypergraph._replay`` leaves."""
+    vertices, edges, _ = _replay(h, ops)
+    return Hypergraph(vertices, [e for e in edges.values() if e])
 
 
 def random_hypergraph(rng: random.Random, max_vertices: int = 8,
@@ -52,7 +69,7 @@ def random_acyclic_database(rng: random.Random, max_edges: int = 5,
         used.update(fresh)
     vertices = sorted({v for e in edges for v in e})
     h = Hypergraph(vertices, edges)
-    assert h.is_acyclic()
+    assert h.join_tree() is not None
     # global bag over the union schema with small support
     schema = tuple(vertices)
     support = set()

@@ -28,12 +28,28 @@ and raise the same errors.
 characterisation: some witness from a saturated integral max flow, checked
 exactly. It shares no code with the northwest-corner glue, so the tests use
 it to cross-check ``minimal_two_bag_witness``.
+
+``join_tree_is_valid`` checks a join tree from its definition: n - 1
+distinct links between distinct nodes that connect them all, and every
+vertex's holders connected through links between holders.
+
+``induced`` is the sub-hypergraph on a vertex subset: each edge's trace on
+it, empty and repeated traces dropped. ``reference_find_bad_witness`` and
+the minimality checks test acyclicity on it.
+
+``verify_bounds`` evaluates criterion 9's three witness-size checks on a
+witness: its largest multiplicity is at most the largest in the database,
+and its support is at most the database's total mass (unary size) and at
+most its summed bit sizes log2(m + 1) (binary size, which only
+support-minimal witnesses must meet; a 1e-9 relative tolerance absorbs
+the float sum).
 """
+import math
 import time
 from heapq import heappop, heappush
 from typing import Optional
 
-from bagconsist import Bag, BagDatabase, DatabaseError
+from bagconsist import Bag, BagDatabase, DatabaseError, check_witness
 from bagconsist.consistency import _pad_with_default
 from bagconsist.flow import build_network, is_saturated, max_flow
 from bagconsist.hypergraph import (
@@ -45,6 +61,7 @@ from bagconsist.hypergraph import (
     Hypergraph,
     HypergraphError,
     SafeDeletionOp,
+    _connected,
     _matches_shape,
 )
 from bagconsist.bags import SchemaMismatchError
@@ -60,6 +77,48 @@ def reference_check_witness(w: Bag, db) -> bool:
         raise SchemaMismatchError(
             "witness schema %r != union schema %r" % (w.schema, tuple(sorted(union))))
     return all(w.marginal(bag.schema) == bag for bag in db.bags)
+
+
+def join_tree_is_valid(tree) -> bool:
+    """True iff ``tree``'s links form a tree on its nodes in which every
+    vertex's holders induce a connected subtree."""
+    n = len(tree.nodes)
+    if len(tree.links) != max(n - 1, 0):
+        return False
+    adj = {i: set() for i in range(n)}
+    for a, b in tree.links:
+        if a == b or b in adj[a]:
+            return False
+        adj[a].add(b)
+        adj[b].add(a)
+    if n and not _connected(adj, set(range(n))):
+        return False
+    for v in {u for e in tree.nodes for u in e}:
+        holders = {i for i in range(n) if v in tree.nodes[i]}
+        sub = {i: adj[i] & holders for i in holders}
+        if not _connected(sub, holders):
+            return False
+    return True
+
+
+def induced(h, w) -> Hypergraph:
+    """The sub-hypergraph of ``h`` on the vertex subset ``w``."""
+    w = {str(v) for v in w}
+    if not w <= set(h.vertices):
+        raise HypergraphError("W is not a subset of the vertex set")
+    return Hypergraph(w, filter(None, dict.fromkeys(e & w for e in h.edges)))
+
+
+def verify_bounds(db, w: Bag):
+    """(multiplicity bound holds, unary bound holds, binary bound holds)
+    for the witness ``w`` of ``db``; ValueError when ``w`` is no witness."""
+    if not check_witness(w, db):
+        raise ValueError("bag is not a witness for the database")
+    mults = [m for bag in db.bags for m in bag.entries.values()]
+    binary = math.fsum(math.log2(m + 1) for m in mults)
+    return (max(w.entries.values(), default=0) <= max(mults, default=0),
+            len(w) <= sum(mults),
+            len(w) <= binary + 1e-9 * max(1.0, binary))
 
 
 def two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
@@ -287,7 +346,7 @@ def reference_find_bad_witness(h):
             {u: adj[u] & w for u in w}))
         shape = SHAPE_CYCLE
     else:
-        w = _minimize(h, lambda w: h.induced(w).join_tree() is None)
+        w = _minimize(h, lambda w: induced(h, w).join_tree() is None)
         shape = SHAPE_CLIQUE_COMPLEMENT
     ops = [SafeDeletionOp(VERTEX_DELETION, vertex=v)
            for v in sorted(set(h.vertices) - w)]

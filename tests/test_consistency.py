@@ -19,20 +19,21 @@ from bagconsist import (
     lift_collection,
     minimal_two_bag_witness,
     pairwise_consistent,
-    replay_ops,
     solve_feasibility,
     tseitin_counterexample,
 )
 from bagconsist import consistency
-from bagconsist.hypergraph import clique_complement_hypergraph, cycle_hypergraph, path_hypergraph
+from bagconsist.hypergraph import clique_complement_hypergraph, cycle_hypergraph
 
 from conftest import (
     database_of,
     pair_database,
+    path_hypergraph,
     random_acyclic_database,
     random_acyclic_schema,
     random_global_bag,
     random_hypergraph,
+    replay_ops,
     witness_family,
 )
 from reference import (

@@ -6,7 +6,6 @@ import pytest
 
 from bagconsist import (
     Hypergraph, HypergraphError, JoinTree, SafeDeletionOp, find_bad_witness,
-    replay_ops,
 )
 from bagconsist import hypergraph
 from bagconsist.cli import run
@@ -19,11 +18,16 @@ from bagconsist.hypergraph import (
     _mcs_certificate,
     clique_complement_hypergraph,
     cycle_hypergraph,
-    path_hypergraph,
 )
 
-from conftest import cyclic_variants, random_acyclic_schema, random_hypergraph
-from reference import reference_find_bad_witness
+from conftest import (
+    cyclic_variants,
+    path_hypergraph,
+    random_acyclic_schema,
+    random_hypergraph,
+    replay_ops,
+)
+from reference import induced, join_tree_is_valid, reference_find_bad_witness
 
 
 def _hypergraph(edges):
@@ -47,7 +51,7 @@ def test_constructor_validates():
         Hypergraph(["A"], [[]])
     with pytest.raises(HypergraphError):
         Hypergraph(["A"], [["B"]])
-    # a vertex in no edge made is_acyclic() and is_conformal() disagree,
+    # a vertex in no edge made join_tree() and is_conformal() disagree,
     # and find_bad_witness crash
     with pytest.raises(HypergraphError):
         Hypergraph(["A", "B", "C"], [["A", "B"]])
@@ -55,7 +59,7 @@ def test_constructor_validates():
         Hypergraph(["A"], [])
     with pytest.raises(HypergraphError):
         Hypergraph(["", "A"], [["", "A"]])
-    assert Hypergraph([], []).is_acyclic()
+    assert Hypergraph([], []).join_tree() is not None
     h = Hypergraph(["B", "A"], [["A", "B"], ["A", "B"]])
     assert h.vertices == ("A", "B")
     assert len(h.edges) == 2  # duplicates allowed
@@ -74,10 +78,10 @@ def test_generators():
 
 def test_paper_classifications():
     for n in range(2, 9):
-        assert path_hypergraph(n).is_acyclic()
+        assert path_hypergraph(n).join_tree() is not None
     for n in range(3, 9):
-        assert not cycle_hypergraph(n).is_acyclic()
-        assert not clique_complement_hypergraph(n).is_acyclic()
+        assert cycle_hypergraph(n).join_tree() is None
+        assert clique_complement_hypergraph(n).join_tree() is None
     # C_3: chordal but not conformal; C_{n>=4}: conformal but not chordal
     assert cycle_hypergraph(3).is_chordal()
     assert not cycle_hypergraph(3).is_conformal()
@@ -90,16 +94,15 @@ def test_paper_classifications():
 
 def test_single_edge_is_acyclic_and_conformal():
     h = Hypergraph(["A1", "A2", "A3"], [["A1", "A2", "A3"]])
-    assert h.is_acyclic() and h.is_chordal() and h.is_conformal()
+    assert h.join_tree() is not None and h.is_chordal() and h.is_conformal()
 
 
 def test_equivalence_on_random_hypergraphs():
     rng = random.Random(4242)
     for _ in range(200):
         h = random_hypergraph(rng)
-        acyclic = h.is_acyclic()
+        acyclic = h.join_tree() is not None
         assert acyclic == (h.is_chordal() and h.is_conformal())
-        assert acyclic == (h.join_tree() is not None)
         assert acyclic == (h.running_intersection_order() is not None)
 
 
@@ -196,14 +199,14 @@ def test_certificates_induce_cyclic_sub_hypergraphs():
         for k in (len(h.vertices), rng.randint(1, len(h.vertices))):
             s = set(rng.sample(h.vertices, k))
             t = _mcs_certificate({u: adj[u] & s for u in s}, holders)
-            g = h.induced(s)
+            g = induced(h, s)
             if t is None:
                 assert not _has_chordless_cycle(g.primal_graph())
                 assert g.is_conformal()
                 shapes["acyclic"] += 1
                 continue
             assert t <= s
-            sub = h.induced(t)
+            sub = induced(h, t)
             if _has_chordless_cycle(sub.primal_graph()):
                 assert _is_chordless_cycle(adj, t)
                 shapes["cycle"] += 1
@@ -220,7 +223,7 @@ def test_join_tree_validity():
         h = random_hypergraph(rng)
         tree = h.join_tree()
         if tree is not None:
-            assert tree.is_valid()
+            assert join_tree_is_valid(tree)
             seen += 1
     assert seen > 20
 
@@ -248,7 +251,7 @@ _FORK = _edges("AB", "C", "A")
 ], ids=["path", "few-links", "many-links", "self-link", "reversed-duplicate",
         "duplicate", "disconnected", "fork", "holders-disconnected"])
 def test_join_tree_is_valid(nodes, links, valid):
-    assert JoinTree(nodes, links).is_valid() is valid
+    assert join_tree_is_valid(JoinTree(nodes, links)) is valid
 
 
 @pytest.mark.parametrize("edges,shape", [
@@ -291,7 +294,7 @@ def test_join_tree_on_shuffled_wide_schemas():
         edges = random_acyclic_schema(rng, rng.randint(30, 60))
         h = _hypergraph(edges)
         tree = h.join_tree()
-        assert tree is not None and tree.is_valid()
+        assert tree is not None and join_tree_is_valid(tree)
         assert h.is_chordal() and h.is_conformal()
         _assert_running_intersection(h, h.running_intersection_order())
         chord, triangle = (_hypergraph(e) for e in cyclic_variants(rng, edges))
@@ -308,7 +311,7 @@ def _restart_minimize(h, bad):
     while changed:
         changed = False
         for v in sorted(w):
-            if bad(h.induced(w - {v})):
+            if bad(induced(h, w - {v})):
                 w.remove(v)
                 changed = True
                 break
@@ -424,7 +427,7 @@ def test_find_bad_witness_ops_replay():
     for _ in range(300):
         h = random_hypergraph(rng)
         bad = find_bad_witness(h)
-        assert (bad is None) == h.is_acyclic()
+        assert (bad is None) == (h.join_tree() is not None)
         if bad is None:
             continue
         reduced = replay_ops(h, bad.ops).reduce()
