@@ -3,15 +3,15 @@
 Bags map tuples over a fixed schema to positive integer multiplicities.
 All arithmetic is exact (Python ints).
 
-Every per-row key (a marginal's group, a join's bucket and merged row, a
-parsed JSON row) comes from one C-level getter built by :func:`_row_key`.
-Marginals are summed in one place, :func:`_summed`: ``Bag.marginal``, the
-witness check and the deciders hand it cell positions, and on none it
-gives the total mass without a pass over the rows. A serialized bag whose
-tuples are all well formed, with string cells, is accepted by a few C-level
-passes over its whole tuple list; any other list is read by one loop over
-the tuples, which converts numeric cells and reports the first fault in
-tuple order.
+Every per-row key (a marginal's group, ``Bag.join``'s bucket and merged
+row, a parsed JSON row, and each step of the oracle's own support join)
+comes from one C-level getter built by :func:`_row_key`. Marginals are
+summed in one place, :func:`_summed`: ``Bag.marginal``, the witness check
+and the deciders hand it cell positions, and on none it gives the total
+mass without a pass over the rows. A serialized bag whose tuples are all
+well formed, with string cells, is accepted by a few C-level passes over
+its whole tuple list; any other list is read by one loop over the tuples,
+which converts numeric cells and reports the first fault in tuple order.
 """
 from __future__ import annotations
 
@@ -149,13 +149,8 @@ class Bag:
 
     def join(self, other: "Bag") -> "Bag":
         """Bag join: support is the join of the supports, multiplicities
-        multiply."""
-        union, rows = self._join_rows(other)
-        return Bag._trusted(union, dict(rows))
-
-    def _join_rows(self, other: "Bag"):
-        """The join's schema and a lazy iterator over its (row, mult)
-        pairs. Each row comes once: it determines the two rows it joins."""
+        multiply. Each joined row comes once: it determines the two rows it
+        joins."""
         shared = tuple(sorted(set(self.schema) & set(other.schema)))
         union = make_schema(set(self.schema) | set(other.schema))
         # hash join on the shared attributes
@@ -168,12 +163,10 @@ class Bag:
         width = len(self.schema)
         merge = _row_key([self.schema.index(a) if a in self.schema
                           else width + other.schema.index(a) for a in union])
-
-        def rows():
-            for row, mult in self.entries.items():
-                for orow, omult in buckets.get(my_key(row), ()):
-                    yield merge(row + orow), mult * omult
-        return union, rows()
+        return Bag._trusted(union, {
+            merge(row + orow): mult * omult
+            for row, mult in self.entries.items()
+            for orow, omult in buckets.get(my_key(row), ())})
 
     def support(self) -> "Bag":
         """Same support, all multiplicities clamped to 1 (a relation)."""

@@ -52,8 +52,9 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
-# the most rows the counterexample verb builds
-COUNTEREXAMPLE_MAX_ROWS = 10 ** 6
+# the most rows the counterexample verb builds, and the most grid cells
+# harden --to clique fills
+MAX_BUILT_ROWS = 10 ** 6
 
 
 class CliError(Exception):
@@ -279,9 +280,9 @@ def cmd_counterexample(args) -> int:
     rows = m
     for _ in range(k - 1):
         rows *= d
-        if rows > COUNTEREXAMPLE_MAX_ROWS:
+        if rows > MAX_BUILT_ROWS:
             raise CliError("%s --n %d has %d * %d^%d rows, more than %d"
-                           % (args.shape, n, m, d, k - 1, COUNTEREXAMPLE_MAX_ROWS))
+                           % (args.shape, n, m, d, k - 1, MAX_BUILT_ROWS))
     maker = cycle_hypergraph if args.shape == "cycle" else clique_complement_hypergraph
     db = tseitin_counterexample(maker(n))
     _write_json(args.output, db._json_layout())
@@ -307,9 +308,11 @@ def cmd_lift(args) -> int:
 
 def cmd_harden(args) -> int:
     db = _load_db(args.db)
-    lift = cycle_hardness_lift if args.to == "cycle" else clique_hardness_lift
     try:
-        out = lift(db)
+        if args.to == "cycle":
+            out = cycle_hardness_lift(db)
+        else:
+            out = clique_hardness_lift(db, MAX_BUILT_ROWS)
     except DatabaseError as exc:
         raise CliError(str(exc))
     _write_json(args.output, out._json_layout())

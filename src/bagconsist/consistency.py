@@ -368,9 +368,13 @@ def cycle_hardness_lift(db: BagDatabase) -> BagDatabase:
                        tuple(db.bags[:-1]) + (stretched, closing))
 
 
-def clique_hardness_lift(db: BagDatabase) -> BagDatabase:
+def clique_hardness_lift(db: BagDatabase,
+                         max_cells: Optional[int] = None) -> BagDatabase:
     """One step of the clique-complement reduction: lift an H_{n-1}
-    instance to H_n over a new binary attribute, preserving the answer."""
+    instance to H_n over a new binary attribute, preserving the answer.
+    Each bag is filled over the product of its attributes' active domains,
+    and the new bag over all of them; past ``max_cells`` such grid cells in
+    all, DatabaseError is raised before any row is built."""
     m = len(db.bags)
     if m < 3 or db.hypergraph != clique_complement_hypergraph(m):
         raise DatabaseError("input must be a database over H_%d (n >= 3)" % m)
@@ -383,6 +387,18 @@ def clique_hardness_lift(db: BagDatabase) -> BagDatabase:
             max_mult = max(max_mult, mult)
             for a, val in zip(bag.schema, row):
                 active[a].add(val)
+    old_attrs = tuple(sorted(db.hypergraph.vertices))
+    if max_cells is not None:
+        # multiplied up one factor at a time, so a huge grid stops at once
+        cells = 0
+        for attrs in [bag.schema for bag in db.bags] + [old_attrs]:
+            grid = 1
+            for a in attrs:
+                grid *= len(active[a])
+                if cells + grid > max_cells:
+                    raise DatabaseError("the lift to H_%d has more than %d "
+                                        "grid cells" % (n, max_cells))
+            cells += grid
     out_bags = []
     for i, bag in enumerate(db.bags):
         missing = "A%d" % (i + 1)
@@ -400,7 +416,6 @@ def clique_hardness_lift(db: BagDatabase) -> BagDatabase:
                 entries[values[:pos] + ("2",) + values[pos:]] = high
         out_bags.append(Bag(schema, entries))
     # the new bag covers the old attributes at constant multiplicity
-    old_attrs = tuple(sorted(db.hypergraph.vertices))
     entries = {}
     if max_mult:
         for values in itertools.product(*(sorted(active[a]) for a in old_attrs)):

@@ -1,20 +1,20 @@
 """Ground-truth integer-feasibility solver for witness systems.
 
-Solves the marginal-equation system over the join of the supports: one
-unknown per join row, one equation (constraint row) per bag row. The
-system is held as two incidence lists: per bag, a column mapping each join
-row to its constraint row, and per constraint row, its join rows in
-ascending order. A complete fail-first search solves it. After each
-placement it propagates on the rows touched: a row with nothing left sets
-its free join rows to 0, a row with one free join row sets it, and a row
-below 0, short with nothing free, or wanting more than its free join rows'
-upper bounds fails the branch. It branches on the row with the fewest free
-join rows, at its free join row with the smallest upper bound, and steps
-through that join row's values nearest the row's even share first; a trail
-undoes placements. A node is one value tried at a branch point, so
-``OracleBudget.max_nodes`` stops the search at the same node on every run,
-unless ``max_seconds`` (checked at every node) trips first. An
-enumeration also stops once the witnesses it holds pass
+Solves the marginal-equation system over the join of the supports, which
+it builds itself as plain rows grown bag by bag: one unknown per join row,
+one equation (constraint row) per bag row, held as two incidence lists:
+per bag, a column mapping each join row to its constraint row, and per
+constraint row, its join rows in ascending order. A complete fail-first
+search solves it. After each placement it propagates on the rows touched:
+a row with nothing left sets its free join rows to 0, a row with one free
+join row sets it, and a row below 0, short with nothing free, or wanting
+more than its free join rows' upper bounds fails the branch. It branches
+on the row with the fewest free join rows, at its free join row with the
+smallest upper bound, and steps through that join row's values nearest the
+row's even share first; a trail undoes placements. A node is one value
+tried at a branch point, so ``OracleBudget.max_nodes`` stops the search at
+the same node on every run, unless ``max_seconds`` (checked at every node)
+trips first. An enumeration also stops once the witnesses it holds pass
 ``max_join_support`` rows in all. The clock starts before the join, which
 stops at ``max_join_support`` + 1 rows and checks the clock every 1,024
 rows; the clock is read again after the join's rows are sorted, after each
@@ -82,24 +82,34 @@ class _System:
 
 
 def _support_join(db, budget: OracleBudget, deadline: float):
-    """The join of the supports, one bag at a time, or EXHAUSTED as soon
-    as a step's join passes ``max_join_support`` rows or the deadline
-    passes: no step builds more than that many rows plus one."""
-    joined = None
+    """The join of the supports, its rows sorted over the union schema, or
+    EXHAUSTED once a step passes ``max_join_support`` rows or the deadline
+    passes. Plain rows grow bag by bag: each row so far gets the new cells
+    of every bag row that agrees with it on the attributes so far (no step
+    builds more than the cap plus one row), and are permuted into schema
+    order once, at the end. No bags join to no rows."""
+    at: dict = {}  # attribute -> its position in a row so far
+    rows = [()] if db.bags else []
     for bag in db.bags:
-        rel = bag.support()
-        if joined is not None:
-            schema, rows = joined._join_rows(rel)
-            entries: dict = {}
-            for row, mult in itertools.islice(rows, budget.max_join_support + 1):
-                entries[row] = mult
-                if not len(entries) % 1024 and time.monotonic() > deadline:
-                    return EXHAUSTED
-            rel = Bag._trusted(schema, entries)
-        if len(rel) > budget.max_join_support:
+        shared = [k for k, a in enumerate(bag.schema) if a in at]
+        new = [k for k, a in enumerate(bag.schema) if a not in at]
+        bag_key, new_cells = _row_key(shared), _row_key(new)
+        buckets: dict = {}
+        for row in bag.entries:
+            buckets.setdefault(bag_key(row), []).append(new_cells(row))
+        key = _row_key([at[bag.schema[k]] for k in shared])
+        grown = (row + cells for row in rows
+                 for cells in buckets.get(key(row), ()))
+        rows = []
+        for row in itertools.islice(grown, budget.max_join_support + 1):
+            rows.append(row)
+            if not len(rows) % 1024 and time.monotonic() > deadline:
+                return EXHAUSTED
+        if len(rows) > budget.max_join_support:
             return EXHAUSTED
-        joined = rel
-    return joined
+        for k in new:
+            at[bag.schema[k]] = len(at)
+    return sorted(map(_row_key([at[a] for a in sorted(at)]), rows))
 
 
 def _build_system(db, budget: OracleBudget,
@@ -107,11 +117,8 @@ def _build_system(db, budget: OracleBudget,
     """Join the supports and set up the marginal-equation rows, or
     EXHAUSTED when the join outgrows the budget or the deadline passes."""
     union_schema = tuple(sorted({a for bag in db.bags for a in bag.schema}))
-    joined = _support_join(db, budget, deadline)
-    if joined is EXHAUSTED:
-        return EXHAUSTED
-    join_rows = [] if joined is None else joined.rows()
-    if time.monotonic() > deadline:
+    join_rows = _support_join(db, budget, deadline)
+    if join_rows is EXHAUSTED or time.monotonic() > deadline:
         return EXHAUSTED
 
     # one constraint row per bag row, in each bag's canonical order, and

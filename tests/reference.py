@@ -8,6 +8,11 @@ production search branches fail-first and visits other nodes, so the tests
 compare answers: wherever neither exhausts its budget, both find a witness
 or both prove there is none, and both enumerate the same set of witnesses.
 
+``reference_support_join`` is the oracle's join as it was before it grew
+plain rows: the supports joined with ``Bag.join``, then sorted; EXHAUSTED
+when some step's join has more than ``max_join_support`` rows. With either
+join, ``_build_system`` must build the same system.
+
 ``reference_lift`` and ``reference_replay_ops`` replay safe deletions as
 they did before the replay named edges by their original index: a copy of
 the vertex and edge lists at every op, edge positions that shift after each
@@ -77,6 +82,18 @@ def reference_check_witness(w: Bag, db) -> bool:
         raise SchemaMismatchError(
             "witness schema %r != union schema %r" % (w.schema, tuple(sorted(union))))
     return all(w.marginal(bag.schema) == bag for bag in db.bags)
+
+
+def reference_support_join(db, budget, deadline):
+    """The sorted rows of the join of the supports, or EXHAUSTED; the
+    deadline is not read."""
+    joined = None
+    for bag in db.bags:
+        rel = bag.support()
+        joined = rel if joined is None else joined.join(rel)
+        if len(joined) > budget.max_join_support:
+            return EXHAUSTED
+    return [] if joined is None else joined.rows()
 
 
 def join_tree_is_valid(tree) -> bool:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -13,7 +14,11 @@ from hypothesis import strategies as st
 
 from bagconsist import Bag, BagDatabase, Hypergraph, cli
 from bagconsist.cli import run
-from bagconsist.hypergraph import cycle_hypergraph, find_bad_witness
+from bagconsist.hypergraph import (
+    clique_complement_hypergraph,
+    cycle_hypergraph,
+    find_bad_witness,
+)
 from bagconsist.consistency import (
     cycle_hardness_lift,
     encode_3dct,
@@ -412,6 +417,43 @@ def _assert_usage_error(argv, out_file, capsys, message):
     assert not out_file.exists()
 
 
+def _diagonal_h3(d):
+    """A database over H_3 with d diagonal rows per bag: the clique lift
+    fills 3 d^2 grid cells for the old bags and d^3 for the new one."""
+    return BagDatabase(clique_complement_hypergraph(3), tuple(
+        Bag(sorted(e), {(str(i), str(i)): 1 for i in range(d)})
+        for e in clique_complement_hypergraph(3).edges))
+
+
+def test_harden_clique_refuses_more_than_a_million_cells(tmp_path, capsys):
+    """303 rows with d = 101 would fill 3 * 101^2 + 101^3 = 1,060,904 grid
+    cells: refused at once, with no file written."""
+    db = _write(tmp_path / "db.json", _diagonal_h3(101).to_json_dict())
+    start = time.monotonic()
+    _assert_usage_error(["harden", "--db", db, "--to", "clique"],
+                        tmp_path / "hard.json", capsys,
+                        "the lift to H_4 has more than 1000000 grid cells")
+    assert time.monotonic() - start < 2
+
+
+def test_harden_clique_cell_limit_is_inclusive(tmp_path, capsys,
+                                               monkeypatch):
+    """d = 2 fills 3 * 2^2 + 2^3 = 20 grid cells: written under a limit of
+    20, refused under 19."""
+    db = _write(tmp_path / "db.json", _diagonal_h3(2).to_json_dict())
+    out_file = tmp_path / "hard.json"
+    monkeypatch.setattr(cli, "MAX_BUILT_ROWS", 19)
+    assert run(["harden", "--db", db, "--to", "clique",
+                "-o", str(out_file)]) == 2
+    assert not out_file.exists()
+    monkeypatch.setattr(cli, "MAX_BUILT_ROWS", 20)
+    assert run(["harden", "--db", db, "--to", "clique",
+                "-o", str(out_file)]) == 0
+    lifted = BagDatabase.from_json_dict(json.loads(out_file.read_text()))
+    assert lifted.hypergraph == clique_complement_hypergraph(4)
+    capsys.readouterr()
+
+
 def test_lift_verb_rejects_a_database_off_the_reduced_schema(tmp_path,
                                                               capsys):
     # the target reduces to a triangle; the database is over a path
@@ -467,11 +509,11 @@ def test_counterexample_row_limit_is_inclusive(tmp_path, capsys,
     refused: cycle --n 5 has 10 rows, clique --n 5 has 5 * 4^3 = 320."""
     for shape, rows in (("cycle", 10), ("clique", 320)):
         out_file = tmp_path / ("%s.json" % shape)
-        monkeypatch.setattr(cli, "COUNTEREXAMPLE_MAX_ROWS", rows - 1)
+        monkeypatch.setattr(cli, "MAX_BUILT_ROWS", rows - 1)
         assert run(["counterexample", "--shape", shape, "--n", "5",
                     "-o", str(out_file)]) == 2
         assert not out_file.exists()
-        monkeypatch.setattr(cli, "COUNTEREXAMPLE_MAX_ROWS", rows)
+        monkeypatch.setattr(cli, "MAX_BUILT_ROWS", rows)
         assert run(["counterexample", "--shape", shape, "--n", "5",
                     "-o", str(out_file)]) == 0
         db = BagDatabase.from_json_dict(json.loads(out_file.read_text()))
