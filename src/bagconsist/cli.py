@@ -31,6 +31,7 @@ from .consistency import (
     DatabaseError,
     GLOBAL_NO,
     GLOBAL_YES,
+    MAX_BUILT_ROWS,
     clique_hardness_lift,
     cycle_hardness_lift,
     encode_3dct,
@@ -51,10 +52,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
-
-# the most rows the counterexample verb builds, and the most grid cells
-# harden --to clique fills
-MAX_BUILT_ROWS = 10 ** 6
 
 
 class CliError(Exception):
@@ -312,7 +309,7 @@ def cmd_harden(args) -> int:
         if args.to == "cycle":
             out = cycle_hardness_lift(db)
         else:
-            out = clique_hardness_lift(db, MAX_BUILT_ROWS)
+            out = clique_hardness_lift(db)
     except DatabaseError as exc:
         raise CliError(str(exc))
     _write_json(args.output, out._json_layout())

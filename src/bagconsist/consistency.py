@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -42,6 +43,10 @@ class DatabaseError(ValueError):
 GLOBAL_YES = "yes"
 GLOBAL_NO = "no"
 GLOBAL_UNKNOWN = "unknown-cyclic"
+
+# the most grid cells clique_hardness_lift fills, and the most rows the
+# counterexample verb builds
+MAX_BUILT_ROWS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -368,13 +373,12 @@ def cycle_hardness_lift(db: BagDatabase) -> BagDatabase:
                        tuple(db.bags[:-1]) + (stretched, closing))
 
 
-def clique_hardness_lift(db: BagDatabase,
-                         max_cells: Optional[int] = None) -> BagDatabase:
+def clique_hardness_lift(db: BagDatabase) -> BagDatabase:
     """One step of the clique-complement reduction: lift an H_{n-1}
     instance to H_n over a new binary attribute, preserving the answer.
     Each bag is filled over the product of its attributes' active domains,
-    and the new bag over all of them; past ``max_cells`` such grid cells in
-    all, DatabaseError is raised before any row is built."""
+    and the new bag over all of them; past ``MAX_BUILT_ROWS`` such grid
+    cells in all, DatabaseError is raised before any row is built."""
     m = len(db.bags)
     if m < 3 or db.hypergraph != clique_complement_hypergraph(m):
         raise DatabaseError("input must be a database over H_%d (n >= 3)" % m)
@@ -388,17 +392,14 @@ def clique_hardness_lift(db: BagDatabase,
             for a, val in zip(bag.schema, row):
                 active[a].add(val)
     old_attrs = tuple(sorted(db.hypergraph.vertices))
-    if max_cells is not None:
-        # multiplied up one factor at a time, so a huge grid stops at once
-        cells = 0
-        for attrs in [bag.schema for bag in db.bags] + [old_attrs]:
-            grid = 1
-            for a in attrs:
-                grid *= len(active[a])
-                if cells + grid > max_cells:
-                    raise DatabaseError("the lift to H_%d has more than %d "
-                                        "grid cells" % (n, max_cells))
-            cells += grid
+    if max_mult and not all(active.values()):
+        raise DatabaseError("the lift to H_%d needs a value of every "
+                            "attribute when a bag has rows" % n)
+    cells = sum(math.prod(len(active[a]) for a in attrs)
+                for attrs in [bag.schema for bag in db.bags] + [old_attrs])
+    if cells > MAX_BUILT_ROWS:
+        raise DatabaseError("the lift to H_%d has more than %d grid cells"
+                            % (n, MAX_BUILT_ROWS))
     out_bags = []
     for i, bag in enumerate(db.bags):
         missing = "A%d" % (i + 1)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bagconsist import Bag, BagDatabase, Hypergraph, cli
+from bagconsist import Bag, BagDatabase, Hypergraph, cli, consistency
 from bagconsist.cli import run
 from bagconsist.hypergraph import (
     clique_complement_hypergraph,
@@ -442,16 +442,31 @@ def test_harden_clique_cell_limit_is_inclusive(tmp_path, capsys,
     20, refused under 19."""
     db = _write(tmp_path / "db.json", _diagonal_h3(2).to_json_dict())
     out_file = tmp_path / "hard.json"
-    monkeypatch.setattr(cli, "MAX_BUILT_ROWS", 19)
+    monkeypatch.setattr(consistency, "MAX_BUILT_ROWS", 19)
     assert run(["harden", "--db", db, "--to", "clique",
                 "-o", str(out_file)]) == 2
     assert not out_file.exists()
-    monkeypatch.setattr(cli, "MAX_BUILT_ROWS", 20)
+    monkeypatch.setattr(consistency, "MAX_BUILT_ROWS", 20)
     assert run(["harden", "--db", db, "--to", "clique",
                 "-o", str(out_file)]) == 0
     lifted = BagDatabase.from_json_dict(json.loads(out_file.read_text()))
     assert lifted.hypergraph == clique_complement_hypergraph(4)
     capsys.readouterr()
+
+
+def test_harden_clique_refuses_an_attribute_with_no_value(tmp_path,
+                                                         capsys):
+    """Only the bag without A3 has rows, so A3 takes no value and the lift
+    has no rows to balance that bag: a usage error, with no file written."""
+    h3 = clique_complement_hypergraph(3)
+    db = BagDatabase(h3, tuple(
+        Bag(sorted(e), {("0", "0"): 1} if "A3" not in e else {})
+        for e in h3.edges))
+    _assert_usage_error(
+        ["harden", "--db", _write(tmp_path / "db.json", db.to_json_dict()),
+         "--to", "clique"], tmp_path / "hard.json", capsys,
+        "the lift to H_4 needs a value of every attribute when a bag has "
+        "rows")
 
 
 def test_lift_verb_rejects_a_database_off_the_reduced_schema(tmp_path,
