@@ -40,8 +40,12 @@ def _summed(positions, entries: Mapping[Row, int]) -> dict:
     on none, the total mass (``{}`` for no rows), with no pass over rows."""
     if not positions:
         return {(): sum(entries.values())} if entries else {}
+    if len(positions) == 1:  # one-cell keys, built in C
+        keys = zip(map(itemgetter(*positions), entries))
+    else:
+        keys = map(_row_key(positions), entries)
     out: dict[Row, int] = {}
-    for k, mult in zip(map(_row_key(positions), entries), entries.values()):
+    for k, mult in zip(keys, entries.values()):
         out[k] = out.get(k, 0) + mult
     return out
 

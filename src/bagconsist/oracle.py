@@ -9,9 +9,13 @@ search solves it. After each placement it propagates on the rows touched:
 a row with nothing left sets its free join rows to 0, a row with one free
 join row sets it, and a row below 0, short with nothing free, or wanting
 more than its free join rows' upper bounds fails the branch. It branches
-on the row with the fewest free join rows, at its free join row with the
-smallest upper bound, and steps through that join row's values nearest the
-row's even share first; a trail undoes placements. A node is one value
+on the row with the fewest free join rows (then the smallest demand left,
+then the lowest index), at its free join row with the smallest upper
+bound, and steps through that join row's values nearest the row's even
+share first; a trail undoes placements. The constraint rows sit in buckets
+keyed by their count of free join rows, which each placement and undo
+keep current, so a branch point scans only the first non-empty bucket;
+the buckets cost one set entry per constraint row. A node is one value
 tried at a branch point, so ``OracleBudget.max_nodes`` stops the search at
 the same node on every run, unless ``max_seconds`` (checked at every node)
 trips first. An enumeration also stops once the witnesses it holds pass
@@ -157,6 +161,18 @@ def _values(lb: int, ub: int, share: int):
             down -= 1
 
 
+def _branch_row(by_free, rem):
+    """(k, r): the constraint row r with the fewest free join rows k >= 1,
+    then the smallest demand left, then the lowest index, found in the
+    first non-empty bucket ``by_free[k]``; (0, None) when no row has a
+    free join row."""
+    for k in range(1, len(by_free)):
+        bucket = by_free[k]
+        if bucket:
+            return k, min(zip(map(rem.__getitem__, bucket), bucket))[1]
+    return 0, None
+
+
 def _search(db, budget: OracleBudget, want_all: bool):
     """Complete fail-first search over join-row multiplicities: the
     solutions found (the first one only, unless ``want_all``), or
@@ -180,13 +196,21 @@ def _search(db, budget: OracleBudget, want_all: bool):
     value: list = [None] * len(sys_.join_rows)  # None while free
     trail = []  # the join rows placed, in order
 
+    # by_free[k]: the constraint rows with k free join rows
+    by_free = [set() for _ in range(max(free) + 1)]
+    for r, k in enumerate(free):
+        by_free[k].add(r)
+
     def place(j, v, touched):
         value[j] = v
         trail.append(j)
         for col in columns:
             r = col[j]
             rem[r] -= v
-            free[r] -= 1
+            k = free[r]
+            free[r] = k - 1
+            by_free[k].remove(r)
+            by_free[k - 1].add(r)
             touched.append(r)
 
     def undo(mark):
@@ -197,7 +221,10 @@ def _search(db, budget: OracleBudget, want_all: bool):
             for col in columns:
                 r = col[j]
                 rem[r] += v
-                free[r] += 1
+                k = free[r]
+                free[r] = k + 1
+                by_free[k].remove(r)
+                by_free[k + 1].add(r)
 
     def upper(j):
         """The most join row j can take: its smallest remaining demand."""
@@ -234,14 +261,13 @@ def _search(db, budget: OracleBudget, want_all: bool):
                     place(j, d, touched)
         return True
 
-    rows = range(len(demands))
     solutions: list[Bag] = []
     stored = 0  # rows of the solutions held
     max_nodes, clock = budget.max_nodes, time.monotonic
     # the first propagation runs over every constraint row, the last first,
     # and reads the clock after each 4,096 of them
     for stop in range(len(demands), 0, -4096):
-        if not settle(list(rows[max(0, stop - 4096):stop])):
+        if not settle(list(range(max(0, stop - 4096), stop))):
             return solutions
         if clock() > deadline:
             return EXHAUSTED
@@ -250,10 +276,9 @@ def _search(db, budget: OracleBudget, want_all: bool):
     frames = []
     nodes = 0
     while True:
-        # branch on the constraint row with the fewest free join rows (then
-        # the smallest demand left, then the lowest index), at its free join
-        # row with the smallest upper bound
-        k = min(filter(None, free), default=0)
+        # branch on the constraint row that _branch_row picks, at its free
+        # join row with the smallest upper bound
+        k, r = _branch_row(by_free, rem)
         if not k:
             # every join row is placed and every demand met: the join's
             # rows over the union schema, with positive multiplicities
@@ -265,8 +290,6 @@ def _search(db, budget: OracleBudget, want_all: bool):
             if stored > budget.max_join_support:
                 return EXHAUSTED
         else:
-            r = min(itertools.compress(rows, map(k.__eq__, free)),
-                    key=rem.__getitem__)
             d = rem[r]
             ubs = [(upper(j), j) for j in users[r] if value[j] is None]
             ub, j = min(ubs)

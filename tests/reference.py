@@ -29,6 +29,13 @@ before it summed the witness's rows itself: one ``Bag.marginal`` per bag,
 compared with the bag. The production check must give the same answers
 and raise the same errors.
 
+``reference_branch_row`` is the oracle's pick of the constraint row to
+branch on as it was before the rows were bucketed by their count of free
+join rows: one scan of every row for the fewest free join rows (at least
+one), then one scan of the rows with that many for the smallest demand
+left, the lowest index first. ``oracle._branch_row`` must return the same
+pair.
+
 ``two_bag_witness`` decides two-bag consistency by the max-flow
 characterisation: some witness from a saturated integral max flow, checked
 exactly. It shares no code with the northwest-corner glue, so the tests use
@@ -49,6 +56,7 @@ most its summed bit sizes log2(m + 1) (binary size, which only
 support-minimal witnesses must meet; a 1e-9 relative tolerance absorbs
 the float sum).
 """
+import itertools
 import math
 import time
 from heapq import heappop, heappush
@@ -150,6 +158,17 @@ def two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
     if witness.marginal(r.schema) != r or witness.marginal(s.schema) != s:
         raise AssertionError("constructed an invalid two-bag witness")
     return witness
+
+
+def reference_branch_row(free, rem):
+    """(k, r): the constraint row r with the fewest free join rows k >= 1,
+    then the smallest demand left, then the lowest index; (0, None) when no
+    row has a free join row."""
+    k = min(filter(None, free), default=0)
+    if not k:
+        return 0, None
+    return k, min(itertools.compress(range(len(free)), map(k.__eq__, free)),
+                  key=rem.__getitem__)
 
 
 def reference_search(db, budget, want_all):

@@ -1,9 +1,12 @@
+import hashlib
 import random
 import time
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bagconsist import (
     EXHAUSTED,
@@ -31,6 +34,7 @@ from conftest import (
     witness_family,
 )
 from reference import (
+    reference_branch_row,
     reference_check_witness,
     reference_search,
     reference_support_join,
@@ -327,6 +331,12 @@ _NODE_COUNTS = {
     # this seed's count also moves when the free join rows' room check is
     # left out of the propagation
     "3dct-dense-n7": (lambda: _dense_3dct(7, 6, 3), 219, None),
+    # the shapes the cyclic-oracle benchmark times: a 0/1 table with n = 5,
+    # and the Tseitin databases on C_5 and H_4, which propagation refutes
+    "3dct-01-n5": (lambda: _dense_3dct(5, 3, 1), 48, None),
+    "tseitin-c5": (lambda: tseitin_counterexample(cycle_hypergraph(5)), 0, 0),
+    "tseitin-h4": (lambda: tseitin_counterexample(
+        clique_complement_hypergraph(4)), 0, 0),
 }
 
 
@@ -342,6 +352,36 @@ def test_node_counts_pinned(make, first, every):
         assert search(db, OracleBudget(max_nodes=max(nodes, 1))) is not EXHAUSTED
         if nodes > 1:
             assert search(db, OracleBudget(max_nodes=nodes - 1)) is EXHAUSTED
+
+
+def test_first_witness_pinned():
+    """The first witness of 3dct-dense-n7, as a digest of its sorted rows:
+    a tie in the branching broken another way changes it, even where the
+    node count holds."""
+    w = solve_feasibility(_dense_3dct(7, 6, 3))
+    digest = hashlib.sha256(repr(sorted(w.entries.items())).encode())
+    assert digest.hexdigest() == ("e9fcb1c4cf2b0e3d6bdbad30c5e775c6"
+                                  "0840c4a44eb1613a64179bb0498d8037")
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)),
+                min_size=1, max_size=30),
+       st.integers(0, 2))
+@example([(2, 1)], 0)  # a single row
+@example([(0, 0), (0, 2), (0, 1)], 0)  # every row at 0 free
+@example([(2, 3), (1, 2), (2, 0), (1, 2), (1, 2)], 1)  # ties on both
+def test_branch_row_matches_two_scans(rows, spare):
+    """The pick from the buckets of rows keyed by free count equals the two
+    scans over every row, on random free counts and demands left; the
+    buckets above the largest count are empty, as they become in the search
+    once rows lose free join rows."""
+    free = [k for k, _ in rows]
+    rem = [d for _, d in rows]
+    by_free = [set() for _ in range(max(free) + 1 + spare)]
+    for r, k in enumerate(free):
+        by_free[k].add(r)
+    assert oracle._branch_row(by_free, rem) == reference_branch_row(free, rem)
 
 
 def _perturbed_3dct(rng, n):
