@@ -252,19 +252,17 @@ def cmd_global(args) -> int:
     if args.witness and report.witness is not None:
         _write_json(args.witness, report.witness)
     if report.global_status == GLOBAL_YES:
-        print("globally consistent")
+        line, code = "globally consistent", EXIT_OK
     elif report.global_status == GLOBAL_NO:
-        print("globally inconsistent")
+        line, code = "globally inconsistent", EXIT_NEGATIVE
     elif report.oracle_exhausted:
-        print("unknown (oracle budget exhausted)")
+        line, code = "unknown (oracle budget exhausted)", EXIT_EXHAUSTED
     else:
-        print("unknown (cyclic schema beyond oracle scope)")
+        line, code = ("unknown (cyclic schema beyond oracle scope)",
+                      EXIT_EXHAUSTED)
+    print(line)
     _emit(report._json_layout())
-    if report.global_status == GLOBAL_YES:
-        return EXIT_OK
-    if report.global_status == GLOBAL_NO:
-        return EXIT_NEGATIVE
-    return EXIT_EXHAUSTED
+    return code
 
 
 def cmd_counterexample(args) -> int:
@@ -296,7 +294,7 @@ def cmd_lift(args) -> int:
                        "reduction to lift along")
     try:
         lifted = lift_collection(db, target, bad.ops)
-    except (DatabaseError, ValueError) as exc:
+    except ValueError as exc:  # DatabaseError included
         raise CliError(str(exc))
     _write_json(args.output, lifted._json_layout())
     print("lifted database written to %s" % args.output)
@@ -441,7 +439,17 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """``run`` as a command: a crash it lets through exits 2 with its
+    traceback, and running out of memory 3, so neither reads as a "no"."""
+    try:
+        code = run()
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        code = EXIT_EXHAUSTED
+    except Exception:  # its traceback, as if it were not caught
+        sys.excepthook(*sys.exc_info())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -305,11 +305,13 @@ def lift_collection(d0: BagDatabase, h1: Hypergraph,
     consistency in both directions.
 
     ``ops`` must transform ``h1`` into ``d0``'s hypergraph. Deleted covered
-    edges are refilled with marginals of their cover's bag; deleted vertices
-    are refilled with the value "0" at full carried-over multiplicity.
+    edges are refilled, last first, with their cover's marginal on the
+    vertices the ops leave; then each bag is padded once to its edge in
+    ``h1``, every deleted vertex "0". Padding with a constant commutes with
+    marginals, so this equals refilling and padding op by op.
     """
     ops = list(ops)
-    _, edges, records = _replay(h1, ops)
+    vertices, edges, records = _replay(h1, ops)
     if not all(edges.values()):
         raise DatabaseError(
             "ops leave empty edges; cannot align bags for lifting")
@@ -324,37 +326,26 @@ def lift_collection(d0: BagDatabase, h1: Hypergraph,
         pool.setdefault(edge, []).append(bag)
     bags = {i: pool[e].pop(0) for i, e in edges.items()}
     for op, record in zip(reversed(ops), reversed(records)):
-        if record is None:
-            # no earlier op deleted the vertex, so edge i held it just
-            # before this op iff h1's edge i holds it
-            for i, bag in bags.items():
-                if op.vertex in h1.edges[i]:
-                    bags[i] = _pad_with_default(bag, op.vertex, "0")
-        else:
+        if record is not None:
             removed, cover = record
-            bags[removed] = bags[cover].marginal(op.edge)
-    return BagDatabase(h1, tuple(bags[i] for i in range(len(h1.edges))))
+            bags[removed] = bags[cover].marginal(op.edge & vertices)
+    return BagDatabase(h1, tuple(_reshaped(bags[i], {}, edge)
+                                 for i, edge in enumerate(h1.edges)))
 
 
-def _pad_with_default(bag: Bag, attr: str, value: str) -> Bag:
-    schema = make_schema(set(bag.schema) | {attr})
-    pos = schema.index(attr)
-    entries = {}
-    for row, mult in bag.entries.items():
-        entries[row[:pos] + (value,) + row[pos:]] = mult
-    return Bag(schema, entries)
+def _reshaped(bag: Bag, names: dict, edge=()) -> Bag:
+    """``bag`` with its attributes renamed by ``names`` (old -> new) and
+    those of ``edge`` it lacks added, "0" in every row: one permutation of
+    each row into the sorted schema, stored as is (the cells are strings,
+    and no two rows merge)."""
+    at = {names.get(a, a): k for k, a in enumerate(bag.schema)}
+    schema = make_schema(at.keys() | edge)
+    pick = _row_key([at.get(a, len(bag.schema)) for a in schema])
+    return Bag._trusted(schema, {pick(row + ("0",)): mult
+                                 for row, mult in bag.entries.items()})
 
 
 # -- hardness reductions ---------------------------------------------------
-
-def _rename_attribute(bag: Bag, old: str, new: str) -> Bag:
-    mapping = {a: (new if a == old else a) for a in bag.schema}
-    schema = make_schema(mapping.values())
-    src = {mapping[a]: i for i, a in enumerate(bag.schema)}
-    pick = _row_key([src[a] for a in schema])
-    entries = {pick(row): m for row, m in bag.entries.items()}
-    return Bag(schema, entries)
-
 
 def cycle_hardness_lift(db: BagDatabase) -> BagDatabase:
     """One step of the cycle reduction: stretch a C_{n-1} instance into a
@@ -365,7 +356,7 @@ def cycle_hardness_lift(db: BagDatabase) -> BagDatabase:
     n = m + 1
     a_last, a_new = "A%d" % m, "A%d" % n
     old_last = db.bags[-1]  # schema {A1, A_{n-1}}
-    stretched = _rename_attribute(old_last, "A1", a_new)
+    stretched = _reshaped(old_last, {"A1": a_new})
     ring_marg = old_last.marginal(["A1"])
     closing = Bag(make_schema(["A1", a_new]),
                   {(a, a): mult for (a,), mult in ring_marg.entries.items()})

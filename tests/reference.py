@@ -16,7 +16,9 @@ join, ``_build_system`` must build the same system.
 ``reference_lift`` and ``reference_replay_ops`` replay safe deletions as
 they did before the replay named edges by their original index: a copy of
 the vertex and edge lists at every op, edge positions that shift after each
-deletion, and a lift that re-inserts refilled bags at those positions.
+deletion, and a lift that re-inserts refilled bags at those positions and
+pads every bag holding a deleted vertex at that vertex's op, one vertex at
+a time, through its own ``_pad_with_default``.
 ``reference_find_bad_witness`` checks its ops by that replay. Classify and
 lift must give the same outputs and the same errors as these.
 ``reference_find_bad_witness`` also minimises the obstruction as it did
@@ -63,7 +65,6 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from bagconsist import Bag, BagDatabase, DatabaseError, check_witness
-from bagconsist.consistency import _pad_with_default
 from bagconsist.flow import build_network, is_saturated, max_flow
 from bagconsist.hypergraph import (
     COVERED_EDGE_DELETION,
@@ -77,7 +78,7 @@ from bagconsist.hypergraph import (
     _connected,
     _matches_shape,
 )
-from bagconsist.bags import SchemaMismatchError
+from bagconsist.bags import SchemaMismatchError, make_schema
 from bagconsist.oracle import EXHAUSTED, _build_system
 
 
@@ -331,6 +332,16 @@ def reference_lift(d0, h1, ops):
             refill = bags[cover_pos].marginal(removed)
             bags = bags[:pos] + [refill] + bags[pos:]
     return BagDatabase(h1, tuple(bags))
+
+
+def _pad_with_default(bag, attr, value):
+    """``bag`` with the attribute ``attr`` added, ``value`` in every row."""
+    schema = make_schema(set(bag.schema) | {attr})
+    pos = schema.index(attr)
+    entries = {}
+    for row, mult in bag.entries.items():
+        entries[row[:pos] + (value,) + row[pos:]] = mult
+    return Bag(schema, entries)
 
 
 def _graph_is_chordal(adj):

@@ -558,6 +558,45 @@ def test_empty_database_has_the_empty_witness(tmp_path, capsys):
         "every bag over the empty schema\n")
 
 
+def _crash(exc):
+    def verb(*args, **kwargs):
+        raise exc
+    return verb
+
+
+def test_main_exits_3_when_memory_runs_out(triangle_db_file, capsys,
+                                         monkeypatch):
+    """``run`` lets a MemoryError through; the command prints one error
+    line and exits 3, never 1, the "no" code."""
+    monkeypatch.setattr(cli, "global_consistent", _crash(MemoryError()))
+    argv = ["global", "--db", triangle_db_file]
+    with pytest.raises(MemoryError):
+        run(argv)
+    monkeypatch.setattr("sys.argv", ["bagconsist"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 3
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+def test_main_exits_2_on_a_crash(triangle_db_file, capsys, monkeypatch):
+    """Any other exception that ``run`` lets through exits the command 2,
+    with its traceback on stderr."""
+    monkeypatch.setattr(cli, "global_consistent",
+                        _crash(RuntimeError("boom")))
+    argv = ["global", "--db", triangle_db_file]
+    with pytest.raises(RuntimeError):
+        run(argv)
+    monkeypatch.setattr("sys.argv", ["bagconsist"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: boom\n")
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run(["classify", "--schema", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

@@ -23,9 +23,14 @@ from bagconsist import (
     tseitin_counterexample,
 )
 from bagconsist import consistency
-from bagconsist.hypergraph import clique_complement_hypergraph, cycle_hypergraph
+from bagconsist.hypergraph import (
+    COVERED_EDGE_DELETION,
+    clique_complement_hypergraph,
+    cycle_hypergraph,
+)
 
 from conftest import (
+    cyclic_variants,
     database_of,
     pair_database,
     path_hypergraph,
@@ -510,6 +515,39 @@ def test_replay_and_lift_match_reference():
                 assert (_outcome(lift_collection, d0, h, seq)
                         == _outcome(reference_lift, d0, h, seq))
         checked += 1
+
+
+def test_lift_builds_each_bag_once(monkeypatch):
+    """Lifting along the ops that expose a chordless cycle in a 90-edge
+    tree with a chord builds one bag per edge of the target and one
+    marginal per deleted covered edge, however many deleted vertices a bag
+    held."""
+    rng = random.Random(90)
+    chord, _ = cyclic_variants(rng, random_acyclic_schema(rng, 90))
+    h = Hypergraph(sorted({v for e in chord for v in e}), chord)
+    bad = find_bad_witness(h)
+    reduced = replay_ops(h, bad.ops)
+    d0 = database_of([sorted(e) for e in reduced.edges], random_global_bag(
+        rng, reduced.vertices, 6))
+    expected = reference_lift(d0, h, bad.ops)
+    built = []
+    init, trusted = Bag.__init__, Bag._trusted.__func__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counted_trusted(cls, *args):
+        built.append(cls)
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(Bag, "__init__", counted_init)
+    monkeypatch.setattr(Bag, "_trusted", classmethod(counted_trusted))
+    lifted = lift_collection(d0, h, bad.ops)
+    monkeypatch.undo()
+    assert lifted == expected
+    covered = sum(op.kind == COVERED_EDGE_DELETION for op in bad.ops)
+    assert len(built) <= len(h.edges) + covered
 
 
 def test_cycle_hardness_lift_preserves_verdict():

@@ -22,7 +22,7 @@ from bagconsist import (
 )
 from bagconsist import oracle
 from bagconsist.bags import SchemaMismatchError
-from bagconsist.consistency import _pad_with_default, tseitin_counterexample
+from bagconsist.consistency import tseitin_counterexample
 from bagconsist.hypergraph import clique_complement_hypergraph, cycle_hypergraph
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     witness_family,
 )
 from reference import (
+    _pad_with_default,
     reference_branch_row,
     reference_check_witness,
     reference_search,
