@@ -1,15 +1,15 @@
 """Consistency of bag (multiset) databases.
 
 Decides pairwise consistency, and global consistency through one decider,
-``global_consistent``: on acyclic schemas the join tree's parent links
-decide and the witness is glued from northwest-corner two-bag witnesses; a
-brute-force integer-feasibility oracle decides small cyclic instances and
-cross-checks the rest in the tests. Also classifies schema hypergraphs and
-generates counterexample and hardness-reduction instances. The max-flow
-characterisation of two-bag consistency is a test reference in
-``bagconsist.flow``; only ``KERNEL``, the name of its Dinic kernel (always
-``"python"``), is re-exported here. The other checkers that only the
-tests call (join-tree validity, the sub-hypergraph on a vertex set, the
+``global_consistent``: one GYO ear peel splits the schema into ears, each
+checked against its cover, and a core that a brute-force oracle decides
+when it is small and cyclic; the ears are glued onto the core's witness.
+Also classifies schema hypergraphs and generates counterexample and
+hardness-reduction instances. The max-flow characterisation of two-bag
+consistency is a test reference in ``bagconsist.flow``; only ``KERNEL``,
+the name of its Dinic kernel (always ``"python"``), is re-exported here.
+The other checkers that only the tests call (join-tree validity, the edge
+maximum-cardinality search, the sub-hypergraph on a vertex set, the
 witness-size bounds) live in ``tests/reference.py``.
 """
 from .bags import (

@@ -4,15 +4,15 @@ Two bags are consistent iff their marginals on the shared attributes agree;
 the deciders compare them as plain dicts, summed by ``bags._summed`` once
 per (bag, shared set), and build no ``Bag`` to compare. A minimal two-bag
 witness is filled in by the northwest-corner rule, one shared-key group at
-a time. ``global_consistent`` is the one decider of global consistency, on
-every schema. On an acyclic schema the join tree's m - 1 (child, parent)
-links decide: the collection is globally consistent iff every bag agrees
-with its parent. Only then are the bags glued the same way, root first in
-link order: each bag's overlap with the rows glued so far lies in its
-parent, so the glue only builds. All pairs are listed only to explain a
-no, and before the oracle on cyclic schemas. Every finished witness is
-checked exactly once. Also houses the mod-d counterexample generator,
-safe-deletion lifting, and the hardness-reduction instance transformations.
+a time. ``global_consistent`` is the one decider of global consistency,
+on one path for every schema: the GYO peel splits the schema into ears,
+each compared with its cover, and a core, compared pairwise; the oracle
+decides a core of two edges or more, and the ears are glued onto the
+core's witness, last removed first. An acyclic schema is the case with at
+most one edge left. All pairs are listed only to explain a no. Every finished
+witness is checked exactly once. Also houses the mod-d counterexample
+generator, safe-deletion lifting, and the hardness-reduction instance
+transformations.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .hypergraph import (
     Hypergraph,
     HypergraphError,
     SafeDeletionOp,
+    _peel,
     _replay,
     clique_complement_hypergraph,
     cycle_hypergraph,
@@ -222,41 +223,41 @@ def inconsistent_pairs(db: BagDatabase, _marginal=None) -> list:
 
 def global_consistent(db: BagDatabase, mode: str = "auto",
                       budget: Optional[OracleBudget] = None) -> ConsistencyReport:
-    """Classify the schema once. On an acyclic schema the join tree's
-    parent links decide: if every bag agrees with its parent, the answer
-    is yes with the bags glued root first in link order; otherwise all
-    pairs are listed to explain the no, reusing the links' marginals. A
-    cyclic schema lists all pairs first: an inconsistent one answers no,
-    else the oracle decides; auto mode calls it only if the bag sizes'
-    product fits ``budget.max_join_support``. Every yes is checked exactly."""
+    """Peel the schema once (:func:`hypergraph._peel`). Unless each ear
+    agrees with its cover and the core's bags pairwise, all pairs are listed
+    to explain a no. A core of two edges or more goes to the oracle, in
+    auto mode only if all the bag sizes' product fits
+    ``budget.max_join_support``. A yes glues the ears, last removed first,
+    onto the core's witness or bag (each one's overlap with the rows so far
+    lies in its cover), and the witness is checked exactly, once."""
     if mode not in ("auto", "oracle"):
         raise ValueError("mode must be 'auto' or 'oracle'")
     budget = budget or OracleBudget()
     edges = db.hypergraph.edges
-    tree = db.hypergraph.join_tree()
+    ears, core = _peel(edges)
     marginal = _marginal_memo(db.bags)
-    if tree is not None and all(
-            marginal(child, shared := edges[child] & edges[parent])
-            == marginal(parent, shared) for child, parent in tree.links):
-        witness = _northwest_glue(
-            db.bags[:1] + tuple(db.bags[child] for child, _ in tree.links))
-    else:
+    if not all(marginal(i, shared := edges[i] & edges[j]) == marginal(j, shared)
+               for i, j in itertools.chain(ears, itertools.combinations(core, 2))):
         bad_pairs = tuple(inconsistent_pairs(db, marginal))
-        if bad_pairs:
-            return ConsistencyReport(bad_pairs, GLOBAL_NO)
-        if tree is not None:  # a disagreeing link is an inconsistent pair
-            raise AssertionError("a parent link disagrees, but no pair does")
-        join_bound = 1
-        for bag in db.bags:
-            join_bound *= max(len(bag), 1)
-        if mode == "auto" and join_bound > budget.max_join_support:
+        if not bad_pairs:
+            raise AssertionError("an ear or core pair disagrees, but no pair does")
+        return ConsistencyReport(bad_pairs, GLOBAL_NO)
+    parts = tuple(db.bags[i] for i in core)
+    if len(core) > 1:
+        if mode == "auto" and math.prod(
+                max(len(bag), 1) for bag in db.bags) > budget.max_join_support:
             return ConsistencyReport((), GLOBAL_UNKNOWN)
-        witness = solve_feasibility(db, budget)
+        core_edges = [edges[i] for i in core]
+        witness = solve_feasibility(BagDatabase(
+            Hypergraph(set().union(*core_edges), core_edges), parts), budget)
         if witness is EXHAUSTED:
             return ConsistencyReport((), GLOBAL_UNKNOWN,
                                      oracle_exhausted=True)
         if witness is None:
             return ConsistencyReport((), GLOBAL_NO)
+        parts = (witness,)
+    parts += tuple(db.bags[ear] for ear, _ in reversed(ears))
+    witness = parts[0] if len(parts) == 1 else _northwest_glue(parts)
     if not check_witness(witness, db):
         raise AssertionError("constructed an invalid global witness")
     return ConsistencyReport((), GLOBAL_YES, witness)

@@ -1,21 +1,21 @@
 """Schema hypergraphs and their structural classification.
 
-Covers chordality (maximum-cardinality search over the vertices),
-conformality (Gilmore's triple criterion), join trees by maximum
-cardinality search over the hyperedges (a hypergraph is acyclic iff
-``join_tree()`` finds one), running intersection orderings taken from
-that search's pick order, and extraction of minimal non-chordal /
+Covers chordality (maximum-cardinality search over the vertices, from a
+lazy heap), conformality (Gilmore's triple criterion), acyclicity by one
+GYO ear peel, ``_peel``, which leaves at most one edge iff the hypergraph
+is acyclic (its ears linked to their covers are ``join_tree()``, whose
+root is the edge left), and extraction of minimal non-chordal /
 non-conformal witness sets together with the safe-deletion sequences that
-expose them. Both searches pick from a lazy heap. The vertex
-search returns a certificate of badness: a chordless cycle, or a primal
-clique that no edge covers. Minimising a witness set reuses it, and searches
-again only when the vertex it deletes lies in the certificate. A
-safe-deletion sequence is replayed once, with each edge named by its index
+expose them. A certificate of badness is a chordless cycle from the
+chordality search, or the vertices that two edges or more hold in the core
+the peel leaves. Minimising a witness set reuses it, and searches again
+only when the vertex it deletes lies in the certificate. A safe-deletion sequence is replayed once, with each edge named by its index
 in the input; lifting a database back along it refills deleted covered
 edges with their cover's marginal and deleted vertices with the value "0".
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterable, Optional
@@ -107,54 +107,12 @@ class Hypergraph:
         return True
 
     def join_tree(self) -> Optional["JoinTree"]:
-        """A join tree by maximum cardinality search over the edges
-        (Tarjan and Yannakakis, SIAM J. Comput. 13(3), 1984), or None when
-        the hypergraph is cyclic.
-
-        The search repeatedly picks the unchosen edge with the most marked
-        vertices (ties to the smallest index) and marks its vertices. An
-        edge's already-marked vertices S must lie in the latest chosen edge
-        that first marked a vertex of S; the edge is linked to that one, and
-        the hypergraph is cyclic iff the containment fails for some edge.
-        An edge with empty S is linked to the first chosen edge. Links come
-        in search order, so they list a running-intersection order.
-        """
-        edges = self.edges
-        holders: dict[str, list[int]] = {}
-        for i, e in enumerate(edges):
-            for v in e:
-                holders.setdefault(v, []).append(i)
-        marked = [0] * len(edges)
-        chosen = [False] * len(edges)
-        first: dict[str, int] = {}  # vertex -> choice step that marked it
-        picks: list[int] = []
-        links: list[tuple[int, int]] = []
-        # min-heap on (-marked count, index); stale entries are skipped
-        heap = [(0, i) for i in range(len(edges))]
-        while heap:
-            neg, i = heappop(heap)
-            if chosen[i] or -neg != marked[i]:
-                continue
-            chosen[i] = True
-            e = edges[i]
-            sep = [v for v in e if v in first]
-            if sep:
-                parent = picks[max(first[v] for v in sep)]
-                if not edges[parent].issuperset(sep):
-                    return None
-                links.append((i, parent))
-            elif picks:
-                links.append((i, picks[0]))
-            step = len(picks)
-            picks.append(i)
-            for v in e:
-                if v not in first:
-                    first[v] = step
-                    for j in holders[v]:
-                        if not chosen[j]:
-                            marked[j] += 1
-                            heappush(heap, (-marked[j], j))
-        return JoinTree(nodes=edges, links=tuple(links))
+        """A join tree from :func:`_peel`, or None when the hypergraph is
+        cyclic: each ear linked to its cover, last removed first."""
+        ears, left = _peel(self.edges)
+        if len(left) > 1:
+            return None
+        return JoinTree(nodes=self.edges, links=tuple(reversed(ears)))
 
     def running_intersection_order(self) -> Optional[list[tuple[int, Optional[int]]]]:
         """The join tree's running-intersection order; None when cyclic."""
@@ -183,32 +141,91 @@ class Hypergraph:
 @dataclass(frozen=True)
 class JoinTree:
     """Tree on hyperedge positions; every vertex's occurrences induce a
-    connected subtree. Links are (child, parent) pairs in search order
-    from the root, edge 0: each child's overlap with the root and all
-    earlier children lies in its parent."""
+    connected subtree. The root is the edge the peel leaves (edge 0 when
+    there are no links), and links are (child, parent) pairs in order from
+    it: each child's overlap with the root and all earlier children lies in
+    its parent."""
     nodes: tuple[Edge, ...]
     links: tuple[tuple[int, int], ...]
 
     def running_intersection_order(self) -> list[tuple[int, Optional[int]]]:
         """An edge listing with the running intersection property, as
-        (edge_index, witness_position) pairs: the root, edge 0, then the
-        children in link order.
+        (edge_index, witness_position) pairs: the root, then the children
+        in link order.
 
         The witness position points at the earlier listing slot whose edge
         contains the overlap with everything before (the parent's slot).
         """
         if not self.nodes:
             return []
-        order: list[tuple[int, Optional[int]]] = [(0, None)]
-        placed = {0: 0}
-        for child, parent in self.links:
-            placed[child] = len(order)
-            order.append((child, placed[parent]))
-        return order
+        root = self.links[0][1] if self.links else 0
+        slot = {child: k for k, (child, _) in enumerate(self.links, 1)}
+        slot[root] = 0
+        return [(root, None)] + [(child, slot[p]) for child, p in self.links]
 
     def to_json_dict(self) -> dict:
         return {"nodes": [sorted(e) for e in self.nodes],
                 "links": [list(l) for l in self.links]}
+
+
+def _peel(edges) -> tuple[list[tuple[int, int]], list[int]]:
+    """GYO ear removal over a list of vertex sets: the (ear, cover) index
+    pairs in removal order, and the ascending indices of the edges left (the
+    ear-free core), at most one iff the hypergraph is acyclic (Beeri, Fagin,
+    Maier and Yannakakis, J. ACM 30(3), 1983). An ear's vertices that other
+    live edges hold all lie in its cover: the lowest live edge holding them
+    all, read from the live end of a least-held one's holders (every cover
+    holds it). An ear that shares nothing takes the lowest live edge. Edges
+    are tried lowest index first, and again (by that vertex's name) once one
+    of their vertices is left in no other edge: only that can make an ear.
+    """
+    holders: dict = {}  # vertex -> its edges, lowest index last
+    for i in reversed(range(len(edges))):
+        for v in edges[i]:
+            holders.setdefault(v, []).append(i)
+    count = {v: len(hs) for v, hs in holders.items()}
+    live, queued = [True] * len(edges), [True] * len(edges)
+    queue, ears, low = list(range(len(edges))), [], 0  # no live edge below low
+
+    def live_end(v):  # v's holders, the dead ones at the end popped off
+        hs = holders[v]
+        while not live[hs[-1]]:
+            hs.pop()
+        return hs
+
+    for i in queue:  # grows while it is walked; only live edges are queued
+        queued[i] = False
+        if len(ears) == len(edges) - 1:
+            break
+        shared = [v for v in edges[i] if count[v] > 1]
+        if shared:
+            u = min(shared, key=count.__getitem__)
+            for cover in reversed(live_end(u)):
+                if cover != i and live[cover] and edges[cover].issuperset(shared):
+                    break
+            else:
+                continue
+        else:
+            while not live[low]:
+                low += 1
+            cover = next(j for j in range(low, len(edges)) if j != i and live[j])
+        live[i] = False
+        ears.append((i, cover))
+        for v in sorted(edges[i]):
+            count[v] -= 1
+            if count[v] == 1 and not queued[j := live_end(v)[-1]]:
+                queued[j] = True
+                queue.append(j)
+    return ears, [i for i, alive in enumerate(live) if alive]
+
+
+def _core_vertices(edges, s) -> Optional[set]:
+    """The vertices held twice in the core :func:`_peel` leaves of the edges'
+    traces on ``s`` (None if none): they induce a cyclic hypergraph, since a
+    peeled trace meets them inside its cover and the core stays ear-free."""
+    traces = [t for t in (e & s for e in edges) if t]
+    held = Counter(v for i in _peel(traces)[1] for v in traces[i])
+    return {v for v, n in held.items() if n > 1} or None
 
 
 def _connected(adj: dict, nodes: set) -> bool:
@@ -225,26 +242,19 @@ def _connected(adj: dict, nodes: set) -> bool:
     return seen == nodes
 
 
-def _mcs_certificate(adj: dict[str, set[str]],
-                     holders: Optional[dict[str, list[Edge]]] = None
-                     ) -> Optional[set]:
+def _mcs_certificate(adj: dict[str, set[str]]) -> Optional[set]:
     """Maximum-cardinality search over the graph ``adj`` (ties to the
-    smallest name), checked on the fly. Returns a certificate T, a vertex
-    set whose induced sub-hypergraph is cyclic, or None.
+    smallest name), checked on the fly. Returns a chordless cycle of the
+    graph, or None when it is chordal.
 
     The reverse visit order is a perfect elimination order iff each
     vertex's earlier-visited neighbours all lie next to the latest of them,
-    u. When that fails at v for an earlier neighbour x, T is a chordless
-    cycle: v plus a shortest u–x path through visited vertices outside v's
-    other neighbours (Tarjan and Yannakakis, SIAM J. Comput. 13(3), 1984,
-    and the 1985 addendum). Should no such path exist, the visited vertices
-    plus v would still do, since the search replays its steps on the graph
-    they induce. Without ``holders``, None means the graph is chordal.
-
-    With ``holders`` (vertex -> the hyperedges holding it), T may also be
-    the first clique of v and its earlier neighbours that no edge holding v
-    covers. On a chordal graph every maximal clique is such a clique, so
-    None then means the hypergraph is chordal and conformal: acyclic.
+    u. When that fails at v for an earlier neighbour x, the certificate is
+    v plus a shortest u–x path through visited vertices outside v's other
+    neighbours (Tarjan and Yannakakis, SIAM J. Comput. 13(3), 1984, and the
+    1985 addendum). Should no such path exist, the visited vertices plus v
+    would still induce a non-chordal graph, since the search replays its
+    steps on it.
     """
     step: dict[str, int] = {}  # vertex -> visit step
     weight = dict.fromkeys(adj, 0)
@@ -261,10 +271,6 @@ def _mcs_certificate(adj: dict[str, set[str]],
                 x = max((w for w in earlier if w != u and w not in adj[u]),
                         key=step.__getitem__)
                 return _chordless_cycle(adj, step, v, u, x)
-        if holders is not None:
-            clique = {v, *earlier}
-            if not any(clique <= e for e in holders[v]):
-                return clique
         step[v] = len(step)
         for w in adj[v]:
             if w not in step:
@@ -396,32 +402,24 @@ class BadWitness:
 def find_bad_witness(h: Hypergraph) -> Optional[BadWitness]:
     """None iff the hypergraph is acyclic (chordal and conformal);
     otherwise a minimal obstruction, preferring the non-chordal (cycle)
-    shape.
-
-    Acyclicity is read off the whole hypergraph's certificates: a failed
-    chordality search gives the cycle shape; else an uncovered clique gives
-    the clique-complement shape; else the hypergraph is acyclic.
+    shape. A failed chordality search certifies the cycle shape; else the
+    peel's core, if it has two edges or more, certifies the clique
+    complement, since every cyclic induced sub-hypergraph of a chordal one
+    fails conformality.
     """
     adj = h.primal_graph()
     cert = _mcs_certificate(adj)
     if cert is not None:
-        holders = None
         shape = SHAPE_CYCLE
+        # the primal graph of H[S] is H's primal graph induced on S
+        certify = lambda s: _mcs_certificate({u: adj[u] & s for u in s})
     else:
-        holders = {v: [] for v in h.vertices}
-        for e in h.edges:
-            for v in e:
-                holders[v].append(e)
-        cert = _mcs_certificate(adj, holders)
+        shape = SHAPE_CLIQUE_COMPLEMENT
+        certify = lambda s: _core_vertices(h.edges, s)
+        cert = certify(set(h.vertices))
         if cert is None:
             return None
-        # induced sub-hypergraphs of a chordal one stay chordal, so for them
-        # every certificate is an uncovered clique
-        shape = SHAPE_CLIQUE_COMPLEMENT
-    # the primal graph of H[S] is H's primal graph induced on S, and an edge
-    # of H covers a clique within S iff its trace on S does
-    w = _minimize(h.vertices, cert, lambda s: _mcs_certificate(
-        {u: adj[u] & s for u in s}, holders))
+    w = _minimize(h.vertices, cert, certify)
     ops, kept = _normalizing_ops(h, w)
     if not _matches_shape(kept, w, shape):
         raise AssertionError(

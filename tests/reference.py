@@ -24,7 +24,7 @@ lift must give the same outputs and the same errors as these.
 ``reference_find_bad_witness`` also minimises the obstruction as it did
 before the badness tests returned certificates: ``_minimize`` runs one
 test per vertex, a full chordality search (``_graph_is_chordal``) on the
-cycle shape and a join-tree search on the clique-complement shape.
+cycle shape and ``reference_join_tree`` on the clique-complement shape.
 
 ``reference_check_witness`` is the exact witness check as it was written
 before it summed the witness's rows itself: one ``Bag.marginal`` per bag,
@@ -46,6 +46,11 @@ it to cross-check ``minimal_two_bag_witness``.
 ``join_tree_is_valid`` checks a join tree from its definition: n - 1
 distinct links between distinct nodes that connect them all, and every
 vertex's holders connected through links between holders.
+
+``reference_join_tree`` is the edge maximum-cardinality search that built
+join trees before the GYO peel did: an independent linear acyclicity test,
+whose verdict must equal the peel's, and whose trees must stay valid.
+Gilmore's criterion with chordality is the other independent check.
 
 ``induced`` is the sub-hypergraph on a vertex subset: each edge's trace on
 it, empty and repeated traces dropped. ``reference_find_bad_witness`` and
@@ -74,6 +79,7 @@ from bagconsist.hypergraph import (
     BadWitness,
     Hypergraph,
     HypergraphError,
+    JoinTree,
     SafeDeletionOp,
     _connected,
     _matches_shape,
@@ -125,6 +131,55 @@ def join_tree_is_valid(tree) -> bool:
         if not _connected(sub, holders):
             return False
     return True
+
+
+def reference_join_tree(h) -> Optional[JoinTree]:
+    """A join tree by maximum cardinality search over the edges (Tarjan and
+    Yannakakis, SIAM J. Comput. 13(3), 1984), or None when ``h`` is cyclic.
+
+    The search repeatedly picks the unchosen edge with the most marked
+    vertices (ties to the smallest index) and marks its vertices. An edge's
+    already-marked vertices S must lie in the latest chosen edge that first
+    marked a vertex of S; the edge is linked to that one, and the
+    hypergraph is cyclic iff the containment fails for some edge. An edge
+    with empty S is linked to the first chosen edge, edge 0, the root.
+    """
+    edges = h.edges
+    holders: dict = {}
+    for i, e in enumerate(edges):
+        for v in e:
+            holders.setdefault(v, []).append(i)
+    marked = [0] * len(edges)
+    chosen = [False] * len(edges)
+    first: dict = {}  # vertex -> choice step that marked it
+    picks: list = []
+    links: list = []
+    # min-heap on (-marked count, index); stale entries are skipped
+    heap = [(0, i) for i in range(len(edges))]
+    while heap:
+        neg, i = heappop(heap)
+        if chosen[i] or -neg != marked[i]:
+            continue
+        chosen[i] = True
+        e = edges[i]
+        sep = [v for v in e if v in first]
+        if sep:
+            parent = picks[max(first[v] for v in sep)]
+            if not edges[parent].issuperset(sep):
+                return None
+            links.append((i, parent))
+        elif picks:
+            links.append((i, picks[0]))
+        step = len(picks)
+        picks.append(i)
+        for v in e:
+            if v not in first:
+                first[v] = step
+                for j in holders[v]:
+                    if not chosen[j]:
+                        marked[j] += 1
+                        heappush(heap, (-marked[j], j))
+    return JoinTree(nodes=edges, links=tuple(links))
 
 
 def induced(h, w) -> Hypergraph:
@@ -385,7 +440,7 @@ def _minimize(h, bad):
 def reference_find_bad_witness(h):
     """The minimal obstruction, its ops built edge by edge and checked by
     replaying them and reducing the result."""
-    if h.join_tree() is not None:
+    if reference_join_tree(h) is not None:
         return None
     adj = h.primal_graph()
     if not _graph_is_chordal(adj):
@@ -393,7 +448,7 @@ def reference_find_bad_witness(h):
             {u: adj[u] & w for u in w}))
         shape = SHAPE_CYCLE
     else:
-        w = _minimize(h, lambda w: induced(h, w).join_tree() is None)
+        w = _minimize(h, lambda w: reference_join_tree(induced(h, w)) is None)
         shape = SHAPE_CLIQUE_COMPLEMENT
     ops = [SafeDeletionOp(VERTEX_DELETION, vertex=v)
            for v in sorted(set(h.vertices) - w)]

@@ -35,7 +35,12 @@ from conftest import (
     random_hypergraph,
     witness_family,
 )
-from reference import two_bag_witness, verify_bounds
+from reference import (
+    join_tree_is_valid,
+    reference_join_tree,
+    two_bag_witness,
+    verify_bounds,
+)
 
 CRITERIA = {
     1: "two-bag paper example: 2 witnesses, minimal support 2",
@@ -105,9 +110,15 @@ def test_criterion_04_acyclicity_equivalence_suite():
     rng = random.Random(0xACCE9)
     for _ in range(500):
         h = random_hypergraph(rng, max_vertices=8, max_edges=8)
-        acyclic = h.join_tree() is not None
+        tree = h.join_tree()
+        acyclic = tree is not None
         assert acyclic == (h.is_chordal() and h.is_conformal())
         assert acyclic == (h.running_intersection_order() is not None)
+        # the peel against the edge maximum-cardinality search
+        reference = reference_join_tree(h)
+        assert acyclic == (reference is not None)
+        assert not acyclic or (join_tree_is_valid(tree)
+                               and join_tree_is_valid(reference))
     for n in range(2, 9):
         assert path_hypergraph(n).join_tree() is not None
     for n in range(3, 9):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from bagconsist import (
+    EXHAUSTED,
     Bag,
     BagDatabase,
     DatabaseError,
@@ -140,7 +141,7 @@ def test_global_consistent_acyclic(rng):
 
 
 def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
-    """One join tree per call, and no (bag, shared set) marginal summed
+    """One peel per call, and no (bag, shared set) marginal summed
     twice, on the yes and on the no path: every marginal the deciders
     compare is a plain dict from the one summing routine, and no
     ``Bag.marginal`` call is made."""
@@ -149,11 +150,11 @@ def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
     db = database_of(edges, random_global_bag(
         rng, {v for e in edges for v in e}, 12))
     trees = []
-    join_tree = Hypergraph.join_tree
+    peel = consistency._peel
 
-    def counting_join_tree(self):
-        trees.append(self)
-        return join_tree(self)
+    def counting_peel(edges):
+        trees.append(edges)
+        return peel(edges)
 
     computed = []
     derived = []
@@ -176,7 +177,7 @@ def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
         return marginal(self, attrs)
 
     def decide(database):
-        monkeypatch.setattr(Hypergraph, "join_tree", counting_join_tree)
+        monkeypatch.setattr(consistency, "_peel", counting_peel)
         monkeypatch.setattr(consistency, "_summed", recording_summed)
         monkeypatch.setattr(Bag, "marginal", counting_marginal)
         try:
@@ -196,7 +197,7 @@ def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
     assert derived == [] and marginal_calls == []
     # a no is classified once, lists the same pairs as the full pass, and
     # computes no (bag, shared set) marginal twice: the pair pass reuses
-    # the parent links' marginals
+    # the ears' marginals
     first = db.bags[0]
     row = min(first.entries)
     bumped = Bag(first.schema, {**first.entries, row: first.entries[row] + 1})
@@ -398,6 +399,93 @@ def test_auto_cutoff_reads_the_join_support_budget(monkeypatch):
     forced = global_consistent(db, mode="oracle",
                                budget=OracleBudget(max_join_support=k - 1))
     assert forced.global_status == "yes" and len(calls) == 2
+
+
+def _hang_ears(rng, hypergraph, bags, count):
+    """``count`` ears hung on the database, each on a random earlier edge:
+    part of that edge plus one or two fresh attributes, its bag the host's
+    marginal on the part with every row given fresh values (some split in
+    two), so each ear agrees with its host and the answer stays the core's."""
+    edges, bags = [sorted(e) for e in hypergraph.edges], list(bags)
+    for k in range(count):
+        host = rng.randrange(len(edges))
+        part = sorted(rng.sample(edges[host], rng.randint(0, len(edges[host]))))
+        fresh = ["E%d_%d" % (k, f) for f in range(rng.randint(1, 2))]
+        schema = sorted(part + fresh)
+        entries: dict = {}
+        for row, mult in bags[host].marginal(part).entries.items():
+            cut = rng.randint(0, mult)
+            for share in (cut, mult - cut):
+                values = dict(zip(part, row))
+                values.update((f, str(rng.randint(0, 1))) for f in fresh)
+                key = tuple(values[a] for a in schema)
+                if share:
+                    entries[key] = entries.get(key, 0) + share
+        edges.append(schema)
+        bags.append(Bag(schema, entries))
+    vertices = {v for e in edges for v in e}
+    return BagDatabase(Hypergraph(vertices, edges), tuple(bags))
+
+
+def _nudged(rng, db):
+    """``db`` with one unit added to, or moved within, one bag."""
+    i = rng.randrange(len(db.bags))
+    bag = db.bags[i]
+    entries = dict(bag.entries)
+    row = tuple(str(rng.randint(0, 2)) for _ in bag.schema)
+    if entries and rng.random() < 0.5:
+        source = rng.choice(sorted(entries))
+        entries[source] -= 1
+        if not entries[source]:
+            del entries[source]
+    entries[row] = entries.get(row, 0) + 1
+    return BagDatabase(db.hypergraph, db.bags[:i] + (Bag(bag.schema, entries),)
+                       + db.bags[i + 1:])
+
+
+def test_decider_matches_oracle_on_cyclic_databases_with_ears():
+    """On small cyclic databases with ears hung on their core, consistent
+    ones, pairwise-consistent Tseitin ones and ones with a unit added or
+    moved, the decider's answer (the oracle on the core only) equals the
+    oracle's on the whole database wherever the latter decides, a no lists
+    every inconsistent pair, and every witness passes the exact check."""
+    rng = random.Random(0xEA25)
+    budget = OracleBudget(max_nodes=200_000, max_seconds=5.0)
+    seen = {"yes": 0, "no": 0, "no-pairwise-ok": 0}
+    cores = [cycle_hypergraph(3), cycle_hypergraph(4),
+             clique_complement_hypergraph(4)]
+    for n in range(240):
+        h = cores[n % 3]
+        if n % 2:
+            core = tseitin_counterexample(h)
+        else:
+            core = database_of([sorted(e) for e in h.edges], random_global_bag(
+                rng, h.vertices, rng.randint(1, 4), max_mult=3))
+        db = _hang_ears(rng, core.hypergraph, core.bags, rng.randint(1, 4))
+        for case in (db, _nudged(rng, db)):
+            expected = solve_feasibility(case, budget)
+            if expected is EXHAUSTED:
+                continue
+            report = global_consistent(case, "oracle", budget)
+            assert report.global_status == ("no" if expected is None else "yes")
+            assert report.inconsistent_pairs == tuple(inconsistent_pairs(case))
+            if report.witness is not None:
+                assert check_witness(report.witness, case)
+            seen[report.global_status if report.global_status == "yes"
+                 or report.inconsistent_pairs else "no-pairwise-ok"] += 1
+    assert sum(seen.values()) >= 400 and min(seen.values()) >= 50
+
+
+def test_auto_mode_leaves_tree_plus_chord_unknown():
+    """The auto cutoff reads the whole database's bag sizes, not the
+    core's: a pairwise-consistent tree with a chord stays unknown."""
+    rng = random.Random(0xC0DE)
+    chord, _ = cyclic_variants(rng, random_acyclic_schema(rng, 90))
+    db = database_of(chord, random_global_bag(
+        rng, {v for e in chord for v in e}, 12))
+    report = global_consistent(db)
+    assert report.pairwise_ok and report.global_status == "unknown-cyclic"
+    assert not report.oracle_exhausted
 
 
 def test_global_consistent_rechecks_oracle_witness(monkeypatch):

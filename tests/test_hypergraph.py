@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -14,8 +15,10 @@ from bagconsist.hypergraph import (
     SHAPE_CLIQUE_COMPLEMENT,
     SHAPE_CYCLE,
     VERTEX_DELETION,
+    _core_vertices,
     _matches_shape,
     _mcs_certificate,
+    _peel,
     clique_complement_hypergraph,
     cycle_hypergraph,
 )
@@ -187,18 +190,19 @@ def test_cycle_certificates_are_chordless_cycles():
 
 def test_certificates_induce_cyclic_sub_hypergraphs():
     """On random vertex subsets S of random graphs and hypergraphs, the
-    search with the edges' holders returns None iff H[S] is acyclic by
-    brute-force chordality and Gilmore's criterion; otherwise a set T
-    within S whose H[T] fails one of the two."""
+    chordality search and then the peel's core on the traces over S return
+    None iff H[S] is acyclic by brute-force chordality and Gilmore's
+    criterion; otherwise a set T within S whose H[T] fails one of the two."""
     rng = random.Random(0xCE27)
     shapes = {"acyclic": 0, "cycle": 0, "clique": 0}
     for i in range(400):
         h = random_hypergraph(rng) if i % 2 else _random_graph(rng)
         adj = h.primal_graph()
-        holders = {v: [e for e in h.edges if v in e] for v in h.vertices}
         for k in (len(h.vertices), rng.randint(1, len(h.vertices))):
             s = set(rng.sample(h.vertices, k))
-            t = _mcs_certificate({u: adj[u] & s for u in s}, holders)
+            t = _mcs_certificate({u: adj[u] & s for u in s})
+            if t is None:
+                t = _core_vertices(h.edges, s)
             g = induced(h, s)
             if t is None:
                 assert not _has_chordless_cycle(g.primal_graph())
@@ -305,6 +309,107 @@ def test_join_tree_on_shuffled_wide_schemas():
             assert g.running_intersection_order() is None
 
 
+def _assert_peel(edges, ears, core):
+    """Replay the peel by its definition: each ear, when it goes, has its
+    vertices held by other live edges inside its live cover, and no edge of
+    the core left is an ear of it."""
+    live = set(range(len(edges)))
+    for ear, cover in ears:
+        assert ear in live and cover in live and ear != cover
+        others = set().union(*(edges[j] for j in live if j != ear))
+        assert edges[ear] & others <= edges[cover]
+        live.remove(ear)
+    assert sorted(live) == core
+    if len(core) > 1:
+        for i in core:
+            shared = edges[i] & set().union(*(edges[j] for j in core if j != i))
+            assert not any(shared <= edges[j] for j in core if j != i)
+
+
+def test_peel_whole_cores():
+    """C_4, C_5, H_4 and K_4 have no ear."""
+    k4 = Hypergraph("ABCD", itertools.combinations("ABCD", 2))
+    for h in (cycle_hypergraph(4), cycle_hypergraph(5),
+              clique_complement_hypergraph(4), k4):
+        assert _peel(h.edges) == ([], list(range(len(h.edges))))
+
+
+def test_peel_cores_of_cyclic_variants():
+    """A tree plus a chord peels to the chord and the tree edges on the
+    cycle it closes: a core with no ear whose tree edges alone peel to one.
+    A tree plus a hung triangle peels to three edges: the two new ones and
+    a tree edge holding both attributes they hang from."""
+    rng = random.Random(0x9EE1)
+    for _ in range(40):
+        edges = random_acyclic_schema(rng, rng.randint(20, 90))
+        chord, hung = ([frozenset(e) for e in v]
+                       for v in cyclic_variants(rng, edges))
+        ears, core = _peel(chord)
+        _assert_peel(chord, ears, core)
+        assert len(chord) - 1 in core and len(core) >= 3
+        assert len(_peel([chord[i] for i in core[:-1]])[1]) == 1
+        ears, core = _peel(hung)
+        _assert_peel(hung, ears, core)
+        assert len(core) == 3 and core[1:] == [len(edges), len(edges) + 1]
+        assert hung[core[0]] >= (hung[-2] | hung[-1]) - {"T"}
+
+
+def test_peel_of_acyclic_and_random_schemas():
+    """An acyclic schema peels to one edge, and its join tree is valid; on
+    random hypergraphs every ear is one when it goes and the core left has
+    none."""
+    rng = random.Random(0x9EE2)
+    for _ in range(20):
+        h = _hypergraph(random_acyclic_schema(rng, rng.randint(1, 90)))
+        ears, core = _peel(h.edges)
+        _assert_peel(h.edges, ears, core)
+        assert len(core) == 1
+        assert join_tree_is_valid(h.join_tree())
+        assert h.join_tree().running_intersection_order()[0] == (core[0], None)
+    for _ in range(300):
+        h = random_hypergraph(rng)
+        _assert_peel(h.edges, *_peel(h.edges))
+
+
+def test_peel_covers_duplicate_and_disjoint_edges():
+    ab, abc = frozenset("AB"), frozenset("ABC")
+    assert _peel([ab, ab]) == ([(0, 1)], [1])
+    assert _peel([abc, ab, abc]) == ([(0, 2), (1, 2)], [2])
+    # the cover is the lowest live edge holding the ear's shared vertices
+    assert _peel([ab, abc, frozenset("ABD")]) == ([(0, 1), (1, 2)], [2])
+    # an ear that shares nothing takes the lowest live edge
+    assert _peel([frozenset(v) for v in "ABC"]) == ([(0, 1), (1, 2)], [2])
+    assert _peel([frozenset("A"), ab, frozenset("C")]) == ([(0, 1), (1, 2)], [2])
+    # a duplicated edge of a cycle goes; the cycle stays
+    c4 = list(cycle_hypergraph(4).edges)
+    assert _peel(c4 + [c4[1]]) == ([(1, 4)], [0, 2, 3, 4])
+    assert _peel([]) == ([], [])
+
+
+@pytest.mark.parametrize("shape", ["star", "path", "hub-after-spokes",
+                                   "disjoint"])
+def test_peel_is_near_linear(shape):
+    """100,000 edges peel in well under 5 s: a cover is read from the
+    holders' live end, not found by a scan over a hub's every holder, and
+    an ear that shares nothing takes the lowest live edge from a pointer
+    (50,000 disjoint edges: a scan for another live edge from index 0
+    takes about 20 s there)."""
+    n = 100_000
+    spokes = lambda: [frozenset({"H", "X%d" % i}) for i in range(n)]
+    edges = {
+        "star": spokes,
+        "path": lambda: [frozenset({"X%d" % i, "X%d" % (i + 1)})
+                         for i in range(n)],
+        "hub-after-spokes": lambda: spokes() + [frozenset({"H"}).union(
+            "X%d" % i for i in range(n))],
+        "disjoint": lambda: [frozenset({"X%d" % i}) for i in range(n // 2)],
+    }[shape]()
+    start = time.monotonic()
+    ears, core = _peel(edges)
+    assert time.monotonic() - start < 5.0
+    assert len(ears) == len(edges) - 1 and core == [ears[-1][1]]
+
+
 def _restart_minimize(h, bad):
     w = set(h.vertices)
     changed = True
@@ -373,23 +478,35 @@ def test_find_bad_witness_and_classify_match_reference_on_wide_schemas(
 
 
 def test_find_bad_witness_searches_only_certificate_vertices(monkeypatch):
-    """On a tree of 90 edges with a chord, the minimisation searches once
-    for the whole schema and once per vertex of a certificate, not once
-    per vertex of the schema."""
-    rng = random.Random(0x5EA)
-    chord, _ = cyclic_variants(rng, random_acyclic_schema(rng, 90))
-    h = _hypergraph(chord)
-    assert len(h.vertices) >= 90
+    """On a tree of 90 edges with a chord, and on four with a hung
+    triangle, the minimisation searches once for the whole schema and once
+    per vertex of a certificate, not once per vertex of the schema; a
+    search is a chordality search or a peel's core."""
     searches = []
 
-    def counting(adj, holders=None):
+    def counting(adj):
         searches.append(len(adj))
-        return _mcs_certificate(adj, holders)
+        return _mcs_certificate(adj)
+
+    def counting_core(edges, s):
+        searches.append(len(s))
+        return _core_vertices(edges, s)
 
     monkeypatch.setattr(hypergraph, "_mcs_certificate", counting)
-    bad = find_bad_witness(h)
-    assert bad.shape == SHAPE_CYCLE
-    assert len(searches) <= len(bad.w) + 2
+    monkeypatch.setattr(hypergraph, "_core_vertices", counting_core)
+    for seed in (0x5EA, 1, 2, 3):
+        rng = random.Random(seed)
+        chord, hung = cyclic_variants(rng, random_acyclic_schema(rng, 90))
+        cases = [(hung, SHAPE_CLIQUE_COMPLEMENT)]
+        if seed == 0x5EA:
+            cases.append((chord, SHAPE_CYCLE))
+        for edges, shape in cases:
+            h = _hypergraph(edges)
+            assert len(h.vertices) >= 90
+            searches.clear()
+            bad = find_bad_witness(h)
+            assert bad.shape == shape
+            assert len(searches) <= len(bad.w) + 2
 
 
 def test_safe_deletion_ops():

@@ -355,14 +355,25 @@ def test_node_counts_pinned(make, first, every):
             assert search(db, OracleBudget(max_nodes=nodes - 1)) is EXHAUSTED
 
 
+_FIRST_WITNESS_DIGEST = ("e9fcb1c4cf2b0e3d6bdbad30c5e775c6"
+                         "0840c4a44eb1613a64179bb0498d8037")
+
+
 def test_first_witness_pinned():
     """The first witness of 3dct-dense-n7, as a digest of its sorted rows:
     a tie in the branching broken another way changes it, even where the
     node count holds."""
     w = solve_feasibility(_dense_3dct(7, 6, 3))
     digest = hashlib.sha256(repr(sorted(w.entries.items())).encode())
-    assert digest.hexdigest() == ("e9fcb1c4cf2b0e3d6bdbad30c5e775c6"
-                                  "0840c4a44eb1613a64179bb0498d8037")
+    assert digest.hexdigest() == _FIRST_WITNESS_DIGEST
+
+
+def test_decider_returns_the_pinned_witness():
+    """The triangle is a whole core, so the decider hands the database to
+    the oracle as it is and returns that same first witness, unglued."""
+    w = global_consistent(_dense_3dct(7, 6, 3), "oracle").witness
+    digest = hashlib.sha256(repr(sorted(w.entries.items())).encode())
+    assert digest.hexdigest() == _FIRST_WITNESS_DIGEST
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
