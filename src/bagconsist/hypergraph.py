@@ -6,12 +6,15 @@ GYO ear peel, ``_peel``, which leaves at most one edge iff the hypergraph
 is acyclic (its ears linked to their covers are ``join_tree()``, whose
 root is the edge left), and extraction of minimal non-chordal /
 non-conformal witness sets together with the safe-deletion sequences that
-expose them. A certificate of badness is a chordless cycle from the
-chordality search, or the vertices that two edges or more hold in the core
-the peel leaves. Minimising a witness set reuses it, and searches again
-only when the vertex it deletes lies in the certificate. A safe-deletion sequence is replayed once, with each edge named by its index
-in the input; lifting a database back along it refills deleted covered
-edges with their cover's marginal and deleted vertices with the value "0".
+expose them. The extraction peels once and searches the core the peel
+leaves, never the whole schema. A certificate of badness is a chordless
+cycle from the chordality search on the core's primal graph, or the
+vertices that two core edges or more hold. Minimising a witness set walks
+the core's vertices, reuses the certificate, and searches again only when
+the vertex it deletes lies in it. A safe-deletion sequence is replayed
+once, with each edge named by its index in the input; lifting a database
+back along it refills deleted covered edges with their cover's marginal
+and deleted vertices with the value "0".
 """
 from __future__ import annotations
 
@@ -222,7 +225,9 @@ def _peel(edges) -> tuple[list[tuple[int, int]], list[int]]:
 def _core_vertices(edges, s) -> Optional[set]:
     """The vertices held twice in the core :func:`_peel` leaves of the edges'
     traces on ``s`` (None if none): they induce a cyclic hypergraph, since a
-    peeled trace meets them inside its cover and the core stays ear-free."""
+    peeled trace meets them inside its cover and the core stays ear-free.
+    ``find_bad_witness`` passes the core's own edges and a set of core
+    vertices, so the peel here sees a handful of traces."""
     traces = [t for t in (e & s for e in edges) if t]
     held = Counter(v for i in _peel(traces)[1] for v in traces[i])
     return {v for v, n in held.items() if n > 1} or None
@@ -315,7 +320,8 @@ class SafeDeletionOp:
     """A vertex deletion or a covered-edge deletion, identified by value.
 
     ``cover`` names the covering edge for a covered-edge deletion; for
-    duplicate edges the cover may equal the target.
+    duplicate edges the cover may equal the target. Both are taken as sets
+    of vertex names, as a ``Hypergraph`` takes its edges.
     """
     kind: str
     vertex: Optional[str] = None
@@ -329,6 +335,8 @@ class SafeDeletionOp:
         elif self.kind == COVERED_EDGE_DELETION:
             if self.edge is None or self.cover is None:
                 raise HypergraphError("covered-edge-deletion needs edge and cover")
+            object.__setattr__(self, "edge", frozenset(map(str, self.edge)))
+            object.__setattr__(self, "cover", frozenset(map(str, self.cover)))
             if not self.edge <= self.cover:
                 raise HypergraphError("cover does not contain the deleted edge")
         else:
@@ -400,26 +408,33 @@ class BadWitness:
 
 
 def find_bad_witness(h: Hypergraph) -> Optional[BadWitness]:
-    """None iff the hypergraph is acyclic (chordal and conformal);
-    otherwise a minimal obstruction, preferring the non-chordal (cycle)
-    shape. A failed chordality search certifies the cycle shape; else the
-    peel's core, if it has two edges or more, certifies the clique
-    complement, since every cyclic induced sub-hypergraph of a chordal one
-    fails conformality.
+    """None iff the peel leaves at most one edge (the hypergraph is
+    acyclic); otherwise a minimal obstruction, preferring the non-chordal
+    (cycle) shape. Both searches run on the core the peel leaves: on any
+    vertex set S the ears' traces peel off in the same order, so H[S] is
+    cyclic iff the core's traces on S are, and an ear adds only vertices
+    whose neighbours form a clique, so H[S]'s primal graph has the core's
+    chordless cycles. A failed chordality search certifies the cycle shape;
+    else the core's doubly held vertices certify the clique complement,
+    since every cyclic induced sub-hypergraph of a chordal one fails
+    conformality.
     """
-    adj = h.primal_graph()
+    left = _peel(h.edges)[1]
+    if len(left) < 2:
+        return None
+    core_edges = [h.edges[i] for i in left]
+    core = Hypergraph(set().union(*core_edges), core_edges)
+    adj = core.primal_graph()
     cert = _mcs_certificate(adj)
     if cert is not None:
         shape = SHAPE_CYCLE
-        # the primal graph of H[S] is H's primal graph induced on S
+        # on core vertices, H[S]'s primal graph is the core's induced on S
         certify = lambda s: _mcs_certificate({u: adj[u] & s for u in s})
     else:
         shape = SHAPE_CLIQUE_COMPLEMENT
-        certify = lambda s: _core_vertices(h.edges, s)
-        cert = certify(set(h.vertices))
-        if cert is None:
-            return None
-    w = _minimize(h.vertices, cert, certify)
+        certify = lambda s: _core_vertices(core.edges, s)
+        cert = certify(set(core.vertices))
+    w = _minimize(core.vertices, cert, certify)
     ops, kept = _normalizing_ops(h, w)
     if not _matches_shape(kept, w, shape):
         raise AssertionError(

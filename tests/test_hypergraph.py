@@ -423,6 +423,38 @@ def _restart_minimize(h, bad):
     return w
 
 
+def _cores_with_ears(rng):
+    """A C_3..C_6, H_3..H_6 or K_4 core, its vertices named at random, with
+    random additions: ears that reuse an edge's vertices, edges that cover
+    one, duplicate edges, and disjoint paths or triangles."""
+    pool = ["%s%d" % (c, i) for c in "ABXZ" for i in range(9)]
+    names = iter(rng.sample(pool, len(pool)))
+    kind, n = rng.choice([("C", 3), ("C", 4), ("C", 5), ("C", 6), ("H", 3),
+                          ("H", 4), ("H", 5), ("H", 6), ("K", 4)])
+    core = [next(names) for _ in range(n)]
+    if kind == "C":
+        edges = [[core[i], core[(i + 1) % n]] for i in range(n)]
+    elif kind == "H":
+        edges = [[v for v in core if v != a] for a in core]
+    else:
+        edges = [list(e) for e in itertools.combinations(core, 2)]
+    for _ in range(rng.randint(1, 5)):
+        e = rng.choice(edges)
+        fresh = [next(names) for _ in range(rng.randint(0, 2))]
+        add = rng.choice(["reuse", "cover", "duplicate", "disjoint"])
+        if add == "reuse":
+            edges.append(rng.sample(e, rng.randint(1, len(e))) + fresh)
+        elif add == "cover":
+            edges.append(e + fresh + [next(names)])
+        elif add == "duplicate":
+            edges.append(list(e))
+        else:
+            a, b, c = (next(names) for _ in range(3))
+            edges.extend([[a, b], [b, c]] + [[a, c]] * rng.randint(0, 1))
+    rng.shuffle(edges)
+    return _hypergraph(edges)
+
+
 def test_find_bad_witness_matches_restart_reference():
     """The one-pass minimization over the linear acyclicity test finds the
     W that restarting after each deletion over Gilmore's test finds."""
@@ -431,6 +463,7 @@ def test_find_bad_witness_matches_restart_reference():
     for _ in range(3):
         schemas.extend(_hypergraph(e) for e in cyclic_variants(
             rng, random_acyclic_schema(rng, 20)))
+    schemas.extend(_cores_with_ears(rng) for _ in range(300))
     checked = 0
     for h in schemas:
         bad = find_bad_witness(h)
@@ -479,9 +512,10 @@ def test_find_bad_witness_and_classify_match_reference_on_wide_schemas(
 
 def test_find_bad_witness_searches_only_certificate_vertices(monkeypatch):
     """On a tree of 90 edges with a chord, and on four with a hung
-    triangle, the minimisation searches once for the whole schema and once
+    triangle, the minimisation searches once for the peel's core and once
     per vertex of a certificate, not once per vertex of the schema; a
-    search is a chordality search or a peel's core."""
+    search is a chordality search or a peel's core, and sees only the
+    vertices of the core the peel of the whole schema leaves."""
     searches = []
 
     def counting(adj):
@@ -503,10 +537,12 @@ def test_find_bad_witness_searches_only_certificate_vertices(monkeypatch):
         for edges, shape in cases:
             h = _hypergraph(edges)
             assert len(h.vertices) >= 90
+            core = set().union(*(h.edges[i] for i in _peel(h.edges)[1]))
             searches.clear()
             bad = find_bad_witness(h)
             assert bad.shape == shape
             assert len(searches) <= len(bad.w) + 2
+            assert max(searches) <= len(core) < len(h.vertices)
 
 
 def test_safe_deletion_ops():
@@ -521,6 +557,23 @@ def test_safe_deletion_ops():
     with pytest.raises(HypergraphError):
         SafeDeletionOp(COVERED_EDGE_DELETION, edge=frozenset(["A1", "A3"]),
                        cover=frozenset(["A1"]))
+    # an edge and cover given as lists are compared as sets: lists compare
+    # in order, so ["A1", "A3"] <= ["A2"] would hold
+    with pytest.raises(HypergraphError):
+        SafeDeletionOp(COVERED_EDGE_DELETION, edge=["A1", "A3"], cover=["A2"])
+    rng = random.Random(0x0B5)
+    checked = 0
+    while checked < 50:
+        h = random_hypergraph(rng)
+        bad = find_bad_witness(h)
+        if bad is None:
+            continue
+        as_lists = [op if op.edge is None else SafeDeletionOp(
+            op.kind, edge=sorted(op.edge)[::-1], cover=sorted(op.cover))
+            for op in bad.ops]
+        assert as_lists == list(bad.ops)
+        assert replay_ops(h, as_lists) == replay_ops(h, bad.ops)
+        checked += 1
 
 
 def test_find_bad_witness_shapes():
