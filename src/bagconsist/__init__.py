@@ -2,8 +2,9 @@
 
 Decides pairwise consistency, and global consistency through one decider,
 ``global_consistent``: one GYO ear peel splits the schema into ears, each
-checked against its cover, and a core that a brute-force oracle decides
-when it is small and cyclic; the ears are glued onto the core's witness.
+checked against its cover, and a core that a brute-force oracle decides,
+within its budget, when it is cyclic; the ears are glued onto the core's
+witness.
 Also classifies schema hypergraphs and generates counterexample and
 hardness-reduction instances. The max-flow characterisation of two-bag
 consistency is a test reference in ``bagconsist.flow``; only ``KERNEL``,

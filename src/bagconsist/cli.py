@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = positive answer (consistent / acyclic), 1 = negative answer,
-2 = usage or I/O error, 3 = resource exhausted (oracle budget, or a cyclic
-instance too large for the auto mode; ``global`` and ``witness`` name
-which on their first line).
+2 = usage or I/O error, 3 = resource exhausted: the oracle, which decides
+every cyclic core, spent its budget of join rows, nodes or seconds.
 
 Reports on stdout and the files the verbs write are
 ``json.dumps(data, indent=2, sort_keys=True)`` text plus a newline, with
@@ -30,6 +29,7 @@ from .consistency import (
     BagDatabase,
     DatabaseError,
     GLOBAL_NO,
+    GLOBAL_UNKNOWN,
     GLOBAL_YES,
     MAX_BUILT_ROWS,
     clique_hardness_lift,
@@ -246,20 +246,15 @@ def cmd_pairwise(args) -> int:
 
 def cmd_global(args) -> int:
     db = _load_db(args.db)
-    mode = "oracle" if args.oracle else "auto"
-    report = global_consistent(db, mode=mode, budget=_budget(args))
+    report = global_consistent(db, _budget(args))
     # the witness is written first, so a failed write prints no report
     if args.witness and report.witness is not None:
         _write_json(args.witness, report.witness)
-    if report.global_status == GLOBAL_YES:
-        line, code = "globally consistent", EXIT_OK
-    elif report.global_status == GLOBAL_NO:
-        line, code = "globally inconsistent", EXIT_NEGATIVE
-    elif report.oracle_exhausted:
-        line, code = "unknown (oracle budget exhausted)", EXIT_EXHAUSTED
-    else:
-        line, code = ("unknown (cyclic schema beyond oracle scope)",
-                      EXIT_EXHAUSTED)
+    line, code = {
+        GLOBAL_YES: ("globally consistent", EXIT_OK),
+        GLOBAL_NO: ("globally inconsistent", EXIT_NEGATIVE),
+        GLOBAL_UNKNOWN: ("unknown (oracle budget exhausted)", EXIT_EXHAUSTED),
+    }[report.global_status]
     print(line)
     _emit(report._json_layout())
     return code
@@ -370,20 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("global", help="global consistency of a database")
     p.add_argument("--db", required=True)
     p.add_argument("--oracle", action="store_true",
-                   help="force the brute-force oracle on cyclic schemas")
+                   help="no effect: the oracle decides every cyclic core")
     p.add_argument("--witness", metavar="OUT", default=None,
                    help="write the witness bag to this file")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_global)
 
-    # global --witness under another name, in auto mode
+    # global --witness under another name
     p = sub.add_parser("witness", help="global consistency, writing the "
                                        "witness (same as global --witness)")
     p.add_argument("--db", required=True)
     p.add_argument("-o", "--output", dest="witness", metavar="OUT",
                    required=True)
-    p.set_defaults(func=cmd_global, oracle=False, budget_nodes=None,
-                   budget_seconds=None)
+    p.set_defaults(func=cmd_global, budget_nodes=None, budget_seconds=None)
 
     p = sub.add_parser("counterexample",
                        help="pairwise-consistent, globally inconsistent instance")

@@ -7,10 +7,10 @@ witness is filled in by the northwest-corner rule, one shared-key group at
 a time. ``global_consistent`` is the one decider of global consistency,
 on one path for every schema: the GYO peel splits the schema into ears,
 each compared with its cover, and a core, compared pairwise; the oracle
-decides a core of two edges or more, and the ears are glued onto the
-core's witness, last removed first. An acyclic schema is the case with at
-most one edge left. All pairs are listed only to explain a no. Every finished
-witness is checked exactly once. Also houses the mod-d counterexample
+decides a core of two edges or more within its budget, and the ears are
+glued onto the core's witness, last removed first. An acyclic schema is
+the case with at most one edge left. All pairs are listed only to explain
+a no. Every finished witness is checked exactly once. Also houses the mod-d counterexample
 generator, safe-deletion lifting, and the hardness-reduction instance
 transformations.
 """
@@ -94,7 +94,11 @@ class ConsistencyReport:
     inconsistent_pairs: tuple
     global_status: str
     witness: Optional[Bag] = None
-    oracle_exhausted: bool = False
+
+    @property
+    def oracle_exhausted(self) -> bool:
+        """Only a spent oracle budget leaves the answer unknown."""
+        return self.global_status == GLOBAL_UNKNOWN
 
     @property
     def pairwise_ok(self) -> bool:
@@ -221,18 +225,16 @@ def inconsistent_pairs(db: BagDatabase, _marginal=None) -> list:
     return out
 
 
-def global_consistent(db: BagDatabase, mode: str = "auto",
+def global_consistent(db: BagDatabase,
                       budget: Optional[OracleBudget] = None) -> ConsistencyReport:
     """Peel the schema once (:func:`hypergraph._peel`). Unless each ear
     agrees with its cover and the core's bags pairwise, all pairs are listed
-    to explain a no. A core of two edges or more goes to the oracle, in
-    auto mode only if all the bag sizes' product fits
-    ``budget.max_join_support``. A yes glues the ears, last removed first,
-    onto the core's witness or bag (each one's overlap with the rows so far
-    lies in its cover), and the witness is checked exactly, once."""
-    if mode not in ("auto", "oracle"):
-        raise ValueError("mode must be 'auto' or 'oracle'")
-    budget = budget or OracleBudget()
+    to explain a no. A core of two edges or more goes to the oracle, whose
+    ``budget`` (join rows, nodes, seconds) alone decides when to stop: a
+    spent budget answers ``unknown-cyclic``. A yes glues the ears, last
+    removed first, onto the core's witness or bag (each one's overlap with
+    the rows so far lies in its cover), and the witness is checked exactly,
+    once."""
     edges = db.hypergraph.edges
     ears, core = _peel(edges)
     marginal = _marginal_memo(db.bags)
@@ -244,15 +246,11 @@ def global_consistent(db: BagDatabase, mode: str = "auto",
         return ConsistencyReport(bad_pairs, GLOBAL_NO)
     parts = tuple(db.bags[i] for i in core)
     if len(core) > 1:
-        if mode == "auto" and math.prod(
-                max(len(bag), 1) for bag in db.bags) > budget.max_join_support:
-            return ConsistencyReport((), GLOBAL_UNKNOWN)
         core_edges = [edges[i] for i in core]
         witness = solve_feasibility(BagDatabase(
             Hypergraph(set().union(*core_edges), core_edges), parts), budget)
         if witness is EXHAUSTED:
-            return ConsistencyReport((), GLOBAL_UNKNOWN,
-                                     oracle_exhausted=True)
+            return ConsistencyReport((), GLOBAL_UNKNOWN)
         if witness is None:
             return ConsistencyReport((), GLOBAL_NO)
         parts = (witness,)

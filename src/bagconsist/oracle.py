@@ -58,6 +58,8 @@ class OracleBudget:
         counts = (self.max_join_support, self.max_nodes)
         if any(c.__class__ is not int for c in counts):
             raise ValueError("budget counts must be integers")
+        if self.max_seconds.__class__ not in (int, float):
+            raise ValueError("the budget's seconds must be a number")
         if not (min(counts) > 0 and self.max_seconds > 0):
             raise ValueError("budget limits must be positive")
 

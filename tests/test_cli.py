@@ -205,8 +205,11 @@ _WITNESS_PARITY = {
     "acyclic-no": (1, "globally inconsistent"),
     "cyclic-yes": (0, "globally consistent"),
     "triangle-no": (1, "globally inconsistent"),
-    # pairwise consistent, with a join bound above the auto-mode cutoff
-    "auto-cutoff": (3, "unknown (cyclic schema beyond oracle scope)"),
+    # pairwise consistent; the bag sizes' product is above the join cap,
+    # the join's 101 rows are not
+    "large-product": (0, "globally consistent"),
+    # pairwise consistent; the first join step has 1,002,001 rows
+    "join-cap": (3, "unknown (oracle budget exhausted)"),
     "empty": (0, "globally consistent"),
     "malformed": (2, ""),
 }
@@ -215,9 +218,9 @@ _WITNESS_PARITY = {
 @pytest.mark.parametrize("case", list(_WITNESS_PARITY))
 def test_witness_verb_is_global_with_witness(tmp_path, capsys,
                                              triangle_relations, case):
-    """``witness -o W`` is ``global --witness W`` under another name: the
-    same stdout, stderr, exit code and witness file, cyclic schemas
-    included."""
+    """``witness -o W`` is ``global --witness W`` under another name, and
+    ``--oracle`` changes nothing: the same stdout, stderr, exit code and
+    witness file from all three, cyclic schemas included."""
     code, first_line = _WITNESS_PARITY[case]
     path_db = BagDatabase(path_hypergraph(3), (
         Bag(("A1", "A2"), {("0", "0"): 2, ("1", "0"): 1}),
@@ -233,21 +236,29 @@ def test_witness_verb_is_global_with_witness(tmp_path, capsys,
             "cyclic-yes": _triangle_of(Bag(("A", "B", "C"), {
                 ("0", "0", "0"): 2, ("1", "0", "1"): 1})),
             "triangle-no": triangle_relations,
-            "auto-cutoff": _triangle_of(Bag(("A", "B", "C"), {
+            "large-product": _triangle_of(Bag(("A", "B", "C"), {
                 (str(i), str(i), str(i)): 1 for i in range(101)})),
+            "join-cap": BagDatabase(Hypergraph(
+                ["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]]), (
+                Bag(("A", "B"), {(str(i), "0"): 1 for i in range(1001)}),
+                Bag(("B", "C"), {("0", str(i)): 1 for i in range(1001)}),
+                Bag(("A", "C"), {(str(i), str(i)): 1 for i in range(1001)}))),
             "empty": BagDatabase(Hypergraph([], []), ()),
         }[case].to_json_dict())
-    by_global, by_witness = tmp_path / "global.json", tmp_path / "w.json"
+    by_global = tmp_path / "global.json"
     assert run(["global", "--db", str(f), "--witness", str(by_global)]) == code
     expected = capsys.readouterr()
-    assert run(["witness", "--db", str(f), "-o", str(by_witness)]) == code
-    assert capsys.readouterr() == expected
     assert expected.out.split("\n", 1)[0] == first_line
     assert by_global.exists() == (code == 0)
-    if code == 0:
-        assert by_witness.read_bytes() == by_global.read_bytes()
-    else:
-        assert not by_witness.exists()
+    for name, verb in [("w.json", ["witness", "-o"]),
+                       ("oracle.json", ["global", "--oracle", "--witness"])]:
+        out_file = tmp_path / name
+        assert run(verb + [str(out_file), "--db", str(f)]) == code
+        assert capsys.readouterr() == expected
+        if code == 0:
+            assert out_file.read_bytes() == by_global.read_bytes()
+        else:
+            assert not out_file.exists()
 
 
 def test_counterexample_then_global(tmp_path, capsys):

@@ -345,7 +345,7 @@ def test_glue_decides_exactly_when_a_pair_disagrees(monkeypatch):
 
 
 def test_global_consistent_triangle(triangle_relations):
-    report = global_consistent(triangle_relations, mode="oracle")
+    report = global_consistent(triangle_relations)
     assert report.pairwise_ok
     assert report.global_status == "no"
     assert report.witness is None
@@ -359,29 +359,26 @@ def test_global_consistent_single_bag():
 
 
 def test_global_consistent_auto_cutoff():
-    # pairwise-consistent cyclic instance above the 10^6 join-support cutoff
+    """A pairwise-consistent triangle whose bag sizes' product, 101³, is
+    above ``max_join_support`` goes to the oracle like any cyclic core: its
+    join has 101 rows, and it answers yes with a witness that checks."""
     h = Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]])
     diag = Bag(("A", "B", "C"), {(str(i), str(i), str(i)): 1
                                  for i in range(101)})
     db = BagDatabase(h, tuple(diag.marginal(sorted(e)) for e in h.edges))
-    report = global_consistent(db, mode="auto")
-    assert report.pairwise_ok
-    assert report.global_status == "unknown-cyclic"
-    assert report.witness is None
-    # forcing the oracle decides it
-    forced = global_consistent(db, mode="oracle")
-    assert forced.global_status == "yes"
+    report = global_consistent(db)
+    assert report.pairwise_ok and report.global_status == "yes"
+    assert not report.oracle_exhausted and check_witness(report.witness, db)
 
 
 def test_auto_cutoff_reads_the_join_support_budget(monkeypatch):
-    """Auto mode runs the oracle iff the product of the bag sizes is at
-    most ``max_join_support``: at k it decides, at k + 1 it answers
-    unknown without calling the oracle."""
+    """``max_join_support`` caps the join itself: the 3-value diagonal
+    triangle's join has 3 rows, so at a cap of 3 the oracle decides yes, and
+    at 2 the budget is spent, each in one oracle call."""
     h = Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]])
     diag = Bag(("A", "B", "C"), {(str(i), str(i), str(i)): 1
                                  for i in range(3)})
     db = BagDatabase(h, tuple(diag.marginal(sorted(e)) for e in h.edges))
-    k = 3 ** 3
     calls = []
     solve = consistency.solve_feasibility
 
@@ -390,15 +387,12 @@ def test_auto_cutoff_reads_the_join_support_budget(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(consistency, "solve_feasibility", counting_solve)
-    fits = global_consistent(db, budget=OracleBudget(max_join_support=k))
-    assert fits.global_status == "yes" and len(calls) == 1
-    over = global_consistent(db, budget=OracleBudget(max_join_support=k - 1))
+    fits = global_consistent(db, OracleBudget(max_join_support=3))
+    assert fits.global_status == "yes" and check_witness(fits.witness, db)
+    assert not fits.oracle_exhausted and len(calls) == 1
+    over = global_consistent(db, OracleBudget(max_join_support=2))
     assert over.global_status == "unknown-cyclic" and over.witness is None
-    assert not over.oracle_exhausted and len(calls) == 1
-    # oracle mode ignores the cutoff and spends the same budget
-    forced = global_consistent(db, mode="oracle",
-                               budget=OracleBudget(max_join_support=k - 1))
-    assert forced.global_status == "yes" and len(calls) == 2
+    assert over.oracle_exhausted and len(calls) == 2
 
 
 def _hang_ears(rng, hypergraph, bags, count):
@@ -466,7 +460,7 @@ def test_decider_matches_oracle_on_cyclic_databases_with_ears():
             expected = solve_feasibility(case, budget)
             if expected is EXHAUSTED:
                 continue
-            report = global_consistent(case, "oracle", budget)
+            report = global_consistent(case, budget)
             assert report.global_status == ("no" if expected is None else "yes")
             assert report.inconsistent_pairs == tuple(inconsistent_pairs(case))
             if report.witness is not None:
@@ -476,16 +470,17 @@ def test_decider_matches_oracle_on_cyclic_databases_with_ears():
     assert sum(seen.values()) >= 400 and min(seen.values()) >= 50
 
 
-def test_auto_mode_leaves_tree_plus_chord_unknown():
-    """The auto cutoff reads the whole database's bag sizes, not the
-    core's: a pairwise-consistent tree with a chord stays unknown."""
+def test_tree_plus_chord_is_decided():
+    """A pairwise-consistent 90-edge tree with a chord goes to the oracle
+    on the core its peel leaves, and answers yes with a witness that
+    checks."""
     rng = random.Random(0xC0DE)
     chord, _ = cyclic_variants(rng, random_acyclic_schema(rng, 90))
     db = database_of(chord, random_global_bag(
         rng, {v for e in chord for v in e}, 12))
     report = global_consistent(db)
-    assert report.pairwise_ok and report.global_status == "unknown-cyclic"
-    assert not report.oracle_exhausted
+    assert report.pairwise_ok and report.global_status == "yes"
+    assert check_witness(report.witness, db)
 
 
 def test_global_consistent_rechecks_oracle_witness(monkeypatch):
@@ -498,11 +493,6 @@ def test_global_consistent_rechecks_oracle_witness(monkeypatch):
     monkeypatch.setattr(consistency, "solve_feasibility", lambda db, budget: wrong)
     with pytest.raises(AssertionError):
         global_consistent(db)
-
-
-def test_global_consistent_bad_mode(triangle_relations):
-    with pytest.raises(ValueError):
-        global_consistent(triangle_relations, mode="bogus")
 
 
 def test_tseitin_c3(triangle_relations):

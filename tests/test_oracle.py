@@ -50,7 +50,10 @@ def test_budget_validation():
                    # join's slice
                    {"max_seconds": float("nan")}, {"max_join_support": 0.5},
                    {"max_nodes": True}, {"max_nodes": 2.5},
-                   {"max_join_support": False}):
+                   {"max_join_support": False},
+                   # only an int or a float is a number of seconds
+                   {"max_seconds": True}, {"max_seconds": "5"},
+                   {"max_seconds": None}):
         with pytest.raises(ValueError):
             OracleBudget(**limits)
 
@@ -371,7 +374,7 @@ def test_first_witness_pinned():
 def test_decider_returns_the_pinned_witness():
     """The triangle is a whole core, so the decider hands the database to
     the oracle as it is and returns that same first witness, unglued."""
-    w = global_consistent(_dense_3dct(7, 6, 3), "oracle").witness
+    w = global_consistent(_dense_3dct(7, 6, 3)).witness
     digest = hashlib.sha256(repr(sorted(w.entries.items())).encode())
     assert digest.hexdigest() == _FIRST_WITNESS_DIGEST
 
