@@ -16,6 +16,7 @@ which converts numeric cells and reports the first fault in tuple order.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
@@ -68,14 +69,18 @@ def make_schema(attrs: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(attrs))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Bag:
     """A finite bag over a schema of named, string-valued attributes.
 
     Stored entries always have strictly positive multiplicity; the support
-    is exactly the key set of ``entries``.
+    is exactly the key set of ``entries``. A frozen dataclass, compared by
+    both fields; immutability is shallow: ``entries`` is a plain dict that
+    callers must not mutate, since the hash reads it.
     """
 
-    __slots__ = ("schema", "entries")
+    schema: tuple[str, ...]
+    entries: dict[Row, int]
 
     def __init__(self, schema: Iterable[str],
                  entries: Union[Mapping[Row, int], Iterable[tuple[Row, int]]] = ()):
@@ -108,15 +113,7 @@ class Bag:
         _set_entries(bag, entries)
         return bag
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Bag is immutable")
-
     # -- basic protocol ----------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Bag):
-            return NotImplemented
-        return self.schema == other.schema and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.schema, frozenset(self.entries.items())))
@@ -215,8 +212,7 @@ class Bag:
         return cls._trusted(schema, entries)
 
 
-# the slots' own setters, which bypass the __setattr__ that keeps bags
-# immutable
+# the slots' own setters, which bypass the frozen dataclass's __setattr__
 _set_schema = Bag.schema.__set__
 _set_entries = Bag.entries.__set__
 

@@ -353,7 +353,7 @@ def cycle_hardness_lift(db: BagDatabase) -> BagDatabase:
     if m < 3 or db.hypergraph != cycle_hypergraph(m):
         raise DatabaseError("input must be a database over C_%d (n >= 3)" % m)
     n = m + 1
-    a_last, a_new = "A%d" % m, "A%d" % n
+    a_new = "A%d" % n
     old_last = db.bags[-1]  # schema {A1, A_{n-1}}
     stretched = _reshaped(old_last, {"A1": a_new})
     ring_marg = old_last.marginal(["A1"])

@@ -32,15 +32,18 @@ class HypergraphError(ValueError):
     pass
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Hypergraph:
     """A vertex set plus an ordered list of hyperedges.
 
     The edge list need not be reduced: covered and duplicate edges are
     allowed (bags in a database are aligned with edges by position). Every
-    vertex must have a non-empty name and lie in some edge.
+    vertex must have a non-empty name and lie in some edge. A frozen
+    dataclass, compared and hashed by both fields.
     """
 
-    __slots__ = ("vertices", "edges")
+    vertices: tuple[str, ...]
+    edges: tuple[Edge, ...]
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Iterable[str]]):
         vs = tuple(sorted(set(map(str, vertices))))
@@ -58,17 +61,6 @@ class Hypergraph:
             raise HypergraphError("vertices %r lie in no edge" % (sorted(bare),))
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", es)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hypergraph is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Hypergraph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
     def __repr__(self):
         return "Hypergraph(%r, %r)" % (list(self.vertices),
@@ -321,7 +313,8 @@ class SafeDeletionOp:
 
     ``cover`` names the covering edge for a covered-edge deletion; for
     duplicate edges the cover may equal the target. Both are taken as sets
-    of vertex names, as a ``Hypergraph`` takes its edges.
+    of vertex names, and ``vertex`` as a name, as a ``Hypergraph`` takes
+    its vertices and edges.
     """
     kind: str
     vertex: Optional[str] = None
@@ -332,6 +325,7 @@ class SafeDeletionOp:
         if self.kind == VERTEX_DELETION:
             if self.vertex is None:
                 raise HypergraphError("vertex-deletion needs a vertex")
+            object.__setattr__(self, "vertex", str(self.vertex))
         elif self.kind == COVERED_EDGE_DELETION:
             if self.edge is None or self.cover is None:
                 raise HypergraphError("covered-edge-deletion needs edge and cover")

@@ -43,6 +43,9 @@ class _Exhausted:
     def __repr__(self):
         return "EXHAUSTED"
 
+    def __reduce__(self):  # copies and unpickles as the module's singleton
+        return "EXHAUSTED"
+
 
 EXHAUSTED = _Exhausted()
 

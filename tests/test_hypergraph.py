@@ -561,6 +561,11 @@ def test_safe_deletion_ops():
     # in order, so ["A1", "A3"] <= ["A2"] would hold
     with pytest.raises(HypergraphError):
         SafeDeletionOp(COVERED_EDGE_DELETION, edge=["A1", "A3"], cover=["A2"])
+    # a vertex given as an int is a name, as the hypergraph's vertices are
+    op = SafeDeletionOp(VERTEX_DELETION, vertex=3)
+    assert op == SafeDeletionOp(VERTEX_DELETION, vertex="3")
+    h4 = Hypergraph([1, 2, 3], [[1, 2], [2, 3], [1, 2]])
+    assert replay_ops(h4, [op]) == Hypergraph([1, 2], [[1, 2], [2], [1, 2]])
     rng = random.Random(0x0B5)
     checked = 0
     while checked < 50:
