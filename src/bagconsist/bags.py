@@ -69,7 +69,7 @@ def make_schema(attrs: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(attrs))
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Bag:
     """A finite bag over a schema of named, string-valued attributes.
 
@@ -84,7 +84,7 @@ class Bag:
 
     def __init__(self, schema: Iterable[str],
                  entries: Union[Mapping[Row, int], Iterable[tuple[Row, int]]] = ()):
-        _set_schema(self, make_schema(schema))
+        object.__setattr__(self, "schema", make_schema(schema))
         items = entries.items() if isinstance(entries, Mapping) else entries
         acc: dict[Row, int] = {}
         width = len(self.schema)
@@ -100,7 +100,7 @@ class Bag:
                 raise ValueError("negative multiplicity for %r" % (row,))
             if mult:
                 acc[row] = acc.get(row, 0) + mult
-        _set_entries(self, acc)
+        object.__setattr__(self, "entries", acc)
 
     @classmethod
     def _trusted(cls, schema: tuple[str, ...], entries: dict[Row, int]) -> "Bag":
@@ -109,8 +109,8 @@ class Bag:
         are: for results of operations on bags, which are valid by
         construction."""
         bag = object.__new__(cls)
-        _set_schema(bag, schema)
-        _set_entries(bag, entries)
+        object.__setattr__(bag, "schema", schema)
+        object.__setattr__(bag, "entries", entries)
         return bag
 
     # -- basic protocol ----------------------------------------------------
@@ -211,10 +211,6 @@ class Bag:
             entries = _entries_by_tuple(schema, get, tuples)
         return cls._trusted(schema, entries)
 
-
-# the slots' own setters, which bypass the frozen dataclass's __setattr__
-_set_schema = Bag.schema.__set__
-_set_entries = Bag.entries.__set__
 
 _values = itemgetter("values")
 _mult = itemgetter("mult")

@@ -198,13 +198,9 @@ def _write_json(path: str, data) -> None:
 
 
 def _budget(args) -> OracleBudget:
-    kwargs = {}
-    if args.budget_nodes is not None:
-        kwargs["max_nodes"] = args.budget_nodes
-    if args.budget_seconds is not None:
-        kwargs["max_seconds"] = args.budget_seconds
     try:
-        return OracleBudget(**kwargs)
+        return OracleBudget(max_nodes=args.budget_nodes,
+                            max_seconds=args.budget_seconds)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -341,9 +337,10 @@ def cmd_enumerate(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 def _add_budget_flags(p) -> None:
-    p.add_argument("--budget-nodes", type=int, default=None,
+    p.add_argument("--budget-nodes", type=int, default=OracleBudget.max_nodes,
                    help="oracle search-node ceiling")
-    p.add_argument("--budget-seconds", type=float, default=None,
+    p.add_argument("--budget-seconds", type=float,
+                   default=OracleBudget.max_seconds,
                    help="oracle wall-clock ceiling")
 
 
@@ -377,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True)
     p.add_argument("-o", "--output", dest="witness", metavar="OUT",
                    required=True)
-    p.set_defaults(func=cmd_global, budget_nodes=None, budget_seconds=None)
+    _add_budget_flags(p)
+    p.set_defaults(func=cmd_global)
 
     p = sub.add_parser("counterexample",
                        help="pairwise-consistent, globally inconsistent instance")

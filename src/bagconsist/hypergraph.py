@@ -32,7 +32,7 @@ class HypergraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Hypergraph:
     """A vertex set plus an ordered list of hyperedges.
 

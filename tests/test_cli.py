@@ -210,6 +210,8 @@ _WITNESS_PARITY = {
     "large-product": (0, "globally consistent"),
     # pairwise consistent; the first join step has 1,002,001 rows
     "join-cap": (3, "unknown (oracle budget exhausted)"),
+    # feasible, but its search needs more than the one node allowed
+    "budget-spent": (3, "unknown (oracle budget exhausted)"),
     "empty": (0, "globally consistent"),
     "malformed": (2, ""),
 }
@@ -220,8 +222,10 @@ def test_witness_verb_is_global_with_witness(tmp_path, capsys,
                                              triangle_relations, case):
     """``witness -o W`` is ``global --witness W`` under another name, and
     ``--oracle`` changes nothing: the same stdout, stderr, exit code and
-    witness file from all three, cyclic schemas included."""
+    witness file from all three, cyclic schemas and budget flags
+    included."""
     code, first_line = _WITNESS_PARITY[case]
+    flags = ["--budget-nodes", "1"] if case == "budget-spent" else []
     path_db = BagDatabase(path_hypergraph(3), (
         Bag(("A1", "A2"), {("0", "0"): 2, ("1", "0"): 1}),
         Bag(("A2", "A3"), {("0", "1"): 2, ("0", "0"): 1})))
@@ -243,17 +247,21 @@ def test_witness_verb_is_global_with_witness(tmp_path, capsys,
                 Bag(("A", "B"), {(str(i), "0"): 1 for i in range(1001)}),
                 Bag(("B", "C"), {("0", str(i)): 1 for i in range(1001)}),
                 Bag(("A", "C"), {(str(i), str(i)): 1 for i in range(1001)}))),
+            "budget-spent": encode_3dct([[6, 3, 3], [6, 2, 5], [6, 3, 5]],
+                                        [[5, 4, 5], [5, 1, 2], [8, 3, 6]],
+                                        [[4, 3, 5], [2, 5, 6], [8, 0, 6]]),
             "empty": BagDatabase(Hypergraph([], []), ()),
         }[case].to_json_dict())
     by_global = tmp_path / "global.json"
-    assert run(["global", "--db", str(f), "--witness", str(by_global)]) == code
+    assert run(["global", "--db", str(f), "--witness", str(by_global)]
+               + flags) == code
     expected = capsys.readouterr()
     assert expected.out.split("\n", 1)[0] == first_line
     assert by_global.exists() == (code == 0)
     for name, verb in [("w.json", ["witness", "-o"]),
                        ("oracle.json", ["global", "--oracle", "--witness"])]:
         out_file = tmp_path / name
-        assert run(verb + [str(out_file), "--db", str(f)]) == code
+        assert run(verb + [str(out_file), "--db", str(f)] + flags) == code
         assert capsys.readouterr() == expected
         if code == 0:
             assert out_file.read_bytes() == by_global.read_bytes()

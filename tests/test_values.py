@@ -1,7 +1,9 @@
 """The value types copy, deep-copy and pickle to equal values, ``EXHAUSTED``
-to itself; ``Bag`` and ``Hypergraph`` refuse assignment and deletion; and
-a spawn process pool decides databases and returns their answers."""
+to itself; ``Bag`` and ``Hypergraph`` refuse assignment and deletion of
+any name; and a spawn process pool decides databases and returns their
+answers."""
 import copy
+import dataclasses
 import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -88,6 +90,11 @@ def test_fields_refuse_assignment_and_deletion(value, fields):
             setattr(value, name, getattr(value, name))
         with pytest.raises(AttributeError):
             delattr(value, name)
+    # a name that is not a field is refused the same way
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.other = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del value.other
 
 
 def test_equal_bags_hash_equal():
