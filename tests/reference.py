@@ -38,6 +38,12 @@ one), then one scan of the rows with that many for the smallest demand
 left, the lowest index first. ``oracle._branch_row`` must return the same
 pair.
 
+``reference_northwest_glue`` is the acyclic glue as it was before its rows
+became lists extended in place: each cell a new tuple ``lrow + rrow``, so
+every row is copied at its full width at every step, and both sides
+grouped by ``bags._row_key`` through ``dict.setdefault``. The production
+glue must build the same witness, entries in the same order.
+
 ``two_bag_witness`` decides two-bag consistency by the max-flow
 characterisation: some witness from a saturated integral max flow, checked
 exactly. It shares no code with the northwest-corner glue, so the tests use
@@ -84,7 +90,7 @@ from bagconsist.hypergraph import (
     _connected,
     _matches_shape,
 )
-from bagconsist.bags import SchemaMismatchError, make_schema
+from bagconsist.bags import SchemaMismatchError, _row_key, make_schema
 from bagconsist.oracle import EXHAUSTED, _build_system
 
 
@@ -214,6 +220,56 @@ def two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
     if witness.marginal(r.schema) != r or witness.marginal(s.schema) != s:
         raise AssertionError("constructed an invalid two-bag witness")
     return witness
+
+
+def reference_northwest_glue(bags) -> Bag:
+    """Glue the bags, in order, onto one growing list of (row, mult) pairs.
+    Each bag must agree with the rows so far on their shared marginal; the
+    callers check that first, and check the result exactly.
+
+    Each step groups both sides by their value on the shared attributes,
+    keeping the rows so far as the immutable pairs they are, and fills
+    every group by one northwest-corner merge: the left rows in order
+    against one iterator over the right rows, the two masses left in two
+    counters (each bag's rows come in canonical order, the rows so far in
+    the order they were made). Each cell appends the bag's new attributes
+    to its left row. Rows are permuted into schema order once, at the end.
+    Along a running-intersection order each step is a minimal two-bag
+    witness, so the result has at most sum |supp B_i| - (m - 1) rows. No
+    bags glue to the empty bag.
+    """
+    if not bags:
+        return Bag((), {})
+    first = bags[0]
+    at = {a: k for k, a in enumerate(first.schema)}
+    cells = sorted(first.entries.items())
+    for bag in bags[1:]:
+        key = _row_key([at[a] for a in bag.schema if a in at])
+        bag_key = _row_key([k for k, a in enumerate(bag.schema) if a in at])
+        new = [k for k, a in enumerate(bag.schema) if a not in at]
+        new_cells = _row_key(new)
+        groups: dict = {}
+        for cell in cells:
+            groups.setdefault(key(cell[0]), ([], []))[0].append(cell)
+        for row, mult in sorted(bag.entries.items()):
+            groups[bag_key(row)][1].append((new_cells(row), mult))
+        cells = []
+        for left, right in groups.values():
+            right = iter(right)
+            rmass = 0
+            for lrow, lmass in left:
+                while lmass:
+                    if not rmass:
+                        rrow, rmass = next(right)
+                    mult = min(lmass, rmass)
+                    cells.append((lrow + rrow, mult))
+                    lmass -= mult
+                    rmass -= mult
+        for k in new:
+            at[bag.schema[k]] = len(at)
+    schema = make_schema(at)
+    pick = _row_key([at[a] for a in schema])
+    return Bag._trusted(schema, {pick(row): mult for row, mult in cells})
 
 
 def reference_branch_row(free, rem):

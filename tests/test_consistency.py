@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -45,6 +47,7 @@ from conftest import (
 from reference import (
     reference_find_bad_witness,
     reference_lift,
+    reference_northwest_glue,
     reference_replay_ops,
     two_bag_witness,
 )
@@ -243,6 +246,84 @@ def test_chained_witness_rechecked(monkeypatch):
     monkeypatch.setattr(consistency, "_northwest_glue", lambda bags: wrong)
     with pytest.raises(AssertionError):
         global_consistent(db)
+
+
+def test_glue_matches_reference(monkeypatch):
+    """The glue builds the reference glue's witness, entries in the same
+    order, on every collection ``global_consistent`` hands it: random
+    acyclic databases whose cells split, ones with an empty overlap (a new
+    component) or with empty bags, and cyclic variants of them, whose ears
+    glue onto the oracle's witness."""
+    glue, calls = consistency._northwest_glue, []
+
+    def recorded(bags):
+        calls.append((bags, glue(bags)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(consistency, "_northwest_glue", recorded)
+    rng = random.Random(0x61BE)
+    seen = {"split": 0, "new component": 0, "empty": 0, "oracle core": 0}
+    for n in range(300):
+        # a chord needs two attributes at distance three: longer schemas
+        cyclic = n % 3 == 0
+        edges = random_acyclic_schema(rng, rng.randint(20, 30) if cyclic
+                                      else rng.randint(2, 7))
+        rows = 0 if n % 10 == 0 else rng.randint(1, 10)
+        g = random_global_bag(rng, {v for e in edges for v in e} | {"T"},
+                              rows, max_mult=4)
+        variants = cyclic_variants(rng, edges) if cyclic else ()
+        for k, schema in enumerate([edges, *variants]):
+            del calls[:]
+            report = global_consistent(database_of(schema, g))
+            assert report.global_status == "yes"
+            for bags, witness in calls:
+                expected = reference_northwest_glue(bags)
+                assert witness.schema == expected.schema
+                assert witness.entries == expected.entries
+                assert list(witness.entries) == list(expected.entries)
+                seen["split"] += len(witness) > len(bags[0])
+                seen["empty"] += not witness
+                seen["oracle core"] += k > 0
+                union = set(bags[0].schema)
+                for bag in bags[1:]:
+                    seen["new component"] += union.isdisjoint(bag.schema)
+                    union.update(bag.schema)
+    assert min(seen.values()) >= 20, seen
+
+
+_GLUED_WITNESS_DIGEST = ("cc1cc6ee52b5b46830f67c418d448b85"
+                         "82e5b545ac358f01cf5fa082077751ef")
+
+
+def test_glued_witness_pinned():
+    """The witness glued on one seeded 12-edge acyclic database, as a
+    digest of its sorted rows. Its cells split (53 rows, against at most
+    20 in a bag), so a glue that pairs the masses another way changes it."""
+    rng = random.Random(0x6105)
+    edges = random_acyclic_schema(rng, 12)
+    db = database_of(edges, random_global_bag(
+        rng, {v for e in edges for v in e}, 30, max_mult=6))
+    w = global_consistent(db).witness
+    assert len(w) > max(map(len, db.bags))
+    digest = hashlib.sha256(repr(sorted(w.entries.items())).encode())
+    assert digest.hexdigest() == _GLUED_WITNESS_DIGEST
+
+
+def test_glue_is_near_linear():
+    """A 20,000-edge chain of 9-row bags answers yes in well under 5 s: a
+    row's last cell extends it in place, so no row is copied at its full
+    width at every step (the witness has 9 rows over 20,001 attributes;
+    copying every row at every step took 6.8 s on a 2-vCPU Xeon VM, and
+    the glue that extends rows in place 0.8 s)."""
+    m = 20_000
+    names = ["X%d" % i for i in range(m + 1)]
+    full = {(a, b): 1 for a in "012" for b in "012"}
+    db = BagDatabase(Hypergraph(names, [names[i:i + 2] for i in range(m)]),
+                     tuple(Bag(names[i:i + 2], full) for i in range(m)))
+    start = time.monotonic()
+    report = global_consistent(db)
+    assert time.monotonic() - start < 5.0
+    assert report.global_status == "yes" and len(report.witness) == 9
 
 
 def _move_one_unit(rng, bag):
