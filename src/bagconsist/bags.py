@@ -4,8 +4,9 @@ Bags map tuples over a fixed schema to positive integer multiplicities.
 All arithmetic is exact (Python ints).
 
 Every per-row key (a marginal's group, ``Bag.join``'s bucket and merged
-row, a parsed JSON row, and each step of the oracle's own support join)
-comes from one C-level getter built by :func:`_row_key`. Marginals are
+row, a parsed JSON row, each step of the oracle's own support join, and
+the witness glue's groups) comes from one getter built here: a row by
+:func:`_row_key`, a glue group by :func:`_group_key`. Marginals are
 summed in one place, :func:`_summed`: ``Bag.marginal``, the witness check
 and the deciders hand it cell positions, and on none it gives the total
 mass without a pass over the rows. A serialized bag whose tuples are all
@@ -34,6 +35,12 @@ def _row_key(positions) -> Callable:
         (p,) = positions
         return lambda row: (row[p],)
     return lambda row: ()
+
+
+def _group_key(positions) -> Callable:
+    """``operator.itemgetter`` at ``positions`` (a cell for one, a tuple
+    for more), or a constant for none: a group key, never a row."""
+    return itemgetter(*positions) if positions else _row_key(positions)
 
 
 def _summed(positions, entries: Mapping[Row, int]) -> dict:

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 = positive answer (consistent / acyclic), 1 = negative answer,
-2 = usage or I/O error, 3 = resource exhausted: the oracle, which decides
+2 = usage or input error, 3 = resource exhausted: the oracle, which decides
 every cyclic core, spent its budget of join rows, nodes or seconds.
+A ``ValueError`` from any verb is an input error, printed as one ``error:``
+line with exit 2; any other exception propagates from ``run``, and the
+command exits 2 with its traceback.
 
 Reports on stdout and the files the verbs write are
 ``json.dumps(data, indent=2, sort_keys=True)`` text plus a newline, with
@@ -27,7 +30,6 @@ from json.encoder import encode_basestring_ascii
 from .bags import Bag
 from .consistency import (
     BagDatabase,
-    DatabaseError,
     GLOBAL_NO,
     GLOBAL_UNKNOWN,
     GLOBAL_YES,
@@ -55,7 +57,8 @@ EXIT_EXHAUSTED = 3
 
 
 class CliError(Exception):
-    """Usage or I/O problem; maps to exit code 2."""
+    """Usage or I/O problem; maps to exit code 2. Not a ``ValueError``, so
+    ``_load`` does not wrap an error of ``_load_json`` a second time."""
 
 
 def _load_json(path: str):
@@ -198,11 +201,8 @@ def _write_json(path: str, data) -> None:
 
 
 def _budget(args) -> OracleBudget:
-    try:
-        return OracleBudget(max_nodes=args.budget_nodes,
-                            max_seconds=args.budget_seconds)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return OracleBudget(max_nodes=args.budget_nodes,
+                        max_seconds=args.budget_seconds)
 
 
 def _emit(obj) -> None:
@@ -283,10 +283,7 @@ def cmd_lift(args) -> int:
     if bad is None:
         raise CliError("target schema is acyclic; there is no bad-witness "
                        "reduction to lift along")
-    try:
-        lifted = lift_collection(db, target, bad.ops)
-    except ValueError as exc:  # DatabaseError included
-        raise CliError(str(exc))
+    lifted = lift_collection(db, target, bad.ops)
     _write_json(args.output, lifted._json_layout())
     print("lifted database written to %s" % args.output)
     return EXIT_OK
@@ -294,13 +291,10 @@ def cmd_lift(args) -> int:
 
 def cmd_harden(args) -> int:
     db = _load_db(args.db)
-    try:
-        if args.to == "cycle":
-            out = cycle_hardness_lift(db)
-        else:
-            out = clique_hardness_lift(db)
-    except DatabaseError as exc:
-        raise CliError(str(exc))
+    if args.to == "cycle":
+        out = cycle_hardness_lift(db)
+    else:
+        out = clique_hardness_lift(db)
     _write_json(args.output, out._json_layout())
     print("hardened database written to %s" % args.output)
     return EXIT_OK
@@ -310,10 +304,7 @@ def cmd_encode_3dct(args) -> int:
     data = _load_json(args.tables)
     if not isinstance(data, dict) or not {"R", "C", "F"} <= set(data):
         raise CliError("tables file must be a JSON object with keys R, C, F")
-    try:
-        db = encode_3dct(data["R"], data["C"], data["F"])
-    except ValueError as exc:
-        raise CliError(str(exc))
+    db = encode_3dct(data["R"], data["C"], data["F"])
     _write_json(args.output, db._json_layout())
     print("3DCT database written to %s" % args.output)
     return EXIT_OK
@@ -321,11 +312,7 @@ def cmd_encode_3dct(args) -> int:
 
 def cmd_enumerate(args) -> int:
     db = _load_db(args.db)
-    budget = _budget(args)
-    try:
-        result = enumerate_witnesses(db, budget)
-    except ValueError as exc:  # a database with no bags
-        raise CliError(str(exc))
+    result = enumerate_witnesses(db, _budget(args))
     if result is EXHAUSTED:
         print("oracle budget exhausted")
         return EXIT_EXHAUSTED
@@ -425,7 +412,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # a library ValueError is bad input
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,10 +23,9 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Optional
 
-from .bags import Bag, _row_key, _summed, make_schema
+from .bags import Bag, _group_key, _row_key, _summed, make_schema
 # unused here: the benchmark's tracer wraps these three names in this module
 from .flow import build_network, max_flow, suppress_middle_arc
 from .hypergraph import (
@@ -154,12 +153,6 @@ def minimal_two_bag_witness(r: Bag, s: Bag) -> Optional[Bag]:
     if witness.marginal(r.schema) != r or witness.marginal(s.schema) != s:
         raise AssertionError("constructed an invalid two-bag witness")
     return witness
-
-
-def _group_key(positions):
-    """``operator.itemgetter`` at ``positions`` (a cell for one, a tuple
-    for more), or a constant for none: a group key, never a row."""
-    return itemgetter(*positions) if positions else _row_key(positions)
 
 
 def _northwest_glue(bags) -> Bag:

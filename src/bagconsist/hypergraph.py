@@ -479,7 +479,7 @@ def _normalizing_ops(h: Hypergraph, w: set):
     for e in victims:
         cover = next((f for f in kept if e <= f), None)
         if cover is None:
-            raise HypergraphError("no cover available for %r" % (sorted(e),))
+            raise AssertionError("no cover available for %r" % (sorted(e),))
         ops.append(SafeDeletionOp(COVERED_EDGE_DELETION, edge=e, cover=cover))
     return ops, kept
 

@@ -105,7 +105,8 @@ def random_acyclic_schema(rng: random.Random, num_edges: int) -> list:
 def cyclic_variants(rng, edges):
     """The edges plus one edge joining two attributes at primal distance
     three or more (a chordless cycle), and the edges plus a fresh attribute
-    T tied to two attributes of one edge (a triangle no edge covers)."""
+    T tied to two attributes of one edge (a triangle no edge covers); either
+    is None when the tree has no such pair or no such edge."""
     adj = {}
     for e in edges:
         for a in e:
@@ -124,8 +125,10 @@ def cyclic_variants(rng, edges):
         if far:
             chord = edges + [[a, rng.choice(far)]]
             break
-    assert chord is not None
-    x, y = rng.sample(rng.choice([e for e in edges if len(e) >= 2]), 2)
+    hosts = [e for e in edges if len(e) >= 2]
+    if not hosts:
+        return chord, None
+    x, y = rng.sample(rng.choice(hosts), 2)
     return chord, edges + [[x, "T"], [y, "T"]]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -614,6 +615,53 @@ def test_main_exits_2_on_a_crash(triangle_db_file, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("Traceback (most recent call last):\n")
     assert err.endswith("RuntimeError: boom\n")
+
+
+# each verb's arguments (files in the current directory) and the library
+# call it makes once its input is loaded, as (owner, attribute)
+_LIBRARY_CALLS = {
+    "classify": (["--schema", "c4.json"], Hypergraph, "join_tree"),
+    "pairwise": (["--db", "db.json"], cli, "inconsistent_pairs"),
+    "global": (["--db", "db.json", "--witness", "out.json"],
+               cli, "global_consistent"),
+    "witness": (["--db", "db.json", "-o", "out.json"],
+                cli, "global_consistent"),
+    "counterexample": (["--shape", "cycle", "--n", "4", "-o", "out.json"],
+                       cli, "tseitin_counterexample"),
+    "lift": (["--db", "db.json", "--schema", "c4.json", "-o", "out.json"],
+             cli, "lift_collection"),
+    "harden": (["--db", "db.json", "--to", "cycle", "-o", "out.json"],
+               cli, "cycle_hardness_lift"),
+    "encode-3dct": (["--tables", "tables.json", "-o", "out.json"],
+                    cli, "encode_3dct"),
+    "enumerate": (["--db", "db.json"], cli, "enumerate_witnesses"),
+}
+
+
+def _verbs():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices)
+
+
+@pytest.mark.parametrize("verb", _verbs())
+def test_library_value_error_exits_2_from_every_verb(
+        tmp_path, capsys, monkeypatch, triangle_relations, verb):
+    """A ValueError from the library call of any verb is an input error:
+    one ``error:`` line, exit 2, no report and no file. An AssertionError
+    from the same call is a broken invariant and propagates from ``run``."""
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "db.json", triangle_relations.to_json_dict())
+    _write(tmp_path / "c4.json", cycle_hypergraph(4).to_json_dict())
+    _write(tmp_path / "tables.json", {"R": [1], "C": [1], "F": [1]})
+    args, owner, name = _LIBRARY_CALLS[verb]
+    monkeypatch.setattr(owner, name, _crash(ValueError("boom")))
+    assert run([verb] + args) == 2
+    assert capsys.readouterr() == ("", "error: boom\n")
+    assert not (tmp_path / "out.json").exists()
+    monkeypatch.setattr(owner, name, _crash(AssertionError("boom")))
+    with pytest.raises(AssertionError, match="boom"):
+        run([verb] + args)
 
 
 def test_usage_errors(tmp_path, capsys):

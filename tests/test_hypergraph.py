@@ -354,6 +354,21 @@ def test_peel_cores_of_cyclic_variants():
         assert hung[core[0]] >= (hung[-2] | hung[-1]) - {"T"}
 
 
+def test_cyclic_variants_of_small_trees():
+    """On 2-7-edge trees a variant the tree cannot have is None, and every
+    other one is cyclic: its peel leaves a core of two edges or more."""
+    rng = random.Random(0x5A11)
+    seen = {"chord": set(), "triangle": set()}
+    for _ in range(300):
+        edges = random_acyclic_schema(rng, rng.randint(2, 7))
+        for name, v in zip(seen, cyclic_variants(rng, edges)):
+            seen[name].add(v is None)
+            if v is not None:
+                assert len(_peel([frozenset(e) for e in v])[1]) >= 2
+    # both outcomes of the chord's search were drawn
+    assert seen["chord"] == {True, False} and False in seen["triangle"]
+
+
 def test_peel_of_acyclic_and_random_schemas():
     """An acyclic schema peels to one edge, and its join tree is valid; on
     random hypergraphs every ear is one when it goes and the core left has
