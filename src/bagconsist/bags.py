@@ -3,13 +3,19 @@
 Bags map tuples over a fixed schema to positive integer multiplicities.
 All arithmetic is exact (Python ints).
 
-Every per-row key (a marginal's group, ``Bag.join``'s bucket and merged
-row, a parsed JSON row, each step of the oracle's own support join, and
-the witness glue's groups) comes from one getter built here: a row by
-:func:`_row_key`, a glue group by :func:`_group_key`. Marginals are
-summed in one place, :func:`_summed`: ``Bag.marginal``, the witness check
-and the deciders hand it cell positions, and on none it gives the total
-mass without a pass over the rows. A serialized bag whose tuples are all
+Every per-row key comes from one of two getters built here. A key that
+is only compared, never stored as a row (a marginal's group,
+``Bag.join``'s buckets, the oracle's support-join buckets and the witness
+glue's groups), comes from :func:`_group_key`: the bare cell on one
+position. A row comes from :func:`_row_key`, always a tuple: a parsed
+JSON row, the new cells and merged rows of a join or glue, a glued row
+picked into schema order, and the lookups of rows in an index (the
+oracle's system, the flow network). Marginals are summed in one place,
+:func:`_summed`: ``Bag.marginal``, the witness check and the deciders
+hand it cell positions, and on none it gives the total mass without a
+pass over the rows. The deciders compare its dicts as they are;
+``Bag.marginal`` and the witness check make a one-attribute result's
+bare cells rows, once per group. A serialized bag whose tuples are all
 well formed, with string cells, is accepted by a few C-level passes over
 its whole tuple list; any other list is read by one loop over the tuples,
 which converts numeric cells and reports the first fault in tuple order.
@@ -39,21 +45,20 @@ def _row_key(positions) -> Callable:
 
 def _group_key(positions) -> Callable:
     """``operator.itemgetter`` at ``positions`` (a cell for one, a tuple
-    for more), or a constant for none: a group key, never a row."""
+    for more), or ``()`` for none: a key that is compared, never a row."""
     return itemgetter(*positions) if positions else _row_key(positions)
 
 
 def _summed(positions, entries: Mapping[Row, int]) -> dict:
-    """``entries``' multiplicities summed per row's cells at ``positions``;
-    on none, the total mass (``{}`` for no rows), with no pass over rows."""
+    """``entries``' multiplicities summed per group key (:func:`_group_key`)
+    of the rows at ``positions``, in first-occurrence order: on one
+    position the key is the bare cell, not a row, so a caller that needs
+    ``Bag`` rows wraps each key once per group. On none, the total mass
+    (``{}`` for no rows), with no pass over rows."""
     if not positions:
         return {(): sum(entries.values())} if entries else {}
-    if len(positions) == 1:  # one-cell keys, built in C
-        keys = zip(map(itemgetter(*positions), entries))
-    else:
-        keys = map(_row_key(positions), entries)
-    out: dict[Row, int] = {}
-    for k, mult in zip(keys, entries.values()):
+    out: dict = {}
+    for k, mult in zip(map(_group_key(positions), entries), entries.values()):
         out[k] = out.get(k, 0) + mult
     return out
 
@@ -153,7 +158,10 @@ class Bag:
         """The marginal over a sub-schema: agreeing rows have their
         multiplicities summed."""
         z = make_schema(attrs)
-        return Bag._trusted(z, _summed(self._positions(z), self.entries))
+        out = _summed(self._positions(z), self.entries)
+        if len(z) == 1:  # bare cells back into rows, once per group
+            out = dict(zip(zip(out), out.values()))
+        return Bag._trusted(z, out)
 
     def join(self, other: "Bag") -> "Bag":
         """Bag join: support is the join of the supports, multiplicities
@@ -162,11 +170,11 @@ class Bag:
         shared = tuple(sorted(set(self.schema) & set(other.schema)))
         union = make_schema(set(self.schema) | set(other.schema))
         # hash join on the shared attributes
-        their_key = _row_key(other._positions(shared))
-        buckets: dict[Row, list[tuple[Row, int]]] = {}
+        their_key = _group_key(other._positions(shared))
+        buckets: dict = {}
         for row, mult in other.entries.items():
             buckets.setdefault(their_key(row), []).append((row, mult))
-        my_key = _row_key(self._positions(shared))
+        my_key = _group_key(self._positions(shared))
         # a joined row is picked, in schema order, from the concatenation
         width = len(self.schema)
         merge = _row_key([self.schema.index(a) if a in self.schema

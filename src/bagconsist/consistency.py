@@ -2,16 +2,18 @@
 
 Two bags are consistent iff their marginals on the shared attributes agree;
 the deciders compare them as plain dicts, summed by ``bags._summed`` once
-per (bag, shared set), and build no ``Bag`` to compare. A minimal two-bag
-witness is filled in by the northwest-corner rule, one shared-key group at
-a time. ``global_consistent`` is the one decider of global consistency,
-on one path for every schema: the GYO peel splits the schema into ears,
-each compared with its cover, and a core, compared pairwise; the oracle
-decides a core of two edges or more within its budget, and the ears are
-glued onto the core's witness, last removed first. The glue extends its
-rows in place, so it runs in time linear in the witness it builds. An
-acyclic schema is the case with at most one edge left. All pairs are
-listed only to explain a no. Every finished witness is checked exactly
+per (bag, shared set), and build no ``Bag`` to compare. On one shared
+attribute the dicts are keyed by bare cells, not rows: two bags are only
+ever compared on the same set, where bare cells compare as 1-tuples do.
+A minimal two-bag witness is filled in by the northwest-corner rule, one
+shared-key group at a time. ``global_consistent`` is the one decider of
+global consistency, on one path for every schema: the GYO peel splits the
+schema into ears, each compared with its cover, and a core, compared
+pairwise; the oracle decides a core of two edges or more within its budget,
+and the ears are glued onto the core's witness, last removed first. The
+glue extends its rows in place, so it runs in time linear in the witness it
+builds. An acyclic schema is the case with at most one edge left. All pairs
+are listed only to explain a no. Every finished witness is checked exactly
 once. Also houses the mod-d counterexample generator, safe-deletion
 lifting, and the hardness-reduction instance transformations.
 """
@@ -235,7 +237,8 @@ def _northwest_glue(bags) -> Bag:
 
 def _marginal_memo(bags):
     """``marginal(i, shared)``: bag i's rows summed onto ``shared`` in its
-    sorted schema's order (so bags key a set alike), once per (bag, set)."""
+    sorted schema's order (so bags key a set alike), once per (bag, set);
+    keyed as :func:`bags._summed` keys, a bare cell on one attribute."""
     return functools.cache(lambda i, shared: _summed(
         [k for k, a in enumerate(bags[i].schema) if a in shared], bags[i].entries))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, Optional
 
@@ -101,10 +102,18 @@ class Hypergraph:
                         return False
         return True
 
+    @cached_property
+    def _peeled(self) -> tuple[list[tuple[int, int]], list[int]]:
+        """:func:`_peel` of the edges, peeled once per hypergraph: the
+        join tree and the bad-witness search read it, so ``classify``
+        peels one schema once. Not a field: equality and hashing ignore
+        it."""
+        return _peel(self.edges)
+
     def join_tree(self) -> Optional["JoinTree"]:
         """A join tree from :func:`_peel`, or None when the hypergraph is
         cyclic: each ear linked to its cover, last removed first."""
-        ears, left = _peel(self.edges)
+        ears, left = self._peeled
         if len(left) > 1:
             return None
         return JoinTree(nodes=self.edges, links=tuple(reversed(ears)))
@@ -413,7 +422,7 @@ def find_bad_witness(h: Hypergraph) -> Optional[BadWitness]:
     since every cyclic induced sub-hypergraph of a chordal one fails
     conformality.
     """
-    left = _peel(h.edges)[1]
+    left = h._peeled[1]
     if len(left) < 2:
         return None
     core_edges = [h.edges[i] for i in left]

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .bags import Bag, SchemaMismatchError, _row_key, _summed
+from .bags import Bag, SchemaMismatchError, _group_key, _row_key, _summed
 
 
 class _Exhausted:
@@ -71,14 +71,21 @@ def check_witness(w: Bag, db) -> bool:
     """True iff the bag's marginals reproduce every bag of the database:
     per bag, the witness's rows are summed onto the bag's attribute
     positions by :func:`bags._summed`, which ``Bag.marginal`` calls too, and
-    compared with the bag's entries exactly."""
+    compared with the bag's entries exactly. On a one-attribute bag the
+    sums are keyed by bare cells, so each key is made a row, once per
+    group, before the comparison."""
     union = set().union(*(bag.schema for bag in db.bags))
     if set(w.schema) != union:
         raise SchemaMismatchError(
             "witness schema %r != union schema %r" % (w.schema, tuple(sorted(union))))
     at = {a: k for k, a in enumerate(w.schema)}
-    return all(_summed([at[a] for a in bag.schema], w.entries) == bag.entries
-               for bag in db.bags)
+    for bag in db.bags:
+        out = _summed([at[a] for a in bag.schema], w.entries)
+        if len(bag.schema) == 1:
+            out = dict(zip(zip(out), out.values()))
+        if out != bag.entries:
+            return False
+    return True
 
 
 @dataclass
@@ -102,11 +109,11 @@ def _support_join(db, budget: OracleBudget, deadline: float):
     for bag in db.bags:
         shared = [k for k, a in enumerate(bag.schema) if a in at]
         new = [k for k, a in enumerate(bag.schema) if a not in at]
-        bag_key, new_cells = _row_key(shared), _row_key(new)
+        bag_key, new_cells = _group_key(shared), _row_key(new)
         buckets: dict = {}
         for row in bag.entries:
             buckets.setdefault(bag_key(row), []).append(new_cells(row))
-        key = _row_key([at[bag.schema[k]] for k in shared])
+        key = _group_key([at[bag.schema[k]] for k in shared])
         grown = (row + cells for row in rows
                  for cells in buckets.get(key(row), ()))
         rows = []

@@ -7,7 +7,8 @@ from collections import defaultdict
 import pytest
 
 from bagconsist import (
-    Bag, BagFormatError, SchemaMismatchError, bags, consistency, make_schema)
+    Bag, BagDatabase, BagFormatError, Hypergraph, SchemaMismatchError, bags,
+    check_witness, consistency, make_schema)
 from bagconsist.bags import _json_cell
 
 
@@ -145,12 +146,63 @@ def test_marginal_matches_naive_sum():
     assert bags[1].marginal([]).entries == {(): sum(bags[1].entries.values())}
 
 
+def test_summed_matches_naive_sum_in_key_order():
+    """The summing kernel on seeded random bags: 0 to 3 positions, in any
+    order, against a per-row sum whose key is the bare cell on one
+    position and the tuple of cells on more, with the same keys in the
+    same (first-occurrence) order; with empty bags, 128-bit
+    multiplicities, and groups of one row to over a hundred."""
+    rng = random.Random(0x5A)
+    seen = set()
+    for _ in range(60):
+        # one column per domain size: all rows, a few groups, unique cells
+        domains = [rng.choice((1, 2, 5, 10 ** 6)) for _ in range(4)]
+        entries = {tuple(str(rng.randrange(d)) for d in domains):
+                   rng.choice((1, 3, 2 ** 127 + rng.randrange(9)))
+                   for _ in range(rng.choice((0, 1, rng.randrange(2, 300))))}
+        for width in range(4):
+            for positions in itertools.permutations(range(4), width):
+                expected: dict = {}
+                sizes: dict = defaultdict(int)
+                for row, mult in entries.items():
+                    key = tuple(row[p] for p in positions)
+                    if width == 1:
+                        (key,) = key
+                    expected[key] = expected.get(key, 0) + mult
+                    sizes[key] += 1
+                out = bags._summed(list(positions), entries)
+                assert list(out.items()) == list(expected.items())
+                seen.update(("width", width, min(n, 100)) for n in sizes.values())
+                seen.add(("empty", width, not entries))
+                seen.update(("wide", m.bit_length() > 64) for m in out.values())
+    assert {("width", w, n) for w in range(1, 4) for n in (1, 100)} <= seen
+    assert {("empty", w, True) for w in range(4)} <= seen
+    assert ("width", 0, 100) in seen and ("wide", True) in seen
+
+
+def test_one_attribute_marginals_are_rows():
+    """``Bag.marginal`` and the witness check see one-attribute marginals
+    as 1-tuple rows, though the kernel keys them by bare cells."""
+    ab = Bag(["A", "B"], {("1", "x"): 2, ("1", "y"): 2 ** 100, ("2", "x"): 5})
+    a = Bag(["A"], {("1",): 2 + 2 ** 100, ("2",): 5})
+    assert ab.marginal(["A"]).entries == a.entries
+    assert list(ab.marginal(["A"]).entries) == [("1",), ("2",)]
+    assert ab.marginal(["A"]) == a and a.marginal(["A"]) == a
+    db = BagDatabase(Hypergraph("AB", ["A", "AB", "B"]),
+                     (a, ab, ab.marginal(["B"])))
+    assert check_witness(ab, db)
+    off = Bag(["A"], {("1",): 1 + 2 ** 100, ("2",): 6})
+    assert not check_witness(ab, BagDatabase(db.hypergraph,
+                                             (off,) + db.bags[1:]))
+
+
 def test_marginal_table_matches_naive_sum():
     """The deciders' marginal table on random databases: each bag summed
     onto its shared set with every bag (itself included), a plain dict in
     sorted-attribute order whatever the set's iteration order, against a
     per-row sum and against ``Bag.marginal``; with empty bags, empty
-    shared sets, and bags of widths 0, 1 and 4."""
+    shared sets, and bags of widths 0, 1 and 4. On a one-attribute shared
+    set the table keys bare cells and ``Bag.marginal`` 1-tuples."""
     rng = random.Random(0x7AB)
     seen = set()
     for _ in range(40):
@@ -167,12 +219,14 @@ def test_marginal_table_matches_naive_sum():
             for row, mult in bag.entries.items():
                 key = tuple(row[bag.schema.index(a)] for a in sorted(shared))
                 expected[key] = expected.get(key, 0) + mult
-            assert table(i, shared) == expected
             assert bag.marginal(shared).entries == expected
+            if len(shared) == 1:
+                expected = {cell: mult for (cell,), mult in expected.items()}
+            assert table(i, shared) == expected
             seen.update([("width", len(bag.schema)), ("shared", len(shared)),
                          ("rows", min(len(bag), 2))])
     assert {("width", 0), ("width", 1), ("width", 4), ("shared", 0),
-            ("rows", 0), ("rows", 1), ("rows", 2)} <= seen
+            ("shared", 1), ("rows", 0), ("rows", 1), ("rows", 2)} <= seen
 
 
 def test_join_matches_nested_loop():

@@ -8,7 +8,7 @@ import pytest
 from bagconsist import (
     Hypergraph, HypergraphError, JoinTree, SafeDeletionOp, find_bad_witness,
 )
-from bagconsist import hypergraph
+from bagconsist import cli, hypergraph
 from bagconsist.cli import run
 from bagconsist.hypergraph import (
     COVERED_EDGE_DELETION,
@@ -523,6 +523,42 @@ def test_find_bad_witness_and_classify_match_reference_on_wide_schemas(
         assert capsys.readouterr().out == "cyclic\n" + json.dumps(
             {"bad_witness": ref.to_json_dict()}, indent=2, sort_keys=True) + "\n"
     assert shapes == {SHAPE_CYCLE, SHAPE_CLIQUE_COMPLEMENT}
+
+
+def test_classify_peels_the_schema_once(tmp_path, monkeypatch, capsys):
+    """``classify`` peels the schema's own edge list once, on an acyclic
+    schema and on cyclic ones of both shapes: the join tree and the
+    bad-witness search share the peel. The peels of traces that the
+    clique-complement search makes are not counted."""
+    loaded, peeled = [], []
+    load, peel = cli._load_schema, hypergraph._peel
+
+    def loading(path):
+        loaded.append(load(path))
+        return loaded[-1]
+
+    def counting_peel(edges):
+        peeled.append(edges)
+        return peel(edges)
+
+    monkeypatch.setattr(cli, "_load_schema", loading)
+    monkeypatch.setattr(hypergraph, "_peel", counting_peel)
+    rng = random.Random(0x9E1)
+    tree = random_acyclic_schema(rng, 30)
+    chord, hung = cyclic_variants(rng, tree)
+    path = tmp_path / "schema.json"
+    shapes = set()
+    for edges, code in ((tree, 0), (chord, 1), (hung, 1)):
+        path.write_text(json.dumps(_hypergraph(edges).to_json_dict()))
+        loaded.clear()
+        peeled.clear()
+        assert run(["classify", "--schema", str(path)]) == code
+        (h,) = loaded
+        assert sum(e is h.edges for e in peeled) == 1
+        out = capsys.readouterr().out
+        shapes.add(json.loads(out.split("\n", 1)[1]).get(
+            "bad_witness", {}).get("shape"))
+    assert shapes == {None, SHAPE_CYCLE, SHAPE_CLIQUE_COMPLEMENT}
 
 
 def test_find_bad_witness_searches_only_certificate_vertices(monkeypatch):
