@@ -13,9 +13,9 @@ every bag in ``data`` as its ``to_json_dict()``: a bag is written through
 one text template per schema, filled once per row. A report goes to stdout
 part by part. A file's text is built whole before the file is opened, so
 text that does not serialise leaves no file; a verb writes its file before
-it prints anything, so a failed write leaves stdout empty. Input files are
-decoded and parsed with the cyclic GC off, and the caller's GC state is
-restored.
+it prints anything, so a failed write leaves stdout empty. Every verb runs
+with the cyclic GC off (no verb makes a reference cycle, so its passes would
+find nothing), and ``run`` restores the caller's GC state however it ends.
 ``run`` may be called any number of times in one process; it builds the
 argument parser on its first call and reuses it.
 """
@@ -73,22 +73,11 @@ def _load_json(path: str):
 
 
 def _load(path: str, cls, what: str):
-    """``cls.from_json_dict`` of the JSON in ``path``, decoded and parsed
-    with the cyclic GC off (the parse tree holds no reference cycles, so
-    its passes would find nothing); the caller's GC state is restored, and
-    a GC turned back on collects its young generation at once."""
-    enabled = gc.isenabled()
-    gc.disable()
+    """``cls.from_json_dict`` of the JSON in ``path``."""
     try:
         return cls.from_json_dict(_load_json(path))
     except ValueError as exc:
         raise CliError("invalid %s in %s: %s" % (what, path, exc))
-    finally:
-        if enabled:
-            gc.enable()
-            # the pass over every object the parse made would otherwise
-            # run at the next allocation, inside whatever follows the load
-            gc.collect(0)
 
 
 def _load_db(path: str) -> BagDatabase:
@@ -410,11 +399,17 @@ def run(argv=None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # opened after the parse, whose exits (usage errors, --help) make cycles
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:  # a library ValueError is bad input
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -923,36 +923,59 @@ def test_verbs_write_bags_as_indented_dumps(tmp_path, capsys):
         indent=2, sort_keys=True) + "\n"
 
 
+# each case's argv before its input file, the input's text (None for no
+# file), its exit code, and the library calls patched below that it makes
 _GC_INPUTS = {
-    "db-valid": (["pairwise", "--db"], json.dumps(_VALID_DB), 0),
-    "db-malformed": (["pairwise", "--db"], "{not json", 2),
+    "db-valid": (["pairwise", "--db"], json.dumps(_VALID_DB), 0,
+                 {"inconsistent_pairs", "_emit"}),
+    "db-global": (["global", "--db"], json.dumps(_VALID_DB), 0,
+                  {"global_consistent", "_emit"}),
+    "db-malformed": (["pairwise", "--db"], "{not json", 2, set()),
     "db-invalid": (["global", "--db"],
-                   json.dumps(_malformed(("bags", 0, "tuples"), 7)), 2),
-    "db-missing": (["global", "--db"], None, 2),
+                   json.dumps(_malformed(("bags", 0, "tuples"), 7)), 2,
+                   set()),
+    "db-missing": (["global", "--db"], None, 2, set()),
     "schema-valid": (["classify", "--schema"],
-                     json.dumps(path_hypergraph(3).to_json_dict()), 0),
+                     json.dumps(path_hypergraph(3).to_json_dict()), 0,
+                     {"_emit"}),
+    "schema-cyclic": (["classify", "--schema"],
+                      json.dumps(cycle_hypergraph(4).to_json_dict()), 1,
+                      {"find_bad_witness", "_emit"}),
     "schema-invalid": (["classify", "--schema"],
-                       json.dumps({"vertices": ["A"], "edges": 1}), 2),
+                       json.dumps({"vertices": ["A"], "edges": 1}), 2,
+                       set()),
 }
 
 
 @pytest.mark.parametrize("enabled", [True, False],
                          ids=["gc-on", "gc-off"])
-@pytest.mark.parametrize("argv,text,code", list(_GC_INPUTS.values()),
+@pytest.mark.parametrize("argv,text,code,calls", list(_GC_INPUTS.values()),
                          ids=list(_GC_INPUTS))
 def test_run_restores_the_gc_state(tmp_path, capsys, monkeypatch, argv, text,
-                                   code, enabled):
-    """Input files are decoded and parsed with the cyclic GC off, and
-    ``run`` leaves the GC as its caller had it, whatever the exit."""
+                                   code, calls, enabled):
+    """The whole verb runs with the cyclic GC off, from the parse to the
+    report, nothing forces a collection, and ``run`` leaves the GC as its
+    caller had it, whatever the exit."""
     path = tmp_path / "in.json"
     if text is not None:
         path.write_text(text)
     during = []
+
+    def watched(name, call):
+        def watching(*args):
+            during.append((name, gc.isenabled()))
+            return call(*args)
+        return watching
+
     for cls in (BagDatabase, Hypergraph):
-        def parse(data, _parse=cls.from_json_dict):
-            during.append(gc.isenabled())
-            return _parse(data)
-        monkeypatch.setattr(cls, "from_json_dict", parse)
+        monkeypatch.setattr(cls, "from_json_dict",
+                            watched("parse", cls.from_json_dict))
+    for name in ("global_consistent", "inconsistent_pairs",
+                 "find_bad_witness", "_emit"):
+        monkeypatch.setattr(cli, name, watched(name, getattr(cli, name)))
+    collected = []
+    monkeypatch.setattr(gc, "collect",
+                        lambda *args: collected.append(args) or 0)
     was = gc.isenabled()
     try:
         if enabled:
@@ -966,7 +989,90 @@ def test_run_restores_the_gc_state(tmp_path, capsys, monkeypatch, argv, text,
             gc.enable()
         else:
             gc.disable()
-    assert not any(during)
+    assert not any(on for _, on in during)
+    assert {name for name, _ in during} - {"parse"} == calls
+    assert collected == []
+    capsys.readouterr()
+
+
+def _no_cycle_files(tmp_path):
+    """The input files of ``_NO_CYCLE_CASES``, by name."""
+    path_db = BagDatabase(path_hypergraph(3), (
+        Bag(("A1", "A2"), {("0", "0"): 2, ("1", "0"): 1}),
+        Bag(("A2", "A3"), {("0", "1"): 2, ("0", "0"): 1})))
+    tri = Hypergraph(["A", "B", "C"], [["A", "B"], ["B", "C"], ["A", "C"]])
+    files = {
+        "p3": path_hypergraph(3),
+        "c4h": cycle_hypergraph(4),
+        "yes": path_db,
+        "no": BagDatabase(path_db.hypergraph, (
+            path_db.bags[0], Bag(("A2", "A3"), {("1", "1"): 3}))),
+        "tri": BagDatabase(tri, tuple(
+            Bag(sorted(e), {("0", "0"): 1}) for e in tri.edges)),
+        "target": Hypergraph(["A", "B", "C", "D"], [
+            ["A", "B"], ["B", "C"], ["A", "C"], ["C", "D"]]),
+        "c3": tseitin_counterexample(cycle_hypergraph(3)),
+        "c4": tseitin_counterexample(cycle_hypergraph(4)),
+        "h3": _diagonal_h3(2),
+    }
+    paths = {name: _write(tmp_path / (name + ".json"), data.to_json_dict())
+             for name, data in files.items()}
+    paths["tables"] = _write(tmp_path / "tables.json", {
+        "R": [[2, 1], [0, 3]], "C": [[1, 2], [2, 1]], "F": [[3, 0], [1, 2]]})
+    paths["bad-bag"] = _write(tmp_path / "bad-bag.json",
+                              _malformed(("bags", 0, "tuples"), 7))
+    (tmp_path / "garbled.json").write_text("{not json")
+    paths["garbled"] = str(tmp_path / "garbled.json")
+    paths["missing"] = str(tmp_path / "missing.json")
+    paths["out"] = str(tmp_path / "out.json")
+    return paths
+
+
+# each case's argv, with {name} for the files above, and its exit code
+_NO_CYCLE_CASES = {
+    "classify-acyclic": ("classify --schema {p3}", 0),
+    "classify-cyclic": ("classify --schema {c4h}", 1),
+    "pairwise-yes": ("pairwise --db {yes}", 0),
+    "pairwise-no": ("pairwise --db {no}", 1),
+    "global-yes": ("global --db {yes}", 0),
+    "global-no": ("global --db {no}", 1),
+    "global-cyclic": ("global --db {c4}", 1),
+    "global-witness": ("global --db {yes} --witness {out}", 0),
+    "witness": ("witness --db {yes} -o {out}", 0),
+    "enumerate": ("enumerate --db {yes}", 0),
+    "counterexample-cycle": ("counterexample --shape cycle --n 4 -o {out}",
+                             0),
+    "counterexample-clique": ("counterexample --shape clique --n 4 -o {out}",
+                              0),
+    "lift": ("lift --db {tri} --schema {target} -o {out}", 0),
+    "harden-cycle": ("harden --db {c3} --to cycle -o {out}", 0),
+    "harden-clique": ("harden --db {h3} --to clique -o {out}", 0),
+    "encode-3dct": ("encode-3dct --tables {tables} -o {out}", 0),
+    "malformed-json": ("global --db {garbled}", 2),
+    "invalid-bag": ("pairwise --db {bad-bag}", 2),
+    "missing-file": ("global --db {missing}", 2),
+    "harden-clique-on-c4": ("harden --db {c4} --to clique -o {out}", 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_NO_CYCLE_CASES))
+def test_no_verb_makes_a_reference_cycle(tmp_path, capsys, case):
+    """No verb leaves an object in a reference cycle, on its yes, no or
+    error path: what ``run`` rests on when it keeps the cyclic GC off for
+    the whole verb. The first run warms the caches that live on."""
+    template, code = _NO_CYCLE_CASES[case]
+    files = _no_cycle_files(tmp_path)
+    argv = [arg.format_map(files) for arg in template.split()]
+    assert run(argv) == code
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == code
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
     capsys.readouterr()
 
 
