@@ -4,8 +4,10 @@ Exit codes: 0 = positive answer (consistent / acyclic), 1 = negative answer,
 2 = usage or input error, 3 = resource exhausted: the oracle, which decides
 every cyclic core, spent its budget of join rows, nodes or seconds.
 A ``ValueError`` from any verb is an input error, printed as one ``error:``
-line with exit 2; any other exception propagates from ``run``, and the
-command exits 2 with its traceback.
+line with exit 2: the verbs' own refusals (an unreadable or malformed file,
+a bad flag value, a file that cannot be written) raise ``ValueError`` as the
+library's do. Any other exception propagates from ``run``, and the command
+exits 2 with its traceback.
 
 Reports on stdout and the files the verbs write are
 ``json.dumps(data, indent=2, sort_keys=True)`` text plus a newline, with
@@ -15,7 +17,9 @@ part by part. A file's text is built whole before the file is opened, so
 text that does not serialise leaves no file; a verb writes its file before
 it prints anything, so a failed write leaves stdout empty. Every verb runs
 with the cyclic GC off (no verb makes a reference cycle, so its passes would
-find nothing), and ``run`` restores the caller's GC state however it ends.
+find nothing). ``run`` restores the caller's GC state however it ends, and
+it is the one place that touches the GC: the library leaves the GC as its
+caller has it.
 ``run`` may be called any number of times in one process; it builds the
 argument parser on its first call and reuses it.
 """
@@ -56,28 +60,24 @@ EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
 
-class CliError(Exception):
-    """Usage or I/O problem; maps to exit code 2. Not a ``ValueError``, so
-    ``_load`` does not wrap an error of ``_load_json`` a second time."""
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise CliError("cannot read %s: %s" % (path, exc))
+        raise ValueError("cannot read %s: %s" % (path, exc))
     except (ValueError, RecursionError) as exc:
         # the decoder recurses once per nesting level
-        raise CliError("malformed JSON in %s: %s" % (path, exc))
+        raise ValueError("malformed JSON in %s: %s" % (path, exc))
 
 
 def _load(path: str, cls, what: str):
     """``cls.from_json_dict`` of the JSON in ``path``."""
+    data = _load_json(path)
     try:
-        return cls.from_json_dict(_load_json(path))
+        return cls.from_json_dict(data)
     except ValueError as exc:
-        raise CliError("invalid %s in %s: %s" % (what, path, exc))
+        raise ValueError("invalid %s in %s: %s" % (what, path, exc))
 
 
 def _load_db(path: str) -> BagDatabase:
@@ -180,13 +180,13 @@ def _write_json(path: str, data) -> None:
     except ValueError:
         # an int past sys.get_int_max_str_digits() digits has no text; the
         # parser refuses such inputs, but lift and harden sum them
-        raise CliError("cannot write %s: a multiplicity has too many digits"
-                       % path)
+        raise ValueError("cannot write %s: a multiplicity has too many "
+                         "digits" % path)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError("cannot write %s: %s" % (path, exc))
+        raise ValueError("cannot write %s: %s" % (path, exc))
 
 
 def _budget(args) -> OracleBudget:
@@ -248,7 +248,7 @@ def cmd_global(args) -> int:
 def cmd_counterexample(args) -> int:
     n = args.n
     if n < 3:
-        raise CliError("--n must be at least 3")
+        raise ValueError("--n must be at least 3")
     # m bags of k attributes, each attribute in d bags: d^(k - 1) rows per
     # bag, multiplied up one factor at a time, so a huge n stops at once
     m, d, k = (n, 2, 2) if args.shape == "cycle" else (n, n - 1, n - 1)
@@ -256,8 +256,8 @@ def cmd_counterexample(args) -> int:
     for _ in range(k - 1):
         rows *= d
         if rows > MAX_BUILT_ROWS:
-            raise CliError("%s --n %d has %d * %d^%d rows, more than %d"
-                           % (args.shape, n, m, d, k - 1, MAX_BUILT_ROWS))
+            raise ValueError("%s --n %d has %d * %d^%d rows, more than %d"
+                             % (args.shape, n, m, d, k - 1, MAX_BUILT_ROWS))
     maker = cycle_hypergraph if args.shape == "cycle" else clique_complement_hypergraph
     db = tseitin_counterexample(maker(n))
     _write_json(args.output, db._json_layout())
@@ -270,8 +270,8 @@ def cmd_lift(args) -> int:
     target = _load_schema(args.schema)
     bad = find_bad_witness(target)
     if bad is None:
-        raise CliError("target schema is acyclic; there is no bad-witness "
-                       "reduction to lift along")
+        raise ValueError("target schema is acyclic; there is no bad-witness "
+                         "reduction to lift along")
     lifted = lift_collection(db, target, bad.ops)
     _write_json(args.output, lifted._json_layout())
     print("lifted database written to %s" % args.output)
@@ -292,7 +292,7 @@ def cmd_harden(args) -> int:
 def cmd_encode_3dct(args) -> int:
     data = _load_json(args.tables)
     if not isinstance(data, dict) or not {"R", "C", "F"} <= set(data):
-        raise CliError("tables file must be a JSON object with keys R, C, F")
+        raise ValueError("tables file must be a JSON object with keys R, C, F")
     db = encode_3dct(data["R"], data["C"], data["F"])
     _write_json(args.output, db._json_layout())
     print("3DCT database written to %s" % args.output)
@@ -404,7 +404,7 @@ def run(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:  # a library ValueError is bad input
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     finally:

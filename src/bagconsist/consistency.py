@@ -15,12 +15,12 @@ glue extends its rows in place, so it runs in time linear in the witness it
 builds. An acyclic schema is the case with at most one edge left. All pairs
 are listed only to explain a no. Every finished witness is checked exactly
 once. Also houses the mod-d counterexample generator, safe-deletion
-lifting, and the hardness-reduction instance transformations.
+lifting, and the hardness-reduction instance transformations. Nothing here
+touches the cyclic GC: only ``cli.run`` changes process-wide state.
 """
 from __future__ import annotations
 
 import functools
-import gc
 import itertools
 import math
 from collections import defaultdict
@@ -173,66 +173,57 @@ def _northwest_glue(bags) -> Bag:
     it, each copy a new witness row; so a step costs the rows so far plus
     the cells it writes, never the width of the rows so far, and the glue
     is linear in the witness it builds. The multiplicities live in their
-    own list, so each row is the one container the cyclic GC tracks, and
-    the GC is off while the glue runs (its caller's state is restored):
-    the rows hold no reference cycles, and on 30k-54k-row witnesses its
-    passes over the live lists cost more than the copies saved. ``cli.run``
-    has the GC off already; the toggle serves library callers, whose
-    ``global_consistent`` ran 10-26% slower without it on pairwise-bulk's
-    seed-101 YES databases. Rows are permuted into schema order, as tuples,
-    once at the end. Along a running-intersection order each step is a
-    minimal two-bag witness, so the result has at most
+    own list, so each row is the one container the cyclic GC tracks. The
+    rows hold no reference cycles, and on 30k-54k-row witnesses the GC's
+    passes over the live lists cost more than the copies saved, but the
+    glue leaves the GC as its caller has it: ``cli.run`` turns it off for
+    the whole verb, and a library caller that glues large witnesses can
+    call ``gc.disable()`` around its calls. Rows are permuted into schema
+    order, as tuples, once at the end. Along a running-intersection order
+    each step is a minimal two-bag witness, so the result has at most
     sum |supp B_i| - (m - 1) rows. No bags glue to the empty bag.
     """
     if not bags:
         return Bag((), {})
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        first = bags[0]
-        at = {a: k for k, a in enumerate(first.schema)}
-        cells = sorted(first.entries.items())
-        rows = [list(row) for row, _ in cells]
-        mults = [mult for _, mult in cells]
-        for bag in bags[1:]:
-            key = _group_key([at[a] for a in bag.schema if a in at])
-            bag_key = _group_key([k for k, a in enumerate(bag.schema)
-                                  if a in at])
-            new = [k for k, a in enumerate(bag.schema) if a not in at]
-            new_cells = _row_key(new)
-            left = defaultdict(list)
-            for i, k in enumerate(map(key, rows)):
-                left[k].append(i)
-            right: dict = {}
-            for row, mult in sorted(bag.entries.items()):
-                right.setdefault(bag_key(row), []).append(
-                    (new_cells(row), mult))
-            prev_rows, prev_mults = rows, mults
-            rows, mults = [], []
-            for k, group in left.items():
-                rights = iter(right[k])
-                rmass = 0
-                for i in group:
-                    lrow, lmass = prev_rows[i], prev_mults[i]
-                    if not rmass:
-                        rrow, rmass = next(rights)
-                    while lmass > rmass:
-                        rows.append([*lrow, *rrow])
-                        mults.append(rmass)
-                        lmass -= rmass
-                        rrow, rmass = next(rights)
-                    lrow += rrow
-                    rows.append(lrow)
-                    mults.append(lmass)
-                    rmass -= lmass
-            for k in new:
-                at[bag.schema[k]] = len(at)
-        schema = make_schema(at)
-        pick = _row_key([at[a] for a in schema])
-        return Bag._trusted(schema, dict(zip(map(pick, rows), mults)))
-    finally:
-        if enabled:
-            gc.enable()
+    first = bags[0]
+    at = {a: k for k, a in enumerate(first.schema)}
+    cells = sorted(first.entries.items())
+    rows = [list(row) for row, _ in cells]
+    mults = [mult for _, mult in cells]
+    for bag in bags[1:]:
+        key = _group_key([at[a] for a in bag.schema if a in at])
+        bag_key = _group_key([k for k, a in enumerate(bag.schema) if a in at])
+        new = [k for k, a in enumerate(bag.schema) if a not in at]
+        new_cells = _row_key(new)
+        left = defaultdict(list)
+        for i, k in enumerate(map(key, rows)):
+            left[k].append(i)
+        right: dict = {}
+        for row, mult in sorted(bag.entries.items()):
+            right.setdefault(bag_key(row), []).append((new_cells(row), mult))
+        prev_rows, prev_mults = rows, mults
+        rows, mults = [], []
+        for k, group in left.items():
+            rights = iter(right[k])
+            rmass = 0
+            for i in group:
+                lrow, lmass = prev_rows[i], prev_mults[i]
+                if not rmass:
+                    rrow, rmass = next(rights)
+                while lmass > rmass:
+                    rows.append([*lrow, *rrow])
+                    mults.append(rmass)
+                    lmass -= rmass
+                    rrow, rmass = next(rights)
+                lrow += rrow
+                rows.append(lrow)
+                mults.append(lmass)
+                rmass -= lmass
+        for k in new:
+            at[bag.schema[k]] = len(at)
+    schema = make_schema(at)
+    pick = _row_key([at[a] for a in schema])
+    return Bag._trusted(schema, dict(zip(map(pick, rows), mults)))
 
 
 # -- collections -----------------------------------------------------------

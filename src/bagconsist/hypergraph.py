@@ -139,6 +139,11 @@ class Hypergraph:
             raise HypergraphError(
                 "hypergraph JSON needs a list of vertex names and a list of "
                 "edges, each a list of vertex names")
+        # the constructor would merge a repeated name; the JSON refuses it,
+        # as a bag's schema does (an edge may still repeat)
+        for names in (data["vertices"], *edges):
+            if len(set(names)) != len(names):
+                raise HypergraphError("duplicate vertex names: %r" % (names,))
         return cls(data["vertices"], edges)
 
 

@@ -744,6 +744,38 @@ def test_empty_vertex_name_exits_2(tmp_path, triangle_db_file, capsys, verb):
     assert "Traceback" not in err
 
 
+_AB_BAG = {"schema": ["A", "B"],
+           "tuples": [{"values": {"A": "0", "B": "0"}, "mult": "1"}]}
+
+
+@pytest.mark.parametrize("verb, vertices, edges", [
+    ("classify", ["A", "A"], [["A", "A"]]),
+    ("classify", ["A", "A", "B"], [["A", "B"]]),
+    ("classify", ["A", "B"], [["A", "B"], ["B", "B"]]),
+    ("global", ["A", "B", "B"], [["A", "A", "B"]]),
+    ("global", ["A", "B"], [["A", "B", "A"]]),
+], ids=["classify-both", "classify-vertices", "classify-edge",
+        "global-both", "global-edge"])
+def test_repeated_vertex_name_exits_2(tmp_path, capsys, verb, vertices,
+                                      edges):
+    # refused as a bag schema that names an attribute twice is; the
+    # constructor would have merged the names and answered
+    h = {"vertices": vertices, "edges": edges}
+    if verb == "classify":
+        argv = ["classify", "--schema", _write(tmp_path / "schema.json", h)]
+        what = "hypergraph"
+    else:
+        argv = ["global", "--db", _write(tmp_path / "db.json", {
+            "hypergraph": h, "bags": [_AB_BAG] * len(edges)})]
+        what = "database"
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: invalid %s in %s: duplicate vertex names: %r\n" % (
+        what, argv[2], next(n for n in [vertices] + edges
+                            if len(set(n)) < len(n)))
+
+
 @pytest.mark.parametrize("tables", [
     {"R": 5, "C": [[1]], "F": [[1]]},
     {"R": [[1]], "C": [None], "F": [[1]]},

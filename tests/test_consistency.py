@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -16,6 +17,7 @@ from bagconsist import (
     clique_hardness_lift,
     cycle_hardness_lift,
     encode_3dct,
+    enumerate_witnesses,
     find_bad_witness,
     global_consistent,
     inconsistent_pairs,
@@ -574,6 +576,52 @@ def test_global_consistent_rechecks_oracle_witness(monkeypatch):
     monkeypatch.setattr(consistency, "solve_feasibility", lambda db, budget: wrong)
     with pytest.raises(AssertionError):
         global_consistent(db)
+
+
+def test_no_library_call_touches_the_gc(monkeypatch, paper_pair,
+                                       triangle_relations):
+    """The library leaves the cyclic GC as its caller has it: with the GC
+    on, no decider, witness builder, oracle call or lift turns it off or
+    on (``cli.run`` is the one place that does)."""
+    rng = random.Random(0x6C)
+    path = [sorted(e) for e in path_hypergraph(5).edges]
+    yes = database_of(path, random_global_bag(rng, path_hypergraph(5).vertices,
+                                              40))
+    no = _nudged(rng, yes)
+    ring = [sorted(e) for e in cycle_hypergraph(4).edges] + [["A1", "X"]]
+    cyclic = database_of(ring, random_global_bag(
+        rng, {v for e in ring for v in e}, 6))
+    # the yes glues three ears onto one bag, the cyclic one an ear onto
+    # the oracle's witness of a four-edge core
+    assert len(consistency._peel(yes.hypergraph.edges)[0]) == 3
+    assert len(consistency._peel(cyclic.hypergraph.edges)[1]) == 4
+    target = Hypergraph(["A", "B", "C", "D"],
+                        [["A", "B"], ["B", "C"], ["A", "C"], ["C", "D"]])
+    bad = find_bad_witness(target)
+    reduced = replay_ops(target, bad.ops)
+    lowered = database_of([sorted(e) for e in reduced.edges],
+                          random_global_bag(rng, reduced.vertices, 5))
+    calls = []
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(gc, "disable", lambda: calls.append("disable"))
+            m.setattr(gc, "enable", lambda: calls.append("enable"))
+            assert global_consistent(yes).global_status == "yes"
+            assert global_consistent(no).global_status == "no"
+            assert global_consistent(cyclic).global_status == "yes"
+            assert minimal_two_bag_witness(*paper_pair) is not None
+            assert solve_feasibility(triangle_relations) is None
+            assert solve_feasibility(cyclic) is not None
+            assert len(enumerate_witnesses(pair_database(*paper_pair))) == 2
+            lifted = lift_collection(lowered, target, bad.ops)
+            assert lifted.hypergraph == target
+            assert gc.isenabled()
+    finally:
+        if not was:
+            gc.disable()
+    assert calls == []
 
 
 def test_tseitin_c3(triangle_relations):

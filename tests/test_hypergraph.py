@@ -679,3 +679,14 @@ def test_hypergraph_json_round_trip():
     assert Hypergraph.from_json_dict(h.to_json_dict()) == h
     with pytest.raises(HypergraphError):
         Hypergraph.from_json_dict({"vertices": ["A"]})
+    # a name twice in the vertices or in one edge is refused; the
+    # constructor merges it, and an edge may still appear twice
+    for vertices, edges in [(["A", "A"], [["A"]]), (["A"], [["A", "A"]]),
+                            (["A", "B", "B"], [["A", "A", "B"]])]:
+        with pytest.raises(HypergraphError, match="duplicate vertex names"):
+            Hypergraph.from_json_dict({"vertices": vertices, "edges": edges})
+        assert Hypergraph(vertices, edges).vertices == tuple(sorted(
+            set(vertices)))
+    twice = {"vertices": ["A", "B"], "edges": [["A", "B"], ["B", "A"]]}
+    assert Hypergraph.from_json_dict(twice).edges == (
+        frozenset("AB"), frozenset("AB"))
