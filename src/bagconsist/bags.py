@@ -14,8 +14,9 @@ oracle's system, the flow network). Marginals are summed in one place,
 :func:`_summed`: ``Bag.marginal``, the witness check and the deciders
 hand it cell positions, and on none it gives the total mass without a
 pass over the rows. The deciders compare its dicts as they are;
-``Bag.marginal`` and the witness check make a one-attribute result's
-bare cells rows, once per group. A serialized bag whose tuples are all
+``Bag.marginal`` and the witness check take them keyed by rows from
+:func:`_summed_rows`, the one place that turns a one-attribute result's
+bare cells into rows. A serialized bag whose tuples are all
 well formed, with string cells, is accepted by a few C-level passes over
 its whole tuple list; any other list is read by one loop over the tuples,
 which converts numeric cells and reports the first fault in tuple order.
@@ -52,8 +53,8 @@ def _group_key(positions) -> Callable:
 def _summed(positions, entries: Mapping[Row, int]) -> dict:
     """``entries``' multiplicities summed per group key (:func:`_group_key`)
     of the rows at ``positions``, in first-occurrence order: on one
-    position the key is the bare cell, not a row, so a caller that needs
-    ``Bag`` rows wraps each key once per group. On none, the total mass
+    position the key is the bare cell, not a row: a caller that needs
+    ``Bag`` rows calls :func:`_summed_rows`. On none, the total mass
     (``{}`` for no rows), with no pass over rows."""
     if not positions:
         return {(): sum(entries.values())} if entries else {}
@@ -61,6 +62,13 @@ def _summed(positions, entries: Mapping[Row, int]) -> dict:
     for k, mult in zip(map(_group_key(positions), entries), entries.values()):
         out[k] = out.get(k, 0) + mult
     return out
+
+
+def _summed_rows(positions, entries: Mapping[Row, int]) -> dict:
+    """:func:`_summed` keyed by rows: on one position each bare cell is
+    made a 1-tuple, once per group."""
+    out = _summed(positions, entries)
+    return dict(zip(zip(out), out.values())) if len(positions) == 1 else out
 
 
 class SchemaMismatchError(ValueError):
@@ -158,10 +166,7 @@ class Bag:
         """The marginal over a sub-schema: agreeing rows have their
         multiplicities summed."""
         z = make_schema(attrs)
-        out = _summed(self._positions(z), self.entries)
-        if len(z) == 1:  # bare cells back into rows, once per group
-            out = dict(zip(zip(out), out.values()))
-        return Bag._trusted(z, out)
+        return Bag._trusted(z, _summed_rows(self._positions(z), self.entries))
 
     def join(self, other: "Bag") -> "Bag":
         """Bag join: support is the join of the supports, multiplicities

@@ -21,7 +21,9 @@ find nothing). ``run`` restores the caller's GC state however it ends, and
 it is the one place that touches the GC: the library leaves the GC as its
 caller has it.
 ``run`` may be called any number of times in one process; it builds the
-argument parser on its first call and reuses it.
+argument parser on its first call and reuses it. ``global --witness`` is the
+one way to write a witness. ``counterexample`` counts its rows with the
+library's ``check_built_rows`` before it builds even the hypergraph.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .consistency import (
     GLOBAL_NO,
     GLOBAL_UNKNOWN,
     GLOBAL_YES,
-    MAX_BUILT_ROWS,
+    check_built_rows,
     clique_hardness_lift,
     cycle_hardness_lift,
     encode_3dct,
@@ -249,15 +251,10 @@ def cmd_counterexample(args) -> int:
     n = args.n
     if n < 3:
         raise ValueError("--n must be at least 3")
-    # m bags of k attributes, each attribute in d bags: d^(k - 1) rows per
-    # bag, multiplied up one factor at a time, so a huge n stops at once
-    m, d, k = (n, 2, 2) if args.shape == "cycle" else (n, n - 1, n - 1)
-    rows = m
-    for _ in range(k - 1):
-        rows *= d
-        if rows > MAX_BUILT_ROWS:
-            raise ValueError("%s --n %d has %d * %d^%d rows, more than %d"
-                             % (args.shape, n, m, d, k - 1, MAX_BUILT_ROWS))
+    # n bags of k attributes, each attribute in d bags; counted before the
+    # hypergraph, whose n (n - 1) cells alone would stall a huge n
+    d, k = (2, 2) if args.shape == "cycle" else (n - 1, n - 1)
+    check_built_rows("%s --n %d" % (args.shape, n), n, d, k)
     maker = cycle_hypergraph if args.shape == "cycle" else clique_complement_hypergraph
     db = tseitin_counterexample(maker(n))
     _write_json(args.output, db._json_layout())
@@ -341,15 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="no effect: the oracle decides every cyclic core")
     p.add_argument("--witness", metavar="OUT", default=None,
                    help="write the witness bag to this file")
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_global)
-
-    # global --witness under another name
-    p = sub.add_parser("witness", help="global consistency, writing the "
-                                       "witness (same as global --witness)")
-    p.add_argument("--db", required=True)
-    p.add_argument("-o", "--output", dest="witness", metavar="OUT",
-                   required=True)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_global)
 

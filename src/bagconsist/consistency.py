@@ -34,7 +34,6 @@ from .hypergraph import (
     Hypergraph,
     HypergraphError,
     SafeDeletionOp,
-    _peel,
     _replay,
     clique_complement_hypergraph,
     cycle_hypergraph,
@@ -50,9 +49,23 @@ GLOBAL_YES = "yes"
 GLOBAL_NO = "no"
 GLOBAL_UNKNOWN = "unknown-cyclic"
 
-# the most grid cells clique_hardness_lift fills, and the most rows the
-# counterexample verb builds
+# the most grid cells clique_hardness_lift fills, and the most rows
+# tseitin_counterexample builds
 MAX_BUILT_ROWS = 10 ** 6
+
+
+def check_built_rows(what: str, m: int, d: int, k: int) -> None:
+    """Raise DatabaseError when m bags of d^(k - 1) rows each hold more
+    than ``MAX_BUILT_ROWS`` rows in all. The count is multiplied up one
+    factor at a time, so a huge k stops at once."""
+    rows = m
+    for _ in range(k - 1):
+        if rows > MAX_BUILT_ROWS:
+            break
+        rows *= d
+    if rows > MAX_BUILT_ROWS:
+        raise DatabaseError("%s has %d * %d^%d rows, more than %d"
+                            % (what, m, d, k - 1, MAX_BUILT_ROWS))
 
 
 @dataclass(frozen=True)
@@ -252,16 +265,16 @@ def inconsistent_pairs(db: BagDatabase, _marginal=None) -> list:
 
 def global_consistent(db: BagDatabase,
                       budget: Optional[OracleBudget] = None) -> ConsistencyReport:
-    """Peel the schema once (:func:`hypergraph._peel`). Unless each ear
-    agrees with its cover and the core's bags pairwise, all pairs are listed
-    to explain a no. A core of two edges or more goes to the oracle, whose
-    ``budget`` (join rows, nodes, seconds) alone decides when to stop: a
-    spent budget answers ``unknown-cyclic``. A yes glues the ears, last
-    removed first, onto the core's witness or bag (each one's overlap with
-    the rows so far lies in its cover), and the witness is checked exactly,
-    once."""
+    """Peel the schema once, through ``Hypergraph._peeled``, which the
+    join tree reads too. Unless each ear agrees with its cover and the
+    core's bags pairwise, all pairs are listed to explain a no. A core of
+    two edges or more goes to the oracle, whose ``budget`` (join rows,
+    nodes, seconds) alone decides when to stop: a spent budget answers
+    ``unknown-cyclic``. A yes glues the ears, last removed first, onto the
+    core's witness or bag (each one's overlap with the rows so far lies in
+    its cover), and the witness is checked exactly, once."""
     edges = db.hypergraph.edges
-    ears, core = _peel(edges)
+    ears, core = db.hypergraph._peeled
     marginal = _marginal_memo(db.bags)
     if not all(marginal(i, shared := edges[i] & edges[j]) == marginal(j, shared)
                for i, j in itertools.chain(ears, itertools.combinations(core, 2))):
@@ -291,7 +304,8 @@ def global_consistent(db: BagDatabase,
 def tseitin_counterexample(h: Hypergraph) -> BagDatabase:
     """Pairwise-consistent, globally inconsistent 0/1 bags over a k-uniform
     d-regular hypergraph: coordinate sums are 0 mod d on every edge except
-    the last, where they are 1 mod d."""
+    the last, where they are 1 mod d. Past ``MAX_BUILT_ROWS`` rows in all,
+    DatabaseError is raised before any row is built."""
     if not h.edges:
         raise HypergraphError("need at least one hyperedge")
     sizes = {len(e) for e in h.edges}
@@ -308,6 +322,7 @@ def tseitin_counterexample(h: Hypergraph) -> BagDatabase:
     d = reg.pop()
     if d < 2:
         raise HypergraphError("regularity degree must be at least 2")
+    check_built_rows("the counterexample", len(h.edges), d, k)
     bags = []
     for pos, edge in enumerate(h.edges):
         schema = tuple(sorted(edge))
@@ -442,34 +457,22 @@ def clique_hardness_lift(db: BagDatabase) -> BagDatabase:
 
 def encode_3dct(r_table, c_table, f_table) -> BagDatabase:
     """Three n x n margin tables as a triangle database: globally consistent
-    iff the contingency-table instance is feasible."""
-    tables = {"R": r_table, "C": c_table, "F": f_table}
+    iff the contingency-table instance is feasible. The tables are read in
+    the order R, C, F, each checked for shape and then made a bag, whose
+    constructor refuses a count that is not a non-negative int; the first
+    fault is raised with its table's name."""
     n = len(r_table) if isinstance(r_table, (list, tuple)) else -1
-    for name, tab in tables.items():
+    schemas = (("X", "Z"), ("Y", "Z"), ("X", "Y"))
+    bags = []
+    for name, schema, tab in zip("RCF", schemas, (r_table, c_table, f_table)):
         if (not isinstance(tab, (list, tuple)) or len(tab) != n
                 or any(not isinstance(row, (list, tuple)) or len(row) != n
                        for row in tab)):
             raise ValueError("table %s is not an n x n grid" % name)
-        for row in tab:
-            for v in row:
-                # bool is an int subclass; its class is not int
-                if v.__class__ is not int:
-                    raise ValueError("table %s has a non-integer entry %r"
-                                     % (name, v))
-                if v < 0:
-                    raise ValueError("table %s has a negative entry" % name)
-    tri = Hypergraph(["X", "Y", "Z"], [["X", "Z"], ["Y", "Z"], ["X", "Y"]])
-
-    def to_bag(schema, tab):
-        entries = {}
-        for i in range(n):
-            for j in range(n):
-                if tab[i][j]:
-                    entries[(str(i + 1), str(j + 1))] = tab[i][j]
-        return Bag(schema, entries)
-
-    return BagDatabase(tri, (
-        to_bag(("X", "Z"), r_table),
-        to_bag(("Y", "Z"), c_table),
-        to_bag(("X", "Y"), f_table),
-    ))
+        try:  # zero counts are passed too, so each cell is checked
+            bags.append(Bag(schema, (((str(i), str(j)), count)
+                                     for i, row in enumerate(tab, 1)
+                                     for j, count in enumerate(row, 1))))
+        except ValueError as exc:
+            raise ValueError("table %s: %s" % (name, exc)) from None
+    return BagDatabase(Hypergraph(["X", "Y", "Z"], schemas), tuple(bags))

@@ -81,8 +81,7 @@ class Hypergraph:
     def reduce(self) -> "Hypergraph":
         """Drop edges strictly contained in another edge; collapse
         duplicates to one copy."""
-        return Hypergraph(self.vertices, dict.fromkeys(
-            e for e in self.edges if not any(e < f for f in self.edges)))
+        return Hypergraph(self.vertices, _maximal(self.edges))
 
     # -- classification ----------------------------------------------------
 
@@ -105,9 +104,9 @@ class Hypergraph:
     @cached_property
     def _peeled(self) -> tuple[list[tuple[int, int]], list[int]]:
         """:func:`_peel` of the edges, peeled once per hypergraph: the
-        join tree and the bad-witness search read it, so ``classify``
-        peels one schema once. Not a field: equality and hashing ignore
-        it."""
+        join tree, the bad-witness search and ``global_consistent`` read
+        it, so ``classify`` and ``global`` each peel one schema once. Not a
+        field: equality and hashing ignore it."""
         return _peel(self.edges)
 
     def join_tree(self) -> Optional["JoinTree"]:
@@ -175,6 +174,13 @@ class JoinTree:
     def to_json_dict(self) -> dict:
         return {"nodes": [sorted(e) for e in self.nodes],
                 "links": [list(l) for l in self.links]}
+
+
+def _maximal(edges) -> list:
+    """The edges no other edge strictly contains, each once, in the order
+    of their first occurrence."""
+    distinct = dict.fromkeys(edges)
+    return [e for e in distinct if not any(e < f for f in distinct)]
 
 
 def _peel(edges) -> tuple[list[tuple[int, int]], list[int]]:
@@ -478,18 +484,12 @@ def _normalizing_ops(h: Hypergraph, w: set):
     edges that replay leaves, which are that hypergraph's edges."""
     ops = [SafeDeletionOp(VERTEX_DELETION, vertex=v)
            for v in sorted(set(h.vertices) - w)]
-    # track the edge list through the vertex deletions (no dedup, no drops)
-    edges = [e & w for e in h.edges]
-    # only the few edges that meet W can be maximal or cover one
-    traces = set(filter(None, edges))
-    maximal = {e for e in traces if not any(e < f for f in traces)}
-    kept: list[Edge] = []
-    victims: list[Edge] = []
-    for e in edges:
-        if e in maximal and e not in kept:
-            kept.append(e)
-        else:
-            victims.append(e)
+    # track the edge list through the vertex deletions (no dedup, no drops);
+    # the traces on W are few once deduplicated
+    victims = [e & w for e in h.edges]
+    kept = _maximal(victims)
+    for e in kept:  # the victims: all but each kept edge's first copy
+        victims.remove(e)
     for e in victims:
         cover = next((f for f in kept if e <= f), None)
         if cover is None:

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .bags import Bag, SchemaMismatchError, _group_key, _row_key, _summed
+from .bags import Bag, SchemaMismatchError, _group_key, _row_key, _summed_rows
 
 
 class _Exhausted:
@@ -70,22 +70,15 @@ class OracleBudget:
 def check_witness(w: Bag, db) -> bool:
     """True iff the bag's marginals reproduce every bag of the database:
     per bag, the witness's rows are summed onto the bag's attribute
-    positions by :func:`bags._summed`, which ``Bag.marginal`` calls too, and
-    compared with the bag's entries exactly. On a one-attribute bag the
-    sums are keyed by bare cells, so each key is made a row, once per
-    group, before the comparison."""
+    positions by :func:`bags._summed_rows`, which ``Bag.marginal`` calls
+    too, and compared with the bag's entries exactly."""
     union = set().union(*(bag.schema for bag in db.bags))
     if set(w.schema) != union:
         raise SchemaMismatchError(
             "witness schema %r != union schema %r" % (w.schema, tuple(sorted(union))))
     at = {a: k for k, a in enumerate(w.schema)}
-    for bag in db.bags:
-        out = _summed([at[a] for a in bag.schema], w.entries)
-        if len(bag.schema) == 1:
-            out = dict(zip(zip(out), out.values()))
-        if out != bag.entries:
-            return False
-    return True
+    return all(_summed_rows([at[a] for a in bag.schema], w.entries)
+               == bag.entries for bag in db.bags)
 
 
 @dataclass

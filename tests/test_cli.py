@@ -114,6 +114,27 @@ def test_global_acyclic_writes_witness(tmp_path, capsys):
     assert run(["global", "--db", f, "--witness", str(out_file)]) == 0
     witness = Bag.from_json_dict(json.loads(out_file.read_text()))
     assert witness.marginal(("A1", "A2")) == db.bags[0]
+    # on random acyclic databases the file is the library's witness, and a
+    # copy with one multiplicity bumped exits 1 and writes no file
+    rng = random.Random(0x3B)
+    checked = 0
+    while checked < 20:
+        db = random_acyclic_database(rng)
+        if len(db.bags) < 2 or not db.bags[0]:
+            continue
+        checked += 1
+        f = _write(tmp_path / "db.json", db.to_json_dict())
+        assert run(["global", "--db", f, "--witness", str(out_file)]) == 0
+        assert out_file.read_text() == _dumps(global_consistent(db).witness)
+        out_file.unlink()
+        first = db.bags[0]
+        row = min(first.entries)
+        bumped = Bag(first.schema,
+                     {**first.entries, row: first.entries[row] + 1})
+        f = _write(tmp_path / "bumped.json", BagDatabase(
+            db.hypergraph, (bumped,) + db.bags[1:]).to_json_dict())
+        assert run(["global", "--db", f, "--witness", str(out_file)]) == 1
+        assert not out_file.exists()
     capsys.readouterr()
 
 
@@ -161,36 +182,20 @@ def test_bad_budget_is_a_usage_error(triangle_db_file, capsys, verb, limit):
 
 
 def test_witness_verb(tmp_path, capsys):
+    """There is no ``witness`` verb: ``global --witness`` writes a
+    witness. The old alias is a usage error, with nothing on stdout and no
+    file written."""
     h = path_hypergraph(3)
     db = BagDatabase(h, (Bag(("A1", "A2"), {("0", "0"): 1}),
                          Bag(("A2", "A3"), {("0", "0"): 1})))
     f = _write(tmp_path / "db.json", db.to_json_dict())
     out_file = tmp_path / "w.json"
-    assert run(["witness", "--db", f, "-o", str(out_file)]) == 0
-    assert out_file.exists()
-    # both verbs decide on the join tree's parent links: the same witness
-    # file for a yes, exit 1 for a copy with one multiplicity bumped
-    rng = random.Random(0x3B)
-    checked = 0
-    while checked < 20:
-        db = random_acyclic_database(rng)
-        if len(db.bags) < 2 or not db.bags[0]:
-            continue
-        checked += 1
-        f = _write(tmp_path / "db.json", db.to_json_dict())
-        by_global = tmp_path / "global.json"
-        assert run(["witness", "--db", f, "-o", str(out_file)]) == 0
-        assert run(["global", "--db", f, "--witness", str(by_global)]) == 0
-        assert out_file.read_bytes() == by_global.read_bytes()
-        first = db.bags[0]
-        row = min(first.entries)
-        bumped = Bag(first.schema,
-                     {**first.entries, row: first.entries[row] + 1})
-        f = _write(tmp_path / "bumped.json", BagDatabase(
-            db.hypergraph, (bumped,) + db.bags[1:]).to_json_dict())
-        assert run(["witness", "--db", f, "-o", str(out_file)]) == 1
-        assert run(["global", "--db", f]) == 1
-    capsys.readouterr()
+    assert run(["witness", "--db", f, "-o", str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid choice: 'witness'" in err
+    assert not out_file.exists()
+    assert "witness" not in _verbs()
 
 
 def _triangle_of(full):
@@ -221,10 +226,11 @@ _WITNESS_PARITY = {
 @pytest.mark.parametrize("case", list(_WITNESS_PARITY))
 def test_witness_verb_is_global_with_witness(tmp_path, capsys,
                                              triangle_relations, case):
-    """``witness -o W`` is ``global --witness W`` under another name, and
-    ``--oracle`` changes nothing: the same stdout, stderr, exit code and
-    witness file from all three, cyclic schemas and budget flags
-    included."""
+    """A witness is written by ``global --witness W`` (there is no
+    ``witness`` verb), which answers as plain ``global`` does, and
+    ``--oracle`` changes nothing: the same stdout, stderr and exit code
+    from all three, cyclic schemas and budget flags included. The file is
+    written on a yes only, and holds the report's witness."""
     code, first_line = _WITNESS_PARITY[case]
     flags = ["--budget-nodes", "1"] if case == "budget-spent" else []
     path_db = BagDatabase(path_hypergraph(3), (
@@ -253,21 +259,19 @@ def test_witness_verb_is_global_with_witness(tmp_path, capsys,
                                         [[4, 3, 5], [2, 5, 6], [8, 0, 6]]),
             "empty": BagDatabase(Hypergraph([], []), ()),
         }[case].to_json_dict())
-    by_global = tmp_path / "global.json"
-    assert run(["global", "--db", str(f), "--witness", str(by_global)]
-               + flags) == code
+    assert run(["global", "--db", str(f)] + flags) == code
     expected = capsys.readouterr()
     assert expected.out.split("\n", 1)[0] == first_line
-    assert by_global.exists() == (code == 0)
-    for name, verb in [("w.json", ["witness", "-o"]),
+    for name, verb in [("w.json", ["global", "--witness"]),
                        ("oracle.json", ["global", "--oracle", "--witness"])]:
         out_file = tmp_path / name
         assert run(verb + [str(out_file), "--db", str(f)] + flags) == code
         assert capsys.readouterr() == expected
+        assert out_file.exists() == (code == 0)
         if code == 0:
-            assert out_file.read_bytes() == by_global.read_bytes()
-        else:
-            assert not out_file.exists()
+            witness = json.loads(expected.out.split("\n", 1)[1])["witness"]
+            assert out_file.read_text() == json.dumps(
+                witness, indent=2, sort_keys=True) + "\n"
 
 
 def test_counterexample_then_global(tmp_path, capsys):
@@ -380,6 +384,39 @@ def test_encode_3dct_verb(tmp_path, capsys):
     assert run(["encode-3dct", "--tables", tables, "-o", str(out_file)]) == 0
     assert run(["global", "--db", str(out_file), "--oracle"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("table", ["R", "C", "F"])
+@pytest.mark.parametrize("cell, fault", [
+    (True, "multiplicity True for ('1', '2') is not an int"),
+    (2.0, "multiplicity 2.0 for ('1', '2') is not an int"),
+    (None, "multiplicity None for ('1', '2') is not an int"),
+    ("3", "multiplicity '3' for ('1', '2') is not an int"),
+    (-1, "negative multiplicity for ('1', '2')"),
+], ids=["bool", "float", "null", "string", "negative"])
+def test_encode_3dct_refuses_a_bad_cell(tmp_path, capsys, table, cell,
+                                        fault):
+    """A cell that is not a non-negative int exits 2 with one error line
+    naming its table and the cell, and writes no file."""
+    tables = {name: [[1, 0], [0, 1]] for name in "RCF"}
+    tables[table] = [[1, cell], [0, 1]]
+    _assert_usage_error(
+        ["encode-3dct", "--tables", _write(tmp_path / "t.json", tables)],
+        tmp_path / "db.json", capsys, "table %s: %s" % (table, fault))
+
+
+def test_encode_3dct_reports_the_first_fault(tmp_path, capsys):
+    """The tables are read in the order R, C, F: a bad cell in R is
+    reported before a bad shape in C, and a bad shape in C before a bad
+    cell in F."""
+    for tables, fault in (
+            ({"R": [[-1]], "C": [[1, 1]], "F": [[1]]},
+             "table R: negative multiplicity for ('1', '1')"),
+            ({"R": [[1]], "C": [[1, 1]], "F": [[None]]},
+             "table C is not an n x n grid")):
+        _assert_usage_error(
+            ["encode-3dct", "--tables", _write(tmp_path / "t.json", tables)],
+            tmp_path / "db.json", capsys, fault)
 
 
 def test_enumerate_verb(tmp_path, capsys):
@@ -541,36 +578,38 @@ def test_counterexample_refuses_more_than_a_million_rows(tmp_path, capsys,
 def test_counterexample_row_limit_is_inclusive(tmp_path, capsys,
                                                monkeypatch):
     """An instance of exactly the limit's rows is written, one row more is
-    refused: cycle --n 5 has 10 rows, clique --n 5 has 5 * 4^3 = 320."""
-    for shape, rows in (("cycle", 10), ("clique", 320)):
+    refused: cycle --n 5 has 10 rows, clique --n 5 has 5 * 4^3 = 320. The
+    limit is the library's alone."""
+    for shape, rows, count in (("cycle", 10, "5 * 2^1"),
+                               ("clique", 320, "5 * 4^3")):
         out_file = tmp_path / ("%s.json" % shape)
-        monkeypatch.setattr(cli, "MAX_BUILT_ROWS", rows - 1)
+        monkeypatch.setattr(consistency, "MAX_BUILT_ROWS", rows - 1)
         assert run(["counterexample", "--shape", shape, "--n", "5",
                     "-o", str(out_file)]) == 2
+        assert capsys.readouterr() == ("", "error: %s --n 5 has %s rows, "
+                                       "more than %d\n" % (shape, count,
+                                                            rows - 1))
         assert not out_file.exists()
-        monkeypatch.setattr(cli, "MAX_BUILT_ROWS", rows)
+        monkeypatch.setattr(consistency, "MAX_BUILT_ROWS", rows)
         assert run(["counterexample", "--shape", shape, "--n", "5",
                     "-o", str(out_file)]) == 0
         db = BagDatabase.from_json_dict(json.loads(out_file.read_text()))
         assert sum(map(len, db.bags)) == rows
-    capsys.readouterr()
+        capsys.readouterr()
 
 
 def test_empty_database_has_the_empty_witness(tmp_path, capsys):
     f = _write(tmp_path / "db.json",
                {"hypergraph": {"vertices": [], "edges": []}, "bags": []})
     empty = {"schema": [], "tuples": []}
-    by_global, by_witness = tmp_path / "global.json", tmp_path / "w.json"
+    by_global = tmp_path / "global.json"
     assert run(["global", "--db", f, "--witness", str(by_global)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("globally consistent\n")
     assert json.loads(out.split("\n", 1)[1]) == {
         "global": "yes", "oracle_exhausted": False, "witness": empty,
         "pairwise": {"consistent": True, "inconsistent_pairs": []}}
-    assert run(["witness", "--db", f, "-o", str(by_witness)]) == 0
-    capsys.readouterr()
-    for path in (by_global, by_witness):
-        assert path.read_text() == _dumps(Bag((), {}))
+    assert by_global.read_text() == _dumps(Bag((), {}))
     # with no bags, every bag over the empty schema is a witness
     assert run(["enumerate", "--db", f]) == 2
     assert capsys.readouterr() == (
@@ -624,8 +663,6 @@ _LIBRARY_CALLS = {
     "pairwise": (["--db", "db.json"], cli, "inconsistent_pairs"),
     "global": (["--db", "db.json", "--witness", "out.json"],
                cli, "global_consistent"),
-    "witness": (["--db", "db.json", "-o", "out.json"],
-                cli, "global_consistent"),
     "counterexample": (["--shape", "cycle", "--n", "4", "-o", "out.json"],
                        cli, "tseitin_counterexample"),
     "lift": (["--db", "db.json", "--schema", "c4.json", "-o", "out.json"],
@@ -719,14 +756,18 @@ def _malformed(path, value):
         "spaced-mult", "underscored-mult", "arabic-indic-mult", "empty-mult",
         "null-mult", "number-mult", "too-long-mult", "surrogate-mult"])
 def test_malformed_database_exits_2(tmp_path, capsys, verb, data):
+    """Exit 2 with an error line; "witness" is ``global --witness``, which
+    writes no file."""
     f = _write(tmp_path / "db.json", data)
     argv = [verb, "--db", f]
+    out_file = tmp_path / "w.json"
     if verb == "witness":
-        argv += ["-o", str(tmp_path / "w.json")]
+        argv = ["global", "--db", f, "--witness", str(out_file)]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("verb", ["classify", "lift"])
@@ -908,9 +949,6 @@ def test_verbs_write_bags_as_indented_dumps(tmp_path, capsys):
     assert capsys.readouterr().out == "globally consistent\n" + _dumps(report)
     assert out.read_text() == _dumps(report.witness)
 
-    assert run(["witness", "--db", db_file, "-o", str(out)]) == 0
-    assert out.read_text() == _dumps(report.witness)
-
     assert run(["counterexample", "--shape", "cycle", "--n", "4",
                 "-o", str(out)]) == 0
     assert out.read_text() == _dumps(tseitin_counterexample(
@@ -1070,7 +1108,7 @@ _NO_CYCLE_CASES = {
     "global-no": ("global --db {no}", 1),
     "global-cyclic": ("global --db {c4}", 1),
     "global-witness": ("global --db {yes} --witness {out}", 0),
-    "witness": ("witness --db {yes} -o {out}", 0),
+    "witness": ("global --db {no} --witness {out}", 1),
     "enumerate": ("enumerate --db {yes}", 0),
     "counterexample-cycle": ("counterexample --shape cycle --n 4 -o {out}",
                              0),
@@ -1205,7 +1243,7 @@ _FUZZ_INPUTS = {
                          path_hypergraph(4).to_json_dict()),
     "global": (["global", "--budget-nodes", "10000", "--db"], _VALID_DB),
     "pairwise": (["pairwise", "--db"], _VALID_DB),
-    "witness": (["witness", "-o", os.devnull, "--db"], _VALID_DB),
+    "witness": (["global", "--witness", os.devnull, "--db"], _VALID_DB),
     "enumerate": (["enumerate", "--budget-nodes", "10000", "--db"], _VALID_DB),
     "encode-3dct": (["encode-3dct", "-o", os.devnull, "--tables"],
                     {"R": [[1, 0], [0, 1]], "C": [[1, 0], [0, 1]],

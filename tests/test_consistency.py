@@ -27,9 +27,10 @@ from bagconsist import (
     solve_feasibility,
     tseitin_counterexample,
 )
-from bagconsist import consistency
+from bagconsist import consistency, hypergraph
 from bagconsist.hypergraph import (
     COVERED_EDGE_DELETION,
+    _peel,
     clique_complement_hypergraph,
     cycle_hypergraph,
 )
@@ -146,16 +147,17 @@ def test_global_consistent_acyclic(rng):
 
 
 def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
-    """One peel per call, and no (bag, shared set) marginal summed
+    """One peel per hypergraph, and no (bag, shared set) marginal summed
     twice, on the yes and on the no path: every marginal the deciders
     compare is a plain dict from the one summing routine, and no
-    ``Bag.marginal`` call is made."""
+    ``Bag.marginal`` call is made. The no reuses the yes's hypergraph, so
+    it peels no more."""
     rng = random.Random(0x40)
     edges = random_acyclic_schema(rng, 40)
     db = database_of(edges, random_global_bag(
         rng, {v for e in edges for v in e}, 12))
     trees = []
-    peel = consistency._peel
+    peel = hypergraph._peel
 
     def counting_peel(edges):
         trees.append(edges)
@@ -182,7 +184,7 @@ def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
         return marginal(self, attrs)
 
     def decide(database):
-        monkeypatch.setattr(consistency, "_peel", counting_peel)
+        monkeypatch.setattr(hypergraph, "_peel", counting_peel)
         monkeypatch.setattr(consistency, "_summed", recording_summed)
         monkeypatch.setattr(Bag, "marginal", counting_marginal)
         try:
@@ -215,7 +217,7 @@ def test_global_consistent_classifies_once_and_memoises_marginals(monkeypatch):
     report = decide(perturbed)
     assert report.global_status == "no" and report.witness is None
     assert expected and report.inconsistent_pairs == expected
-    assert len(trees) == 1
+    assert trees == []
     assert computed and len(computed) == len(set(computed))
     assert derived == [] and marginal_calls == []
 
@@ -593,8 +595,8 @@ def test_no_library_call_touches_the_gc(monkeypatch, paper_pair,
         rng, {v for e in ring for v in e}, 6))
     # the yes glues three ears onto one bag, the cyclic one an ear onto
     # the oracle's witness of a four-edge core
-    assert len(consistency._peel(yes.hypergraph.edges)[0]) == 3
-    assert len(consistency._peel(cyclic.hypergraph.edges)[1]) == 4
+    assert len(_peel(yes.hypergraph.edges)[0]) == 3
+    assert len(_peel(cyclic.hypergraph.edges)[1]) == 4
     target = Hypergraph(["A", "B", "C", "D"],
                         [["A", "B"], ["B", "C"], ["A", "C"], ["C", "D"]])
     bad = find_bad_witness(target)
@@ -640,6 +642,32 @@ def test_tseitin_h4_support_counts():
 def test_tseitin_rejects_irregular():
     with pytest.raises(Exception):
         tseitin_counterexample(path_hypergraph(4))
+
+
+def test_tseitin_row_limit_is_inclusive(monkeypatch):
+    """The library counts the rows before it builds one: C_5 has 10 rows
+    and H_5 has 5 * 4^3 = 320, built at exactly the limit and refused one
+    row under it."""
+    for h, rows, count in ((cycle_hypergraph(5), 10, "5 * 2^1"),
+                           (clique_complement_hypergraph(5), 320, "5 * 4^3")):
+        monkeypatch.setattr(consistency, "MAX_BUILT_ROWS", rows - 1)
+        with pytest.raises(DatabaseError) as exc:
+            tseitin_counterexample(h)
+        assert str(exc.value) == ("the counterexample has %s rows, more "
+                                  "than %d" % (count, rows - 1))
+        monkeypatch.setattr(consistency, "MAX_BUILT_ROWS", rows)
+        assert sum(map(len, tseitin_counterexample(h).bags)) == rows
+
+
+def test_tseitin_refuses_h9_at_once():
+    """H_9 would have 9 * 8^7, about 18.9M, rows: refused before any row is
+    built."""
+    h = clique_complement_hypergraph(9)
+    start = time.monotonic()
+    with pytest.raises(DatabaseError, match=r"9 \* 8\^7 rows, more than "
+                                            r"1000000"):
+        tseitin_counterexample(h)
+    assert time.monotonic() - start < 1
 
 
 def test_relational_vs_bag_consistency():
@@ -829,3 +857,30 @@ def test_encode_3dct():
     for entry in (2.5, 2.0, True, "3"):
         with pytest.raises(ValueError):
             encode_3dct([[entry]], [[1]], [[1]])
+
+
+@pytest.mark.parametrize("cell", [True, False, 2.0, 0.0, None, "3", "", -1],
+                         ids=["true", "false", "float", "zero-float", "null",
+                              "string", "empty-string", "negative"])
+@pytest.mark.parametrize("table", ["R", "C", "F"])
+def test_encode_3dct_refuses_a_bad_cell(table, cell):
+    """Every cell reaches the bag constructor, a zero-valued one too, and
+    its refusal names the table and the cell."""
+    tables = {name: [[1, 0], [0, 1]] for name in "RCF"}
+    tables[table] = [[1, 0], [cell, 1]]
+    with pytest.raises(ValueError) as exc:
+        encode_3dct(tables["R"], tables["C"], tables["F"])
+    fault = ("negative multiplicity for ('2', '1')" if cell == -1 else
+             "multiplicity %r for ('2', '1') is not an int" % (cell,))
+    assert str(exc.value) == "table %s: %s" % (table, fault)
+
+
+def test_encode_3dct_reports_the_first_fault():
+    """R, C and F are read in that order, each checked for shape and then
+    for its cells: a bad cell in R comes before a bad shape in C."""
+    with pytest.raises(ValueError, match="^table R: negative multiplicity"):
+        encode_3dct([[-1]], [[1, 1]], [[1]])
+    with pytest.raises(ValueError, match="^table C is not an n x n grid$"):
+        encode_3dct([[1]], [[1, 1]], [[None]])
+    with pytest.raises(ValueError, match="^table R is not an n x n grid$"):
+        encode_3dct([[1], [1]], [["x"]], [[1]])

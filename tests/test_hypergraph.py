@@ -25,8 +25,10 @@ from bagconsist.hypergraph import (
 
 from conftest import (
     cyclic_variants,
+    database_of,
     path_hypergraph,
     random_acyclic_schema,
+    random_global_bag,
     random_hypergraph,
     replay_ops,
 )
@@ -559,6 +561,39 @@ def test_classify_peels_the_schema_once(tmp_path, monkeypatch, capsys):
         shapes.add(json.loads(out.split("\n", 1)[1]).get(
             "bad_witness", {}).get("shape"))
     assert shapes == {None, SHAPE_CYCLE, SHAPE_CLIQUE_COMPLEMENT}
+
+
+def test_global_peels_the_schema_once(tmp_path, monkeypatch, capsys):
+    """``global`` peels the loaded database's edge list once, and nothing
+    else, on an acyclic database, one with a chord and one with a hung
+    triangle: the decider reads the peel that ``classify`` reads."""
+    loaded, peeled = [], []
+    load, peel = cli._load_db, hypergraph._peel
+
+    def loading(path):
+        loaded.append(load(path))
+        return loaded[-1]
+
+    def counting_peel(edges):
+        peeled.append(edges)
+        return peel(edges)
+
+    monkeypatch.setattr(cli, "_load_db", loading)
+    monkeypatch.setattr(hypergraph, "_peel", counting_peel)
+    rng = random.Random(0x9E1)
+    tree = random_acyclic_schema(rng, 30)
+    chord, hung = cyclic_variants(rng, tree)
+    path = tmp_path / "db.json"
+    for edges in (tree, chord, hung):
+        db = database_of(edges, random_global_bag(
+            rng, {v for e in edges for v in e}, 6))
+        path.write_text(json.dumps(db.to_json_dict()))
+        loaded.clear()
+        peeled.clear()
+        assert run(["global", "--db", str(path)]) == 0
+        (db,) = loaded
+        assert len(peeled) == 1 and peeled[0] is db.hypergraph.edges
+    capsys.readouterr()
 
 
 def test_find_bad_witness_searches_only_certificate_vertices(monkeypatch):
