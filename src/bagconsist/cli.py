@@ -253,9 +253,11 @@ def cmd_counterexample(args) -> int:
         raise ValueError("--n must be at least 3")
     # n bags of k attributes, each attribute in d bags; counted before the
     # hypergraph, whose n (n - 1) cells alone would stall a huge n
-    d, k = (2, 2) if args.shape == "cycle" else (n - 1, n - 1)
+    if args.shape == "cycle":
+        d, k, maker = 2, 2, cycle_hypergraph
+    else:
+        d, k, maker = n - 1, n - 1, clique_complement_hypergraph
     check_built_rows("%s --n %d" % (args.shape, n), n, d, k)
-    maker = cycle_hypergraph if args.shape == "cycle" else clique_complement_hypergraph
     db = tseitin_counterexample(maker(n))
     _write_json(args.output, db._json_layout())
     print("counterexample written to %s" % args.output)
@@ -277,11 +279,8 @@ def cmd_lift(args) -> int:
 
 def cmd_harden(args) -> int:
     db = _load_db(args.db)
-    if args.to == "cycle":
-        out = cycle_hardness_lift(db)
-    else:
-        out = clique_hardness_lift(db)
-    _write_json(args.output, out._json_layout())
+    lift = cycle_hardness_lift if args.to == "cycle" else clique_hardness_lift
+    _write_json(args.output, lift(db)._json_layout())
     print("hardened database written to %s" % args.output)
     return EXIT_OK
 

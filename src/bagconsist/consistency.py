@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -312,11 +312,7 @@ def tseitin_counterexample(h: Hypergraph) -> BagDatabase:
     if len(sizes) != 1:
         raise HypergraphError("hypergraph is not uniform")
     k = sizes.pop()
-    degrees = {v: 0 for v in h.vertices}
-    for e in h.edges:
-        for v in e:
-            degrees[v] += 1
-    reg = set(degrees.values())
+    reg = set(Counter(v for e in h.edges for v in e).values())
     if len(reg) != 1:
         raise HypergraphError("hypergraph is not regular")
     d = reg.pop()

@@ -78,11 +78,6 @@ class Hypergraph:
                 adj[u] |= e - {u}
         return adj
 
-    def reduce(self) -> "Hypergraph":
-        """Drop edges strictly contained in another edge; collapse
-        duplicates to one copy."""
-        return Hypergraph(self.vertices, _maximal(self.edges))
-
     # -- classification ----------------------------------------------------
 
     def is_chordal(self) -> bool:
@@ -90,7 +85,7 @@ class Hypergraph:
 
     def is_conformal(self) -> bool:
         """Gilmore's criterion on the reduced edge set."""
-        edges = self.reduce().edges
+        edges = _maximal(self.edges)
         n = len(edges)
         for i in range(n):
             for j in range(i + 1, n):
@@ -246,8 +241,6 @@ def _core_vertices(edges, s) -> Optional[set]:
 
 
 def _connected(adj: dict, nodes: set) -> bool:
-    if not nodes:
-        return True
     seen = set()
     stack = [next(iter(sorted(nodes)))]
     while stack:
@@ -503,25 +496,16 @@ def _matches_shape(edges: list[Edge], w: set, shape: str) -> bool:
     n = len(w)
     edges = set(edges)
     if shape == SHAPE_CLIQUE_COMPLEMENT:
-        if n < 3:
-            return False
-        return edges == {frozenset(w - {v}) for v in w}
-    if n < 4 or len(edges) != n:
-        return False
-    if any(len(e) != 2 for e in edges):
-        return False
-    deg = {v: 0 for v in w}
-    for e in edges:
-        for v in e:
-            deg[v] += 1
-    if any(d != 2 for d in deg.values()):
+        return n >= 3 and edges == {frozenset(w - {v}) for v in w}
+    if n < 4 or len(edges) != n or any(len(e) != 2 for e in edges):
         return False
     adj = {v: set() for v in w}
     for e in edges:
-        a, b = sorted(e)
+        a, b = e
         adj[a].add(b)
         adj[b].add(a)
-    return _connected(adj, w)
+    # distinct binary edges: a vertex's degree is its neighbour count
+    return all(len(nb) == 2 for nb in adj.values()) and _connected(adj, w)
 
 
 # -- named generators ------------------------------------------------------

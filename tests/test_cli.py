@@ -57,6 +57,17 @@ def test_classify_acyclic(tmp_path, capsys):
     assert "join_tree" in payload and "running_intersection_order" in payload
 
 
+def test_classify_empty_schema(tmp_path, capsys):
+    """The hypergraph with no edges is acyclic: exit 0, with an empty join
+    tree and an empty running-intersection order."""
+    f = _write(tmp_path / "empty.json", {"vertices": [], "edges": []})
+    assert run(["classify", "--schema", f]) == 0
+    assert capsys.readouterr() == ("acyclic\n" + json.dumps(
+        {"join_tree": {"links": [], "nodes": []},
+         "running_intersection_order": []}, indent=2, sort_keys=True)
+        + "\n", "")
+
+
 def test_classify_cyclic(tmp_path, capsys):
     f = _write(tmp_path / "c4.json", cycle_hypergraph(4).to_json_dict())
     assert run(["classify", "--schema", f]) == 1
@@ -170,6 +181,20 @@ def test_global_budget_exhaustion(tmp_path, capsys):
     assert json.loads(out.split("\n", 1)[1])["oracle_exhausted"] is True
 
 
+def test_global_spends_a_nanosecond_budget_after_the_join(tmp_path,
+                                                         capsys):
+    """``--budget-seconds 1e-9`` is spent at the clock reads that follow
+    the join, before the search's first node, so the pairwise-consistent
+    Tseitin C_4 exits 3 whatever order the search would take."""
+    f = _write(tmp_path / "c4.json",
+               tseitin_counterexample(cycle_hypergraph(4)).to_json_dict())
+    assert run(["global", "--db", f, "--budget-seconds", "1e-9"]) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("unknown (oracle budget exhausted)\n")
+    assert json.loads(out.split("\n", 1)[1])["oracle_exhausted"] is True
+    assert err == ""
+
+
 @pytest.mark.parametrize("verb", [["global", "--oracle"], ["enumerate"]],
                          ids=["global", "enumerate"])
 @pytest.mark.parametrize("limit", [
@@ -194,6 +219,7 @@ def test_witness_verb(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "invalid choice: 'witness'" in err
+    assert err.count("error:") == 1 and "Traceback" not in err
     assert not out_file.exists()
     assert "witness" not in _verbs()
 
@@ -288,6 +314,7 @@ def test_counterexample_round_trips(tmp_path, capsys):
                 "-o", str(out_file)]) == 0
     db = BagDatabase.from_json_dict(json.loads(out_file.read_text()))
     assert db == tseitin_counterexample(db.hypergraph)
+    assert run(["global", "--db", str(out_file)]) == 1
     capsys.readouterr()
 
 
@@ -306,14 +333,26 @@ def test_lift_verb(tmp_path, capsys):
                 "-o", str(out_file)]) == 0
     lifted = BagDatabase.from_json_dict(json.loads(out_file.read_text()))
     assert lifted.hypergraph == target
+    # a no stays a no: the Tseitin C_4 lifted onto C_4 plus {A4, B}
+    c4 = _write(tmp_path / "c4.json",
+                tseitin_counterexample(cycle_hypergraph(4)).to_json_dict())
+    ring = _write(tmp_path / "ring.json", {
+        "vertices": ["A1", "A2", "A3", "A4", "B"],
+        "edges": [["A1", "A2"], ["A2", "A3"], ["A3", "A4"], ["A1", "A4"],
+                  ["A4", "B"]]})
+    assert run(["lift", "--db", c4, "--schema", ring,
+                "-o", str(out_file)]) == 0
+    assert run(["global", "--db", str(out_file)]) == 1
     capsys.readouterr()
 
 
 def test_lift_verb_rejects_acyclic_target(tmp_path, triangle_db_file, capsys):
     schema_file = _write(tmp_path / "p3.json", path_hypergraph(3).to_json_dict())
-    assert run(["lift", "--db", triangle_db_file, "--schema", schema_file,
-                "-o", "/dev/null"]) == 2
-    capsys.readouterr()
+    _assert_usage_error(
+        ["lift", "--db", triangle_db_file, "--schema", schema_file],
+        tmp_path / "lifted.json", capsys,
+        "target schema is acyclic; there is no bad-witness reduction to "
+        "lift along")
 
 
 def test_harden_verb(tmp_path, capsys):
@@ -417,6 +456,16 @@ def test_encode_3dct_reports_the_first_fault(tmp_path, capsys):
         _assert_usage_error(
             ["encode-3dct", "--tables", _write(tmp_path / "t.json", tables)],
             tmp_path / "db.json", capsys, fault)
+
+
+def test_encode_3dct_needs_all_three_tables(tmp_path, capsys):
+    """A tables file without F, or one that is not a JSON object, exits 2
+    with one error line and writes no file."""
+    for tables in ({"R": [[1]], "C": [[1]]}, [[[1]], [[1]], [[1]]]):
+        _assert_usage_error(
+            ["encode-3dct", "--tables", _write(tmp_path / "t.json", tables)],
+            tmp_path / "db.json", capsys,
+            "tables file must be a JSON object with keys R, C, F")
 
 
 def test_enumerate_verb(tmp_path, capsys):
@@ -551,6 +600,13 @@ def test_harden_verb_rejects_other_schemas(tmp_path, capsys, to, shape):
         ["harden", "--db", _write(tmp_path / "db.json", db.to_json_dict()),
          "--to", to], tmp_path / "hard.json", capsys,
         "input must be a database over %s_2 (n >= 3)" % shape)
+    # the other shape's four-edge counterexample
+    other = clique_complement_hypergraph if to == "cycle" else cycle_hypergraph
+    db = tseitin_counterexample(other(4))
+    _assert_usage_error(
+        ["harden", "--db", _write(tmp_path / "db.json", db.to_json_dict()),
+         "--to", to], tmp_path / "hard.json", capsys,
+        "input must be a database over %s_4 (n >= 3)" % shape)
 
 
 def test_counterexample_needs_three_vertices(tmp_path, capsys):
@@ -829,6 +885,22 @@ def test_malformed_tables_exit_2(tmp_path, capsys, tables):
     assert run(["encode-3dct", "--tables", f,
                 "-o", str(tmp_path / "db.json")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_truncated_database_exits_2(tmp_path, capsys):
+    """A database file cut short exits 2 with the decoder's message on one
+    error line, nothing on stdout and no witness file."""
+    text = json.dumps(tseitin_counterexample(
+        cycle_hypergraph(4)).to_json_dict())[:20]
+    f = tmp_path / "cut.json"
+    f.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        json.loads(text)
+    out_file = tmp_path / "w.json"
+    assert run(["global", "--db", str(f), "--witness", str(out_file)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: malformed JSON in %s: %s\n" % (f, exc.value))
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("verb, flag", [

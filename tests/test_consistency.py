@@ -12,6 +12,7 @@ from bagconsist import (
     BagDatabase,
     DatabaseError,
     Hypergraph,
+    HypergraphError,
     OracleBudget,
     check_witness,
     clique_hardness_lift,
@@ -640,8 +641,21 @@ def test_tseitin_h4_support_counts():
 
 
 def test_tseitin_rejects_irregular():
-    with pytest.raises(Exception):
+    with pytest.raises(HypergraphError, match=r"^hypergraph is not regular$"):
         tseitin_counterexample(path_hypergraph(4))
+
+
+@pytest.mark.parametrize("edges, fault", [
+    ([], "need at least one hyperedge"),
+    ([["A", "B"], ["B", "C", "D"]], "hypergraph is not uniform"),
+    # every vertex in one edge: regular, at degree 1
+    ([["A", "B"], ["C", "D"]], "regularity degree must be at least 2"),
+], ids=["no-edges", "non-uniform", "degree-1"])
+def test_tseitin_refuses_other_hypergraphs(edges, fault):
+    h = Hypergraph({v for e in edges for v in e}, edges)
+    with pytest.raises(HypergraphError) as exc:
+        tseitin_counterexample(h)
+    assert str(exc.value) == fault
 
 
 def test_tseitin_row_limit_is_inclusive(monkeypatch):

@@ -17,6 +17,7 @@ from bagconsist.hypergraph import (
     VERTEX_DELETION,
     _core_vertices,
     _matches_shape,
+    _maximal,
     _mcs_certificate,
     _peel,
     clique_complement_hypergraph,
@@ -79,6 +80,10 @@ def test_generators():
     k = clique_complement_hypergraph(4)
     assert all(len(e) == 3 for e in k.edges)
     assert "A%d" % 1 not in k.edges[0]
+    with pytest.raises(HypergraphError, match=r"^C_n needs n >= 3$"):
+        cycle_hypergraph(2)
+    with pytest.raises(HypergraphError, match=r"^H_n needs n >= 3$"):
+        clique_complement_hypergraph(2)
 
 
 def test_paper_classifications():
@@ -647,6 +652,17 @@ def test_safe_deletion_ops():
     # in order, so ["A1", "A3"] <= ["A2"] would hold
     with pytest.raises(HypergraphError):
         SafeDeletionOp(COVERED_EDGE_DELETION, edge=["A1", "A3"], cover=["A2"])
+    for kind, parts, fault in (
+            (VERTEX_DELETION, {}, "vertex-deletion needs a vertex"),
+            (COVERED_EDGE_DELETION, {"cover": ["A1"]},
+             "covered-edge-deletion needs edge and cover"),
+            (COVERED_EDGE_DELETION, {"edge": ["A1"]},
+             "covered-edge-deletion needs edge and cover"),
+            ("rename", {"vertex": "A1"},
+             "unknown safe-deletion kind 'rename'")):
+        with pytest.raises(HypergraphError) as exc:
+            SafeDeletionOp(kind, **parts)
+        assert str(exc.value) == fault
     # a vertex given as an int is a name, as the hypergraph's vertices are
     op = SafeDeletionOp(VERTEX_DELETION, vertex=3)
     assert op == SafeDeletionOp(VERTEX_DELETION, vertex="3")
@@ -691,7 +707,8 @@ def test_find_bad_witness_ops_replay():
         assert (bad is None) == (h.join_tree() is not None)
         if bad is None:
             continue
-        reduced = replay_ops(h, bad.ops).reduce()
+        replayed = replay_ops(h, bad.ops)
+        reduced = Hypergraph(replayed.vertices, _maximal(replayed.edges))
         n = len(bad.w)
         assert set(reduced.vertices) == bad.w
         edges = {frozenset(e) for e in reduced.edges}

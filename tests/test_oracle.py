@@ -534,12 +534,13 @@ def test_deadline_checked_after_the_join(monkeypatch):
     assert passed and not built
 
 
-def test_deadline_checked_while_the_incidence_lists_are_built(monkeypatch):
-    """A deadline that passes while the first bag's column is built ends
-    the search before the next bag's column, so before the system is
-    whole. The join's own row keys are not counted."""
-    keys = []
-    joined = []
+def _build_with_clock(monkeypatch, clock):
+    """``solve_feasibility`` on a dense three-bag 3DCT instance, with
+    ``time.monotonic`` replaced by ``clock(keys)``, where ``keys`` lists the
+    row keys made after the join, one per bag's column (the join's own row
+    keys are not counted): the answer, the keys, and whether the system was
+    built."""
+    keys, joined, built = [], [], []
     row_key, support_join = oracle._row_key, oracle._support_join
     system = oracle._System
 
@@ -553,11 +554,6 @@ def test_deadline_checked_while_the_incidence_lists_are_built(monkeypatch):
             keys.append(positions)
         return row_key(positions)
 
-    def clock():
-        return 10.0 ** 9 if keys else 0.0
-
-    built = []
-
     def counting_system(*args):
         built.append(True)
         return system(*args)
@@ -565,10 +561,35 @@ def test_deadline_checked_while_the_incidence_lists_are_built(monkeypatch):
     monkeypatch.setattr(oracle, "_support_join", join_then_count)
     monkeypatch.setattr(oracle, "_row_key", counting_row_key)
     monkeypatch.setattr(oracle, "_System", counting_system)
-    monkeypatch.setattr(oracle.time, "monotonic", clock)
-    db = _dense_3dct(7, 6, 3)
-    assert solve_feasibility(db, OracleBudget(max_seconds=1)) is EXHAUSTED
-    assert len(keys) == 1 and not built
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: clock(keys))
+    answer = solve_feasibility(_dense_3dct(7, 6, 3), OracleBudget(max_seconds=1))
+    return answer, keys, bool(built)
+
+
+def test_deadline_checked_while_the_incidence_lists_are_built(monkeypatch):
+    """A deadline that passes while the first bag's column is built ends the
+    search before the next bag's column, so before the system is whole."""
+    answer, keys, built = _build_with_clock(
+        monkeypatch, lambda keys: 10.0 ** 9 if keys else 0.0)
+    assert answer is EXHAUSTED and len(keys) == 1 and not built
+
+
+def test_deadline_checked_while_the_per_row_lists_are_filled(monkeypatch):
+    """A deadline that passes once every bag's column is built ends the
+    search while each constraint row's list of join rows is filled, so
+    before the system is whole: the clock read after the last column
+    passes, the first one in the filling loop trips."""
+    reads = []
+
+    def clock(keys):
+        if len(keys) < 3:
+            return 0.0
+        reads.append(True)
+        return 0.0 if len(reads) == 1 else 10.0 ** 9
+
+    answer, keys, built = _build_with_clock(monkeypatch, clock)
+    assert answer is EXHAUSTED and len(keys) == 3 and len(reads) == 2
+    assert not built
 
 
 def test_deadline_checked_after_the_first_propagation(monkeypatch):
